@@ -9,17 +9,7 @@ harness for seeded runs and parameter sweeps.
 
 from .baselines import GdaConfig, GdaRun, gda_run
 from .consensus import ConsensusPoint, laplace_gap, x_consensus, y_consensus
-from .diagnostics import (
-    ReferencePoint,
-    RunRecord,
-    benchmark_reference,
-    best_pair,
-    error_to_reference,
-    fit_decay_rate,
-    register_reference,
-    spread,
-    variance,
-)
+from .diagnostics import RunRecord, best_pair, error_to_reference, fit_decay_rate, spread, variance
 from .dynamics import Ensemble, InitSpec, SolverConfig, initialize, run, step
 from .errors import ConfigError, InputError, NumericalError
 from .harness import SweepSpec, TrialSummary, run_benchmark, run_sweep
@@ -27,7 +17,8 @@ from .objectives import (
     BENCHMARK_IDS,
     BoxDomain,
     ObjectiveFunction,
-    evaluate,
+    ReferencePoint,
+    benchmark_reference,
     make_benchmark,
     register_benchmark,
 )
@@ -58,14 +49,12 @@ __all__ = [
     "best_pair",
     "envelope",
     "error_to_reference",
-    "evaluate",
     "fit_decay_rate",
     "gda_run",
     "initialize",
     "laplace_gap",
     "make_benchmark",
     "register_benchmark",
-    "register_reference",
     "run",
     "run_benchmark",
     "run_sweep",

@@ -18,10 +18,10 @@ import numpy as np
 
 from .baselines import GdaConfig, gda_run
 from .consensus import consensus_points, x_consensus, y_consensus
-from .diagnostics import benchmark_reference, error_to_reference, fit_decay_rate
+from .diagnostics import error_to_reference, fit_decay_rate
 from .dynamics import InitSpec, SolverConfig, run
 from .harness import SweepSpec, benchmark_config, run_benchmark, run_sweep, _sweep_trial
-from .objectives import BoxDomain, ObjectiveFunction, make_benchmark
+from .objectives import BoxDomain, ObjectiveFunction, benchmark_reference, make_benchmark
 from .oracle import GridSpec, solve_minmax
 
 __all__ = ["CriterionResult", "run_all"] + [f"criterion_{k}" for k in range(1, 8)]
@@ -88,8 +88,8 @@ def criterion_2() -> CriterionResult:
 
 
 def _sweep_medians(benchmark: str, parameter: str, values, trials: int = 40, base_seed: int = 1000):
-    base, _ = benchmark_config(benchmark, {"horizon": 50.0, "init": "border", "seed": base_seed})
-    spec = SweepSpec(parameter=parameter, values=list(values), benchmark=benchmark, base=base, trials=trials)
+    base, obj = benchmark_config(benchmark, {"horizon": 50.0, "init": "border", "seed": base_seed})
+    spec = SweepSpec(parameter=parameter, values=list(values), objective=obj, base=base, trials=trials)
     return {s.parameter_value: s.median_error for s in run_sweep(spec)}
 
 
@@ -284,11 +284,12 @@ def criterion_7() -> CriterionResult:
                 return CriterionResult(7, "determinism", False, f"solve exited {code}", time.perf_counter() - start)
         csv_equal = filecmp.cmp(out_a / "run_bilinear_seed7.csv", out_b / "run_bilinear_seed7.csv", shallow=False)
 
-    base, _ = benchmark_config("bilinear", {"horizon": 5.0, "init": "border", "seed": 42})
-    spec = SweepSpec(parameter="sigma", values=[1.5], benchmark="bilinear", base=base, trials=3)
+    base, obj = benchmark_config("bilinear", {"horizon": 5.0, "init": "border", "seed": 42})
+    spec = SweepSpec(parameter="sigma", values=[1.5], objective=obj, base=base, trials=3)
     sweep_errors = run_sweep(spec)[0].errors
+    ref = benchmark_reference("bilinear")
     replayed = [
-        _sweep_trial(("bilinear", replace(base, seed=base.seed + trial, sigma_x=1.5, sigma_y=1.5)))
+        _sweep_trial(obj, ref, replace(base, seed=base.seed + trial, sigma_x=1.5, sigma_y=1.5))
         for trial in range(3)
     ]
     rows_equal = sweep_errors == replayed

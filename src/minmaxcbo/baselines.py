@@ -45,10 +45,6 @@ class GdaRun:
     ys: np.ndarray
     diverged: bool = False
 
-    @property
-    def trajectory(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(self.xs[k], self.ys[k]) for k in range(self.xs.shape[0])]
-
     def __len__(self) -> int:
         return self.xs.shape[0]
 

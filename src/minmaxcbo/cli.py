@@ -25,9 +25,12 @@ from .harness import (
     SWEEP_PARAMETERS,
     SweepSpec,
     benchmark_config,
+    parse_bool,
     parse_config_file,
+    parse_floats,
+    parse_value,
+    run_benchmark,
     run_sweep,
-    timed_run_benchmark,
     write_run_csv,
     write_run_summary,
     write_sweep_csv,
@@ -45,54 +48,24 @@ def _out_dir(arg: str | None) -> Path:
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--benchmark", choices=BENCHMARK_IDS, help="benchmark objective id")
+    """One flag per configuration key; values stay text until the key's parser reads them."""
     parser.add_argument("--config", help="flat key = value configuration file")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("-N", "--n-particles", type=int, dest="n_particles")
-    parser.add_argument("--lam", type=float, help="drift rate for both populations")
-    parser.add_argument("--lambda-x", type=float, dest="lambda_x")
-    parser.add_argument("--lambda-y", type=float, dest="lambda_y")
-    parser.add_argument("--sigma", type=float, help="noise strength for both populations")
-    parser.add_argument("--sigma-x", type=float, dest="sigma_x")
-    parser.add_argument("--sigma-y", type=float, dest="sigma_y")
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--dt", type=float, help="y-population step size")
-    parser.add_argument("--epsilon", type=float, help="time-scale ratio dt_x / dt_y")
-    parser.add_argument("-T", "--horizon", type=float)
-    parser.add_argument("--diffusion", choices=("anisotropic", "isotropic"))
-    parser.add_argument("--init", choices=("uniform_box", "border", "gaussian"))
-    parser.add_argument("--init-mean", type=float, dest="init_mean")
-    parser.add_argument("--init-std", type=float, dest="init_std")
-    parser.add_argument("--project", dest="project", action="store_true", default=None)
-    parser.add_argument("--no-project", dest="project", action="store_false")
-    parser.add_argument("--box-x", dest="box_x", help="override x-domain, e.g. '-4,4'")
-    parser.add_argument("--box-y", dest="box_y", help="override y-domain, e.g. '-4,4'")
-
-
-_FLAG_KEYS = (
-    "seed n_particles lambda_x lambda_y sigma_x sigma_y alpha beta dt epsilon "
-    "horizon diffusion init init_mean init_std project box_x box_y"
-).split()
+    for key, spec in CONFIG_KEYS.items():
+        if spec.parse is parse_bool:
+            parser.add_argument(*spec.flags, dest=key, action="store_const", const="true")
+            parser.add_argument(f"--no-{spec.flags[0][2:]}", dest=key, action="store_const", const="false")
+        else:
+            parser.add_argument(*spec.flags, dest=key, choices=spec.choices, help=spec.help)
 
 
 def _collect_overrides(args: argparse.Namespace) -> tuple[str, dict]:
     """Merge defaults < config file < flags; returns (benchmark, overrides)."""
-    overrides: dict = {}
-    if args.config:
-        overrides.update(parse_config_file(args.config))
-    if getattr(args, "lam", None) is not None:
-        overrides["lambda"] = args.lam
-    if getattr(args, "sigma", None) is not None:
-        overrides["sigma"] = args.sigma
-    for key in _FLAG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            if key in ("box_x", "box_y") and isinstance(value, str):
-                value = CONFIG_KEYS[key](value)
-            overrides[key] = value
-    benchmark = args.benchmark or overrides.pop("benchmark", None)
-    overrides.pop("benchmark", None)
+    overrides = parse_config_file(args.config) if args.config else {}
+    for key in CONFIG_KEYS:
+        text = getattr(args, key)
+        if text is not None:
+            overrides[key] = parse_value(key, text)
+    benchmark = overrides.pop("benchmark", None)
     if not benchmark:
         raise ConfigError("no benchmark specified (use --benchmark or a config file)")
     return benchmark, overrides
@@ -100,7 +73,9 @@ def _collect_overrides(args: argparse.Namespace) -> tuple[str, dict]:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     benchmark, overrides = _collect_overrides(args)
-    record, config, wall = timed_run_benchmark(benchmark, overrides)
+    start = time.perf_counter()
+    record, config = run_benchmark(benchmark, overrides)
+    wall = time.perf_counter() - start
     out = _out_dir(args.out)
     prefix = args.prefix or f"run_{benchmark}_seed{config.seed}"
     d1 = record.final_ensemble.xs.shape[1]
@@ -117,12 +92,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     benchmark, overrides = _collect_overrides(args)
     overrides.setdefault("horizon", SWEEP_HORIZON)
     overrides.setdefault("init", "border")
-    config, _ = benchmark_config(benchmark, overrides)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    config, obj = benchmark_config(benchmark, overrides)
+    key = SWEEP_PARAMETERS[args.parameter][0]
     spec = SweepSpec(
         parameter=args.parameter,
-        values=values,
-        benchmark=benchmark,
+        values=[parse_value(key, v) for v in args.values.split(",") if v.strip()],
+        objective=obj,
         base=config,
         trials=args.trials,
         jobs=args.jobs,
@@ -167,7 +142,7 @@ def _cmd_gda(args: argparse.Namespace) -> int:
     if not args.benchmark:
         raise ConfigError("no benchmark specified")
     obj = make_benchmark(args.benchmark)
-    start_vals = [float(v) for v in args.start.split(",") if v.strip()]
+    start_vals = parse_floats(args.start)
     if len(start_vals) != obj.dim_x + obj.dim_y:
         raise ConfigError(f"--start needs {obj.dim_x + obj.dim_y} comma-separated numbers")
     config = GdaConfig(
@@ -223,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="multi-trial parameter sweep")
     _add_solver_flags(p_sweep)
-    p_sweep.add_argument("--parameter", required=True, choices=SWEEP_PARAMETERS)
+    p_sweep.add_argument("--parameter", required=True, choices=tuple(SWEEP_PARAMETERS))
     p_sweep.add_argument("--values", required=True, help="comma-separated parameter values")
     p_sweep.add_argument("--trials", type=int, default=100)
     p_sweep.add_argument("--jobs", type=int, default=1)

@@ -19,7 +19,6 @@ from .objectives import ObjectiveFunction
 __all__ = [
     "ConsensusPoint",
     "exp_weights",
-    "stable_weights",
     "y_consensus",
     "x_consensus",
     "consensus_points",
@@ -57,11 +56,6 @@ def exp_weights(values: np.ndarray, scale: float, axis: int = -1) -> np.ndarray:
         pivot = values.min(axis=axis, keepdims=True)
     w = np.exp(scale * (values - pivot))
     return w / w.sum(axis=axis, keepdims=True)
-
-
-def stable_weights(scores: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Normalized exp(scores) along ``axis``, shifted so the max exponent is 0."""
-    return exp_weights(scores, 1.0, axis=axis)
 
 
 def _as_ensemble(arr, dim: int, what: str) -> np.ndarray:

@@ -7,23 +7,19 @@ quantities whose exponential decay the theory predicts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .objectives import ObjectiveFunction
+from .objectives import ObjectiveFunction, ReferencePoint
 
 if TYPE_CHECKING:
     from .dynamics import Ensemble
 
 __all__ = [
-    "ReferencePoint",
     "RunRecord",
-    "benchmark_reference",
-    "register_reference",
     "variance",
     "spread",
     "best_pair",
@@ -36,67 +32,6 @@ __all__ = [
 # stochastic-equilibrium plateau out of the least-squares fit.
 _FIT_FLOOR_REL = 1e-3
 _FIT_FLOOR_ABS = 1e-12
-
-
-@dataclass
-class ReferencePoint:
-    """Known global min-max solution used to measure run error.
-
-    Problems whose inner maximizer is not unique carry every y* in
-    y_star_set and errors use the nearest one.  For problems whose min-max
-    set is a continuum {x*} x R (bilinear, bivariate), y_free is set and
-    the y-component of every distance is zero.
-    """
-
-    x_star: np.ndarray
-    y_star_set: np.ndarray
-    y_free: bool = False
-
-    def __post_init__(self):
-        self.x_star = np.atleast_1d(np.asarray(self.x_star, dtype=float))
-        self.y_star_set = np.atleast_2d(np.asarray(self.y_star_set, dtype=float))
-        if self.y_star_set.shape[0] < 1:
-            raise InputError("y_star_set must be nonempty")
-
-
-# y* of the bilinearly coupled problem is the positive root of f'(y) = 0
-# with f(z) = (z^2-1)(z^2-9), i.e. sqrt(5); for the forsaken problem it is
-# the global minimizer of z^2/4 - z^4/2 + z^6/6, i.e. sqrt(1 + sqrt(2)/2).
-_Y_STAR_COUPLED = math.sqrt(5.0)
-_Y_STAR_FORSAKEN = math.sqrt(1.0 + math.sqrt(2.0) / 2.0)
-
-# Benchmark literature often quotes (0.08, 0.4) for the forsaken problem;
-# that is a limit point of gradient dynamics, not a global min-max
-# solution, and is kept for comparison only.
-FORSAKEN_LITERATURE_POINT = (0.08, 0.4)
-
-_REFERENCES = {
-    "bilinear": ((0.0,), ((0.0,),), True),
-    "bivariate": ((0.0,), ((0.0,),), True),
-    "bilinearly_coupled": ((0.0,), ((_Y_STAR_COUPLED,), (-_Y_STAR_COUPLED,)), False),
-    "forsaken": ((0.0,), ((_Y_STAR_FORSAKEN,), (-_Y_STAR_FORSAKEN,)), False),
-    "sixth_order": ((0.0,), ((0.0,),), False),
-    "remark_function": ((0.0,), ((0.0,),), False),
-}
-
-
-def benchmark_reference(benchmark_id: str) -> ReferencePoint:
-    """Reference solution for a built-in or registered benchmark."""
-    key = str(benchmark_id).strip().lower().replace("-", "_")
-    if key not in _REFERENCES:
-        raise InputError(f"no reference solution for benchmark {benchmark_id!r}")
-    x_star, y_set, y_free = _REFERENCES[key]
-    return ReferencePoint(np.array(x_star), np.array(y_set), y_free=y_free)
-
-
-def register_reference(benchmark_id: str, ref: ReferencePoint) -> None:
-    """Attach a reference solution to a custom benchmark id."""
-    key = benchmark_id.strip().lower().replace("-", "_")
-    _REFERENCES[key] = (
-        tuple(ref.x_star),
-        tuple(tuple(row) for row in ref.y_star_set),
-        ref.y_free,
-    )
 
 
 @dataclass

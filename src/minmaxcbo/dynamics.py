@@ -16,9 +16,9 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .consensus import ConsensusPoint, consensus_points
-from .diagnostics import ReferencePoint, RunRecord, best_pair_from_matrix, error_to_reference, spread, variance
+from .diagnostics import RunRecord, best_pair_from_matrix, error_to_reference, spread, variance
 from .errors import ConfigError, NumericalError
-from .objectives import ObjectiveFunction
+from .objectives import ObjectiveFunction, ReferencePoint
 
 __all__ = ["InitSpec", "SolverConfig", "Ensemble", "initialize", "step", "run"]
 
@@ -50,6 +50,8 @@ class InitSpec:
     def __post_init__(self):
         if self.mode not in INIT_MODES:
             raise ConfigError(f"init mode must be one of {INIT_MODES}, got {self.mode!r}")
+        if not (math.isfinite(self.mean) and math.isfinite(self.std)):
+            raise ConfigError(f"init mean and std must be finite, got {self.mean!r} and {self.std!r}")
         if self.mode == "gaussian" and not self.std > 0:
             raise ConfigError("gaussian init requires std > 0")
 
@@ -89,6 +91,9 @@ class SolverConfig:
         return int(math.ceil(self.horizon / self.dt_y - 1e-9))
 
     def validate(self) -> "SolverConfig":
+        for name in ("lambda_x", "lambda_y", "sigma_x", "sigma_y", "alpha", "beta", "horizon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.n_particles < 1:
             raise ConfigError("n_particles must be >= 1")
         if self.lambda_x <= 0 or self.lambda_y <= 0:
@@ -251,16 +256,14 @@ def run(
     obj = obj.fresh()
     ensemble = initialize(config, obj)
     record = RunRecord()
-    for _ in range(config.n_steps):
+    n_steps = config.n_steps
+    for k in range(n_steps + 1):
         cp, pair_values = consensus_points(obj, ensemble.xs, ensemble.ys, config.alpha, config.beta)
         _record_state(record, ensemble, config, cp, pair_values, reference)
         if callback is not None:
             callback(ensemble.step_index, ensemble, cp)
-        ensemble = _advance(ensemble, config, obj, cp)
-    cp, pair_values = consensus_points(obj, ensemble.xs, ensemble.ys, config.alpha, config.beta)
-    _record_state(record, ensemble, config, cp, pair_values, reference)
-    if callback is not None:
-        callback(ensemble.step_index, ensemble, cp)
+        if k < n_steps:
+            ensemble = _advance(ensemble, config, obj, cp)
     record.final_ensemble = ensemble
     record.eval_count = obj.eval_count
     return record

@@ -11,26 +11,40 @@ from __future__ import annotations
 import csv
 import json
 import math
-import time
+import pickle
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
+from itertools import repeat
+from typing import Callable
 
 import numpy as np
 
-from .diagnostics import RunRecord, benchmark_reference, error_to_reference
-from .dynamics import InitSpec, SolverConfig, run
-from .errors import ConfigError, NumericalError
-from .objectives import ObjectiveFunction, make_benchmark
+from .diagnostics import RunRecord, error_to_reference
+from .dynamics import DIFFUSION_MODES, INIT_MODES, SolverConfig, run
+from .errors import ConfigError, InputError, NumericalError
+from .objectives import (
+    BENCHMARK_IDS,
+    ObjectiveFunction,
+    ReferencePoint,
+    benchmark_reference,
+    lookup_benchmark,
+    make_benchmark,
+)
 
 __all__ = [
+    "ConfigKey",
+    "CONFIG_KEYS",
+    "SWEEP_PARAMETERS",
     "SweepSpec",
     "TrialSummary",
-    "DEFAULT_HORIZONS",
     "SWEEP_HORIZON",
     "RUN_CSV_SCHEMA",
     "SWEEP_CSV_SCHEMA",
     "TRIAL_CSV_SCHEMA",
     "nearest_rank_quantile",
+    "parse_bool",
+    "parse_floats",
+    "parse_value",
     "benchmark_config",
     "parse_config_file",
     "apply_overrides",
@@ -41,17 +55,8 @@ __all__ = [
     "write_sweep_csv",
 ]
 
-SWEEP_PARAMETERS = ("n_particles", "alpha_beta", "sigma", "epsilon_scale")
-
-# Single-run horizons per benchmark; sweeps use a longer common horizon.
-DEFAULT_HORIZONS = {
-    "bilinear": 15.0,
-    "bivariate": 15.0,
-    "bilinearly_coupled": 15.0,
-    "forsaken": 15.0,
-    "sixth_order": 30.0,
-    "remark_function": 15.0,
-}
+# Single-run horizons come from the benchmark registry; sweeps use a longer
+# common horizon.
 SWEEP_HORIZON = 50.0
 
 RUN_CSV_SCHEMA = "minmaxcbo/run/v1"
@@ -59,12 +64,11 @@ SWEEP_CSV_SCHEMA = "minmaxcbo/sweep/v1"
 TRIAL_CSV_SCHEMA = "minmaxcbo/trials/v1"
 RUN_JSON_SCHEMA = "minmaxcbo/summary/v1"
 
-# Config file / override keys and their parsers.
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
-def _parse_bool(text: str) -> bool:
+def parse_bool(text: str) -> bool:
     v = text.strip().lower()
     if v in _BOOL_TRUE:
         return True
@@ -73,36 +77,80 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
+def parse_floats(text: str) -> list[float]:
+    """Numbers separated by commas and/or blanks."""
+    try:
+        return [float(p) for p in text.replace(",", " ").split()]
+    except ValueError as exc:
+        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
+
+
 def _parse_pair(text: str) -> tuple[float, float]:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != 2:
+    values = parse_floats(text)
+    if len(values) != 2:
         raise ConfigError(f"expected two comma-separated numbers, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    return values[0], values[1]
 
 
+@dataclass(frozen=True)
+class ConfigKey:
+    """One configuration key: its text parser, the fields it sets and its CLI flags.
+
+    ``sets`` names SolverConfig fields, or InitSpec fields as ``init.<name>``;
+    the benchmark and box keys set none because they select the objective.
+    A key parsed by parse_bool also gets a ``--no-`` flag.
+    """
+
+    parse: Callable[[str], object]
+    sets: tuple[str, ...]
+    flags: tuple[str, ...]
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+
+
+# The one table of configuration keys: config files, the solve/sweep flags,
+# apply_overrides and the sweep parameters all read it.
 CONFIG_KEYS = {
-    "benchmark": str,
-    "n_particles": int,
-    "lambda": float,
-    "lambda_x": float,
-    "lambda_y": float,
-    "sigma": float,
-    "sigma_x": float,
-    "sigma_y": float,
-    "alpha": float,
-    "beta": float,
-    "dt": float,
-    "epsilon": float,
-    "horizon": float,
-    "diffusion": str,
-    "seed": int,
-    "init": str,
-    "init_mean": float,
-    "init_std": float,
-    "project": _parse_bool,
-    "box_x": _parse_pair,
-    "box_y": _parse_pair,
+    "benchmark": ConfigKey(str, (), ("--benchmark",), "benchmark objective id", BENCHMARK_IDS),
+    "n_particles": ConfigKey(int, ("n_particles",), ("-N", "--n-particles")),
+    "lambda": ConfigKey(float, ("lambda_x", "lambda_y"), ("--lam",), "drift rate for both populations"),
+    "lambda_x": ConfigKey(float, ("lambda_x",), ("--lambda-x",)),
+    "lambda_y": ConfigKey(float, ("lambda_y",), ("--lambda-y",)),
+    "sigma": ConfigKey(float, ("sigma_x", "sigma_y"), ("--sigma",), "noise strength for both populations"),
+    "sigma_x": ConfigKey(float, ("sigma_x",), ("--sigma-x",)),
+    "sigma_y": ConfigKey(float, ("sigma_y",), ("--sigma-y",)),
+    "alpha": ConfigKey(float, ("alpha",), ("--alpha",)),
+    "beta": ConfigKey(float, ("beta",), ("--beta",)),
+    "dt": ConfigKey(float, ("dt_y",), ("--dt",), "y-population step size"),
+    "epsilon": ConfigKey(float, ("epsilon_scale",), ("--epsilon",), "time-scale ratio dt_x / dt_y"),
+    "horizon": ConfigKey(float, ("horizon",), ("-T", "--horizon")),
+    "diffusion": ConfigKey(str, ("diffusion",), ("--diffusion",), choices=DIFFUSION_MODES),
+    "seed": ConfigKey(int, ("seed",), ("--seed",)),
+    "init": ConfigKey(str, ("init.mode",), ("--init",), choices=INIT_MODES),
+    "init_mean": ConfigKey(float, ("init.mean",), ("--init-mean",)),
+    "init_std": ConfigKey(float, ("init.std",), ("--init-std",)),
+    "project": ConfigKey(parse_bool, ("project",), ("--project",)),
+    "box_x": ConfigKey(_parse_pair, (), ("--box-x",), "override x-domain, e.g. '-4,4'"),
+    "box_y": ConfigKey(_parse_pair, (), ("--box-y",), "override y-domain, e.g. '-4,4'"),
 }
+
+# Sweep parameter -> the configuration keys one swept value sets.
+SWEEP_PARAMETERS = {
+    "n_particles": ("n_particles",),
+    "alpha_beta": ("alpha", "beta"),
+    "sigma": ("sigma",),
+    "epsilon_scale": ("epsilon",),
+}
+
+
+def parse_value(key: str, text: str):
+    """Parse the text of one configuration key with that key's parser."""
+    try:
+        return CONFIG_KEYS[key].parse(text)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key}: {exc}") from exc
 
 
 def parse_config_file(path: str) -> dict:
@@ -118,42 +166,23 @@ def parse_config_file(path: str) -> dict:
             key, text = (part.strip() for part in line.split("=", 1))
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            parser = CONFIG_KEYS[key]
             try:
-                values[key] = parser(text)
-            except ConfigError:
-                raise
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+                values[key] = parse_value(key, text)
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return values
 
 
 def apply_overrides(config: SolverConfig, overrides: dict) -> SolverConfig:
-    """Apply flat override keys onto a SolverConfig (benchmark/box keys excluded)."""
-    cfg = config
-    init = cfg.init
+    """Set the fields each key names, in the order given; later keys win."""
+    solver, init = {}, {}
     for key, value in overrides.items():
-        if key in ("benchmark", "box_x", "box_y"):
-            continue
-        if key == "lambda":
-            cfg = replace(cfg, lambda_x=value, lambda_y=value)
-        elif key == "sigma":
-            cfg = replace(cfg, sigma_x=value, sigma_y=value)
-        elif key == "dt":
-            cfg = replace(cfg, dt_y=value)
-        elif key == "epsilon":
-            cfg = replace(cfg, epsilon_scale=value)
-        elif key == "init":
-            init = replace(init, mode=value)
-        elif key == "init_mean":
-            init = replace(init, mean=value)
-        elif key == "init_std":
-            init = replace(init, std=value)
-        elif key in {f.name for f in fields(SolverConfig)}:
-            cfg = replace(cfg, **{key: value})
-        else:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown configuration key {key!r}")
-    return replace(cfg, init=init)
+        for target in CONFIG_KEYS[key].sets:
+            owner, _, name = target.rpartition(".")
+            (init if owner else solver)[name] = value
+    return replace(config, init=replace(config.init, **init), **solver)
 
 
 def benchmark_config(benchmark: str, overrides: dict | None = None) -> tuple[SolverConfig, ObjectiveFunction]:
@@ -163,11 +192,9 @@ def benchmark_config(benchmark: str, overrides: dict | None = None) -> tuple[Sol
     per-benchmark horizon; overrides have the precedence the caller built
     (flags over file over defaults).
     """
-    overrides = dict(overrides or {})
-    obj = make_benchmark(
-        benchmark, box_x=overrides.pop("box_x", None), box_y=overrides.pop("box_y", None)
-    )
-    config = SolverConfig(horizon=DEFAULT_HORIZONS.get(obj.name, 15.0), init=InitSpec())
+    overrides = overrides or {}
+    obj = make_benchmark(benchmark, box_x=overrides.get("box_x"), box_y=overrides.get("box_y"))
+    config = SolverConfig(horizon=lookup_benchmark(benchmark).horizon)
     return apply_overrides(config, overrides).validate(), obj
 
 
@@ -180,24 +207,38 @@ def run_benchmark(benchmark: str, overrides: dict | None = None) -> tuple[RunRec
 
 @dataclass
 class SweepSpec:
-    """One-parameter sweep; alpha_beta moves alpha and beta jointly."""
+    """One-parameter sweep of a built objective; alpha_beta moves alpha and beta jointly.
+
+    The objective's registry reference measures each trial's error; it is
+    resolved here so a benchmark without one fails before any trial runs.
+    """
 
     parameter: str
     values: list
-    benchmark: str
+    objective: ObjectiveFunction
     base: SolverConfig
     trials: int = 100
     jobs: int = 1
+    reference: ReferencePoint = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.parameter not in SWEEP_PARAMETERS:
-            raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMETERS}")
+            raise ConfigError(f"sweep parameter must be one of {tuple(SWEEP_PARAMETERS)}")
         if not self.values:
             raise ConfigError("sweep needs at least one parameter value")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        try:
+            self.reference = benchmark_reference(self.objective.name)
+        except InputError as exc:
+            raise ConfigError(f"cannot sweep: {exc}") from exc
+        if self.jobs > 1:
+            try:
+                pickle.dumps(self.objective)
+            except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                raise ConfigError(f"jobs > 1 needs a picklable (module-level) objective function: {exc}") from exc
 
 
 @dataclass
@@ -219,23 +260,12 @@ def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
 
 
 def _configured(spec: SweepSpec, value, trial: int) -> SolverConfig:
-    cfg = replace(spec.base, seed=spec.base.seed + trial)
-    if spec.parameter == "n_particles":
-        cfg = replace(cfg, n_particles=int(value))
-    elif spec.parameter == "alpha_beta":
-        cfg = replace(cfg, alpha=float(value), beta=float(value))
-    elif spec.parameter == "sigma":
-        cfg = replace(cfg, sigma_x=float(value), sigma_y=float(value))
-    else:
-        cfg = replace(cfg, epsilon_scale=float(value))
-    return cfg
+    overrides = {key: value for key in SWEEP_PARAMETERS[spec.parameter]}
+    return apply_overrides(replace(spec.base, seed=spec.base.seed + trial), overrides).validate()
 
 
-def _sweep_trial(args: tuple) -> float:
+def _sweep_trial(obj: ObjectiveFunction, ref: ReferencePoint, cfg: SolverConfig) -> float:
     """Best-pair squared error of one seeded run; NaN flags a failed trial."""
-    benchmark, cfg = args
-    obj = make_benchmark(benchmark)
-    ref = benchmark_reference(benchmark)
     try:
         record = run(cfg, obj, reference=ref)
     except NumericalError:
@@ -247,20 +277,18 @@ def _sweep_trial(args: tuple) -> float:
 def run_sweep(spec: SweepSpec) -> list[TrialSummary]:
     """Run trials x values seeded runs and summarize errors per value.
 
-    Trial t uses seed base.seed + t.  Rows are ordered by (value, trial)
+    Trial t uses seed base.seed + t.  Every trial configuration is validated
+    before the first trial starts.  Rows are ordered by (value, trial)
     regardless of execution order; failed trials enter the error list as
     NaN and are excluded from the quantiles.
     """
-    tasks = [
-        (value, trial, (spec.benchmark, _configured(spec, value, trial)))
-        for value in spec.values
-        for trial in range(spec.trials)
-    ]
+    configs = [_configured(spec, value, trial) for value in spec.values for trial in range(spec.trials)]
+    obj, ref = spec.objective, spec.reference
     if spec.jobs > 1:
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            results = list(pool.map(_sweep_trial, [t[2] for t in tasks]))
+            results = list(pool.map(_sweep_trial, repeat(obj), repeat(ref), configs))
     else:
-        results = [_sweep_trial(t[2]) for t in tasks]
+        results = [_sweep_trial(obj, ref, cfg) for cfg in configs]
     summaries = []
     for vi, value in enumerate(spec.values):
         errors = results[vi * spec.trials : (vi + 1) * spec.trials]
@@ -354,10 +382,3 @@ def write_sweep_csv(summary_path, trials_path, spec: SweepSpec, summaries: list[
                     [TRIAL_CSV_SCHEMA, spec.parameter, _fmt(s.parameter_value), trial,
                      spec.base.seed + trial, _fmt(err)]
                 )
-
-
-def timed_run_benchmark(benchmark: str, overrides: dict | None = None):
-    """run_benchmark plus wall time, for the CLI summary."""
-    start = time.perf_counter()
-    record, config = run_benchmark(benchmark, overrides)
-    return record, config, time.perf_counter() - start

@@ -8,6 +8,7 @@ the variable dimension and broadcast over any leading axes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -17,10 +18,14 @@ from .errors import InputError
 
 __all__ = [
     "BoxDomain",
+    "ReferencePoint",
     "ObjectiveFunction",
+    "Benchmark",
     "BENCHMARK_IDS",
+    "canonical_id",
+    "lookup_benchmark",
+    "benchmark_reference",
     "make_benchmark",
-    "evaluate",
     "register_benchmark",
 ]
 
@@ -60,6 +65,27 @@ class BoxDomain:
 
     def contains(self, points: np.ndarray) -> bool:
         return bool(np.all(points >= self.lower) and np.all(points <= self.upper))
+
+
+@dataclass
+class ReferencePoint:
+    """Known global min-max solution used to measure run error.
+
+    Problems whose inner maximizer is not unique carry every y* in
+    y_star_set and errors use the nearest one.  For problems whose min-max
+    set is a continuum {x*} x R (bilinear, bivariate), y_free is set and
+    the y-component of every distance is zero.
+    """
+
+    x_star: np.ndarray
+    y_star_set: np.ndarray
+    y_free: bool = False
+
+    def __post_init__(self):
+        self.x_star = np.atleast_1d(np.asarray(self.x_star, dtype=float))
+        self.y_star_set = np.atleast_2d(np.asarray(self.y_star_set, dtype=float))
+        if self.y_star_set.shape[0] < 1:
+            raise InputError("y_star_set must be nonempty")
 
 
 @dataclass
@@ -155,62 +181,108 @@ def _remark_function(x, y):
     return bump + np.abs(np.tanh(xx)) / (1.0 + np.sin(xx) ** 2)
 
 
-def _box1(lo, hi):
-    return BoxDomain(np.array([lo]), np.array([hi]))
+# y* of the bilinearly coupled problem is the positive root of f'(y) = 0
+# with f(z) = (z^2-1)(z^2-9), i.e. sqrt(5); for the forsaken problem it is
+# the global minimizer of z^2/4 - z^4/2 + z^6/6, i.e. sqrt(1 + sqrt(2)/2).
+_Y_STAR_COUPLED = math.sqrt(5.0)
+_Y_STAR_FORSAKEN = math.sqrt(1.0 + math.sqrt(2.0) / 2.0)
 
 
-# id -> (formula, x-box, y-box).  The bilinear, bivariate and remark problems
-# are stated on all of R x R; they get [-4, 4]^2 by convention so projection
-# and border initialization are well defined (override via make_benchmark).
-_BENCHMARKS: dict[str, tuple[Callable, tuple[float, float], tuple[float, float]]] = {
-    "bilinear": (_bilinear, (-4.0, 4.0), (-4.0, 4.0)),
-    "bivariate": (_bivariate, (-4.0, 4.0), (-4.0, 4.0)),
-    "bilinearly_coupled": (_bilinearly_coupled, (-4.0, 4.0), (-4.0, 4.0)),
-    "forsaken": (_forsaken, (-1.5, 1.5), (-1.5, 1.5)),
-    "sixth_order": (_sixth_order, (-2.0, 2.0), (-2.0, 2.0)),
-    "remark_function": (_remark_function, (-4.0, 4.0), (-4.0, 4.0)),
-}
+@dataclass(frozen=True)
+class Benchmark:
+    """Registry record of one problem: formula, default boxes, known solution, horizon.
 
-BENCHMARK_IDS = tuple(_BENCHMARKS)
+    reference is None for a registered objective whose global min-max point
+    is unknown; such an objective can be built and run, but not solved
+    through the harness or swept.  horizon is the default single-run T.
+    """
 
-
-def _canonical_id(benchmark_id: str) -> str:
-    key = str(benchmark_id).strip().lower().replace("-", "_").replace(" ", "_")
-    if key not in _BENCHMARKS:
-        raise InputError(
-            f"unknown benchmark {benchmark_id!r}; valid ids: {', '.join(BENCHMARK_IDS)}"
-        )
-    return key
+    name: str
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    box_x: BoxDomain
+    box_y: BoxDomain
+    reference: ReferencePoint | None
+    horizon: float
 
 
-def register_benchmark(name: str, fn: Callable, box_x: BoxDomain, box_y: BoxDomain) -> None:
-    """Code-level extension point: add a custom objective under a new id."""
-    key = name.strip().lower().replace("-", "_")
-    if key in _BENCHMARKS:
+_REGISTRY: dict[str, Benchmark] = {}
+
+
+def canonical_id(benchmark_id: str) -> str:
+    """Registry key of an id: case, outer blanks and '-'/' ' versus '_' do not matter."""
+    return str(benchmark_id).strip().lower().replace("-", "_").replace(" ", "_")
+
+
+def _box(bounds) -> BoxDomain:
+    return bounds if isinstance(bounds, BoxDomain) else BoxDomain(*bounds)
+
+
+def register_benchmark(
+    name: str,
+    fn: Callable,
+    box_x,
+    box_y,
+    reference: ReferencePoint | None = None,
+    horizon: float = 15.0,
+) -> None:
+    """Code-level extension point: add an objective, its boxes, solution and horizon under a new id.
+
+    Boxes are BoxDomain instances or (lower, upper) pairs.  Sweeps in worker
+    processes receive the objective itself, so fn must be a module-level
+    function there.
+    """
+    key = canonical_id(name)
+    if key in _REGISTRY:
         raise InputError(f"benchmark id {name!r} already registered")
-    _BENCHMARKS[key] = (fn, box_x, box_y)
+    _REGISTRY[key] = Benchmark(key, fn, _box(box_x), _box(box_y), reference, horizon)
+
+
+def lookup_benchmark(benchmark_id: str) -> Benchmark:
+    """Registry record of a built-in or registered id, in any accepted spelling."""
+    key = canonical_id(benchmark_id)
+    if key not in _REGISTRY:
+        raise InputError(f"unknown benchmark {benchmark_id!r}; valid ids: {', '.join(_REGISTRY)}")
+    return _REGISTRY[key]
+
+
+def benchmark_reference(benchmark_id: str) -> ReferencePoint:
+    """Reference solution for a built-in or registered benchmark."""
+    ref = lookup_benchmark(benchmark_id).reference
+    if ref is None:
+        raise InputError(f"no reference solution for benchmark {benchmark_id!r}")
+    return ref
 
 
 def make_benchmark(benchmark_id: str, box_x=None, box_y=None) -> ObjectiveFunction:
     """Build the named benchmark objective, optionally overriding its boxes."""
-    key = _canonical_id(benchmark_id)
-    fn, bx, by = _BENCHMARKS[key]
-    dom_x = bx if isinstance(bx, BoxDomain) else _box1(*bx)
-    dom_y = by if isinstance(by, BoxDomain) else _box1(*by)
-    if box_x is not None:
-        dom_x = box_x if isinstance(box_x, BoxDomain) else _box1(*box_x)
-    if box_y is not None:
-        dom_y = box_y if isinstance(box_y, BoxDomain) else _box1(*box_y)
+    spec = lookup_benchmark(benchmark_id)
+    dom_x = spec.box_x if box_x is None else _box(box_x)
+    dom_y = spec.box_y if box_y is None else _box(box_y)
     return ObjectiveFunction(
-        name=key,
+        name=spec.name,
         dim_x=dom_x.dim,
         dim_y=dom_y.dim,
         domain_x=dom_x,
         domain_y=dom_y,
-        fn=fn,
+        fn=spec.fn,
     )
 
 
-def evaluate(obj: ObjectiveFunction, x: np.ndarray, y: np.ndarray) -> float:
-    """Dispatch wrapper: E(x, y) at a single point, no clamping."""
-    return obj.value(x, y)
+# The bilinear, bivariate and remark problems are stated on all of R x R;
+# they get [-4, 4]^2 by convention so projection and border initialization
+# are well defined (override via make_benchmark).  The bilinear and
+# bivariate min-max sets are the continuum {0} x R, hence y_free.
+register_benchmark("bilinear", _bilinear, (-4.0, 4.0), (-4.0, 4.0), ReferencePoint([0.0], [[0.0]], y_free=True))
+register_benchmark("bivariate", _bivariate, (-4.0, 4.0), (-4.0, 4.0), ReferencePoint([0.0], [[0.0]], y_free=True))
+register_benchmark(
+    "bilinearly_coupled", _bilinearly_coupled, (-4.0, 4.0), (-4.0, 4.0),
+    ReferencePoint([0.0], [[_Y_STAR_COUPLED], [-_Y_STAR_COUPLED]]),
+)
+register_benchmark(
+    "forsaken", _forsaken, (-1.5, 1.5), (-1.5, 1.5),
+    ReferencePoint([0.0], [[_Y_STAR_FORSAKEN], [-_Y_STAR_FORSAKEN]]),
+)
+register_benchmark("sixth_order", _sixth_order, (-2.0, 2.0), (-2.0, 2.0), ReferencePoint([0.0], [[0.0]]), 30.0)
+register_benchmark("remark_function", _remark_function, (-4.0, 4.0), (-4.0, 4.0), ReferencePoint([0.0], [[0.0]]))
+
+BENCHMARK_IDS = tuple(_REGISTRY)

@@ -38,8 +38,8 @@ def test_bilinear_simultaneous_norm_growth():
 def test_trajectory_bookkeeping():
     result = gda_run(BILINEAR, GdaConfig(step_size=0.1, iterations=7, start=_start(1.0, 0.5)))
     assert len(result) == 8
-    assert len(result.trajectory) == 8
-    assert result.trajectory[0][0][0] == 1.0 and result.trajectory[0][1][0] == 0.5
+    assert result.xs.shape == (8, 1) and result.ys.shape == (8, 1)
+    assert result.xs[0, 0] == 1.0 and result.ys[0, 0] == 0.5
     zero = gda_run(BILINEAR, GdaConfig(step_size=0.1, iterations=0, start=_start(1.0, 0.5)))
     assert len(zero) == 1 and not zero.diverged
 

@@ -1,9 +1,12 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
-from minmaxcbo.cli import main
+from minmaxcbo import benchmark_reference, make_benchmark
+from minmaxcbo.cli import _collect_overrides, build_parser, main
+from minmaxcbo.harness import _sweep_trial, benchmark_config
 
 
 def test_solve_writes_csv_and_json(tmp_path, capsys):
@@ -130,3 +133,71 @@ def test_unknown_flag_exits_2():
 
 def test_unknown_subcommand_exits_2():
     assert main(["fly"]) == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--sigma", "nan"], ["--alpha", "nan"], ["--lam", "nan"], ["--init-mean", "nan"],
+    ["-T", "inf"], ["-T", "nan"], ["--config", "{conf}"],
+])
+def test_non_finite_parameters_exit_2(tmp_path, capsys, flags):
+    conf = tmp_path / "inf.conf"
+    conf.write_text("horizon = inf\n")
+    flags = [f.format(conf=conf) for f in flags]
+    out = tmp_path / "out"
+    assert main(["solve", "--benchmark", "bilinear", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_flag_precedence_tied_then_specific():
+    # within one source the specific key wins over the tied one, in either order
+    for flags in (["--lam", "2", "--lambda-x", "3"], ["--lambda-x", "3", "--lam", "2"]):
+        args = build_parser().parse_args(["solve", "--benchmark", "bilinear", *flags])
+        config, _ = benchmark_config(*_collect_overrides(args))
+        assert config.lambda_x == 3.0 and config.lambda_y == 2.0
+
+
+def _sweep_exit(tmp_path, capsys, *flags):
+    code = main(["sweep", "--benchmark", "bilinear", "--trials", "1", "-T", "0.5", *flags,
+                 "--out", str(tmp_path / "out")])
+    return code, capsys.readouterr().err
+
+
+def test_sweep_unparsable_value_exits_2(tmp_path, capsys):
+    code, err = _sweep_exit(tmp_path, capsys, "--parameter", "sigma", "--values", "abc")
+    assert code == 2 and err.startswith("error: ")
+
+
+def test_sweep_fractional_particle_count_exits_2(tmp_path, capsys):
+    code, err = _sweep_exit(tmp_path, capsys, "--parameter", "n_particles", "--values", "10.7")
+    assert code == 2 and "n_particles" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_nan_value_exits_2(tmp_path, capsys):
+    code, err = _sweep_exit(tmp_path, capsys, "--parameter", "sigma", "--values", "1.0,nan")
+    assert code == 2 and "finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_gda_unparsable_start_exits_2(capsys):
+    assert main(["gda", "--benchmark", "bilinear", "--start", "a,b"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_sweep_honours_box_override(tmp_path):
+    argv = ["sweep", "--benchmark", "bilinear", "--parameter", "sigma", "--values", "1.0,2.0",
+            "--trials", "2", "-T", "1", "--seed", "5"]
+    box = ["--box-x=-1,1", "--box-y=-2,2"]
+    assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+    assert main(argv + box + ["--out", str(tmp_path / "boxed")]) == 0
+    plain = (tmp_path / "plain" / "sweep_bilinear_sigma_trials.csv").read_text()
+    boxed = (tmp_path / "boxed" / "sweep_bilinear_sigma_trials.csv").read_text()
+    assert boxed != plain
+    obj = make_benchmark("bilinear", box_x=(-1.0, 1.0), box_y=(-2.0, 2.0))
+    base, _ = benchmark_config("bilinear", {"horizon": 1.0, "seed": 5, "init": "border"})
+    for row in boxed.strip().splitlines()[1:]:
+        _, _, value, trial, seed, error = row.split(",")
+        sigma = float(value)
+        cfg = replace(base, seed=int(seed), sigma_x=sigma, sigma_y=sigma)
+        assert repr(_sweep_trial(obj, benchmark_reference("bilinear"), cfg)) == error

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minmaxcbo import InputError, NumericalError, laplace_gap, make_benchmark, x_consensus, y_consensus
-from minmaxcbo.consensus import consensus_points, stable_weights
+from minmaxcbo.consensus import consensus_points, exp_weights
 from minmaxcbo.objectives import BoxDomain, ObjectiveFunction
 
 BILINEAR = make_benchmark("bilinear")
@@ -142,7 +142,7 @@ def test_shift_invariance_bitwise_on_dyadic_values():
 def test_stable_weights_normalized_rows():
     rng = np.random.default_rng(5)
     scores = rng.uniform(-1e5, 1e5, (6, 9))
-    w = stable_weights(scores, axis=1)
+    w = exp_weights(scores, 1.0, axis=1)
     assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(w >= 0)
 

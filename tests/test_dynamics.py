@@ -274,6 +274,14 @@ def test_config_validation():
         SolverConfig(diffusion="banana").validate()
     with pytest.raises(ConfigError):
         InitSpec(mode="everywhere")
+    for bad in (math.nan, math.inf, -math.inf):
+        for name in ("lambda_x", "lambda_y", "sigma_x", "sigma_y", "alpha", "beta", "horizon"):
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                _cfg(**{name: bad}).validate()
+        with pytest.raises(ConfigError, match="finite"):
+            InitSpec(mode="gaussian", mean=bad)
+        with pytest.raises(ConfigError, match="finite"):
+            InitSpec(std=bad)
 
 
 def test_non_finite_state_raises_numerical_error():

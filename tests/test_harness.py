@@ -1,11 +1,18 @@
 import csv
 import math
+import multiprocessing
+import re
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from minmaxcbo import ConfigError, SweepSpec, run_sweep
+from minmaxcbo import ConfigError, ReferencePoint, SweepSpec, run_sweep
+from minmaxcbo import harness
 from minmaxcbo.harness import (
+    CONFIG_KEYS,
     RUN_CSV_SCHEMA,
     SWEEP_CSV_SCHEMA,
     apply_overrides,
@@ -94,8 +101,8 @@ def test_run_benchmark_attaches_reference_error():
 
 
 def _tiny_spec(**kw):
-    base, _ = benchmark_config("bilinear", {"horizon": 2.0, "init": "border", "seed": 100})
-    defaults = dict(parameter="sigma", values=[1.5], benchmark="bilinear", base=base, trials=3)
+    base, obj = benchmark_config("bilinear", {"horizon": 2.0, "init": "border", "seed": 100})
+    defaults = dict(parameter="sigma", values=[1.5], objective=obj, base=base, trials=3)
     defaults.update(kw)
     return SweepSpec(**defaults)
 
@@ -114,22 +121,18 @@ def test_sweep_single_trial_collapses_quantiles():
 
 
 def test_sweep_more_particles_reduce_error():
-    base, _ = benchmark_config("bilinearly_coupled", {"horizon": 50.0, "init": "border", "seed": 300})
-    spec = SweepSpec(parameter="n_particles", values=[10, 160], benchmark="bilinearly_coupled",
-                     base=base, trials=5)
+    base, obj = benchmark_config("bilinearly_coupled", {"horizon": 50.0, "init": "border", "seed": 300})
+    spec = SweepSpec(parameter="n_particles", values=[10, 160], objective=obj, base=base, trials=5)
     med = {s.parameter_value: s.median_error for s in run_sweep(spec)}
     assert med[160.0] < med[10.0]
 
 
 def test_sweep_records_failures_as_nan():
-    from minmaxcbo import ReferencePoint
-    from minmaxcbo.diagnostics import register_reference
-
     box = BoxDomain(np.array([-1.0]), np.array([1.0]))
-    register_benchmark("always_inf", lambda x, y: np.full(np.broadcast(x[..., 0], y[..., 0]).shape, np.inf), box, box)
-    register_reference("always_inf", ReferencePoint(np.array([0.0]), np.array([[0.0]])))
-    base, _ = benchmark_config("always_inf", {"horizon": 1.0, "seed": 0})
-    spec = SweepSpec(parameter="sigma", values=[1.0], benchmark="always_inf", base=base, trials=2)
+    register_benchmark("always_inf", lambda x, y: np.full(np.broadcast(x[..., 0], y[..., 0]).shape, np.inf),
+                       box, box, reference=ReferencePoint(np.array([0.0]), np.array([[0.0]])))
+    base, obj = benchmark_config("always_inf", {"horizon": 1.0, "seed": 0})
+    spec = SweepSpec(parameter="sigma", values=[1.0], objective=obj, base=base, trials=2)
     s = run_sweep(spec)[0]
     assert all(math.isnan(e) for e in s.errors)
     assert math.isnan(s.median_error)
@@ -140,6 +143,54 @@ def test_sweep_parallel_jobs_match_serial():
     serial = run_sweep(spec)
     parallel = run_sweep(_tiny_spec(values=[1.0, 2.0], trials=2, jobs=2))
     assert [s.errors for s in serial] == [p.errors for p in parallel]
+
+
+def _tilted_saddle(x, y):
+    """Module-level, so sweep workers started by spawn can unpickle it."""
+    return x[..., 0] * y[..., 0] + 0.25 * x[..., 0] ** 2 - 0.25 * y[..., 0] ** 2
+
+
+def test_sweep_custom_benchmark_under_spawn_matches_serial(monkeypatch):
+    # spawn workers do not inherit the registry; they get the objective itself
+    box = BoxDomain(np.array([-2.0]), np.array([2.0]))
+    register_benchmark("tilted_saddle", _tilted_saddle, box, box,
+                       reference=ReferencePoint(np.array([0.0]), np.array([[0.0]])))
+    base, obj = benchmark_config("tilted_saddle", {"horizon": 1.0, "init": "border", "seed": 7})
+    serial = run_sweep(SweepSpec(parameter="sigma", values=[0.5, 1.0], objective=obj, base=base, trials=2))
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=spawn))
+    parallel = run_sweep(SweepSpec(parameter="sigma", values=[0.5, 1.0], objective=obj, base=base, trials=2, jobs=2))
+    assert [s.errors for s in parallel] == [s.errors for s in serial]
+    assert all(math.isfinite(e) for s in serial for e in s.errors)
+
+
+def test_sweep_fails_fast_without_reference_or_picklable_objective():
+    box = BoxDomain(np.array([-1.0]), np.array([1.0]))
+    register_benchmark("no_reference", _tilted_saddle, box, box)
+    base, obj = benchmark_config("no_reference", {"horizon": 1.0})
+    with pytest.raises(ConfigError, match="no reference"):
+        SweepSpec(parameter="sigma", values=[1.0], objective=obj, base=base)
+    register_benchmark("lambda_saddle", lambda x, y: x[..., 0] * y[..., 0], box, box,
+                       reference=ReferencePoint(np.array([0.0]), np.array([[0.0]])))
+    base, obj = benchmark_config("lambda_saddle", {"horizon": 1.0})
+    SweepSpec(parameter="sigma", values=[1.0], objective=obj, base=base, jobs=1)
+    with pytest.raises(ConfigError, match="picklable"):
+        SweepSpec(parameter="sigma", values=[1.0], objective=obj, base=base, jobs=2)
+
+
+def test_sweep_validates_every_trial_before_running(monkeypatch):
+    ran = []
+    monkeypatch.setattr(harness, "_sweep_trial", lambda *args: ran.append(args) or 0.0)
+    with pytest.raises(ConfigError, match="sigma_x must be finite"):
+        run_sweep(_tiny_spec(values=[1.0, float("nan")]))
+    assert ran == []
+
+
+def test_readme_config_table_lists_exactly_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Configuration files", 1)[1].split("###", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    assert sorted(k for row in rows for k in re.findall(r"`(\w+)`", row)) == sorted(CONFIG_KEYS)
 
 
 def test_sweep_spec_validation():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from minmaxcbo import BoxDomain, InputError, evaluate, make_benchmark, register_benchmark
+from minmaxcbo import BoxDomain, InputError, ReferencePoint, benchmark_reference, make_benchmark, register_benchmark
 from minmaxcbo.objectives import BENCHMARK_IDS, _even_sextic
 
 
@@ -17,18 +17,27 @@ def test_benchmark_point_values():
     ]
     for name, x, y, expected in cases:
         obj = make_benchmark(name)
-        assert evaluate(obj, [x], [y]) == pytest.approx(expected, abs=1e-12), name
+        assert obj.value([x], [y]) == pytest.approx(expected, abs=1e-12), name
 
 
 def test_every_id_resolves():
     for name in BENCHMARK_IDS:
         obj = make_benchmark(name)
-        assert np.isfinite(evaluate(obj, obj.domain_x.lower, obj.domain_y.upper))
+        assert np.isfinite(obj.value(obj.domain_x.lower, obj.domain_y.upper))
 
 
 def test_alias_normalization():
     assert make_benchmark("Bilinearly-Coupled").name == "bilinearly_coupled"
     assert make_benchmark(" SIXTH_ORDER ").name == "sixth_order"
+    # a registered id is canonicalized the same way, at registration and lookup
+    box = BoxDomain(np.array([-1.0]), np.array([1.0]))
+    ref = ReferencePoint(np.array([0.0]), np.array([[0.0]]))
+    register_benchmark("My Bench", lambda x, y: x[..., 0] * y[..., 0], box, box, reference=ref)
+    for spelling in ("My Bench", "my_bench", "My-Bench", " MY_BENCH ", "my bench"):
+        assert make_benchmark(spelling).name == "my_bench"
+        assert benchmark_reference(spelling) is ref
+    with pytest.raises(InputError):
+        register_benchmark("my-bench", lambda x, y: 0.0, box, box)
 
 
 def test_unknown_id_rejected():
@@ -41,7 +50,7 @@ def test_evaluation_deterministic_bitwise():
     rng = np.random.default_rng(0)
     for _ in range(50):
         x, y = rng.uniform(-2, 2, 2)
-        assert evaluate(obj, [x], [y]) == evaluate(obj, [x], [y])
+        assert obj.value([x], [y]) == obj.value([x], [y])
 
 
 def test_bilinear_sign_symmetry():
@@ -49,9 +58,9 @@ def test_bilinear_sign_symmetry():
     rng = np.random.default_rng(1)
     for _ in range(200):
         x, y = rng.uniform(-4, 4, 2)
-        e = evaluate(obj, [x], [y])
-        assert e == -evaluate(obj, [x], [-y])
-        assert e == -evaluate(obj, [-x], [y])
+        e = obj.value([x], [y])
+        assert e == -obj.value([x], [-y])
+        assert e == -obj.value([-x], [y])
 
 
 def test_bilinearly_coupled_pointwise_identity():
@@ -63,7 +72,7 @@ def test_bilinearly_coupled_pointwise_identity():
     rng = np.random.default_rng(2)
     for _ in range(200):
         x, y = rng.uniform(-4, 4, 2)
-        residual = evaluate(obj, [x], [y]) - 10 * x * y + f(y) - f(x)
+        residual = obj.value([x], [y]) - 10 * x * y + f(y) - f(x)
         assert abs(residual) < 1e-9
 
 
@@ -76,15 +85,15 @@ def test_forsaken_polynomial_is_even():
 def test_dimension_mismatch_raises():
     obj = make_benchmark("bilinear")
     with pytest.raises(InputError):
-        evaluate(obj, [1.0, 2.0], [3.0])
+        obj.value([1.0, 2.0], [3.0])
     with pytest.raises(InputError):
-        evaluate(obj, [1.0], [3.0, 4.0])
+        obj.value([1.0], [3.0, 4.0])
 
 
 def test_eval_counter_and_fresh():
     obj = make_benchmark("forsaken")
     assert obj.eval_count == 0
-    evaluate(obj, [0.1], [0.2])
+    obj.value([0.1], [0.2])
     assert obj.eval_count == 1
     obj.pair_matrix(np.zeros((4, 1)), np.zeros((6, 1)))
     assert obj.eval_count == 1 + 24
@@ -114,6 +123,6 @@ def test_register_benchmark():
     box = BoxDomain(np.array([-1.0]), np.array([1.0]))
     register_benchmark("quadratic_demo", lambda x, y: x[..., 0] ** 2 - y[..., 0] ** 2, box, box)
     obj = make_benchmark("quadratic_demo")
-    assert evaluate(obj, [0.5], [0.5]) == 0.0
+    assert obj.value([0.5], [0.5]) == 0.0
     with pytest.raises(InputError):
         register_benchmark("quadratic_demo", lambda x, y: 0.0, box, box)
