@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gda.add_argument("--mode", choices=("simultaneous", "alternating"), default="simultaneous")
     p_gda.add_argument("--eta", type=float, default=0.1)
     p_gda.add_argument("--iters", type=int, default=100)
-    p_gda.add_argument("--start", default="1,0", help="comma-separated start point")
+    p_gda.add_argument("--start", default="1,0", help="comma-separated start point, e.g. --start=-1,0")
     p_gda.add_argument("--out", help="trajectory CSV path")
     p_gda.set_defaults(func=_cmd_gda)
 

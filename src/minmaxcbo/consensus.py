@@ -39,6 +39,15 @@ class ConsensusPoint:
     y_cons_per_particle: np.ndarray
 
 
+# exp(z) is exactly 0.0 for every z below ln(2**-1075) ~ -745.133: the true
+# value is under half the smallest subnormal and rounds to zero.  The cut
+# sits a little lower, so the entries it skips are zero in any exp.
+_EXP_ZERO_CUT = -746.0
+# Below about this many entries, counting the entries under the cut costs
+# more than skipping them saves.
+_SKIP_MIN_ENTRIES = 1024
+
+
 def exp_weights(values: np.ndarray, scale: float, axis: int = -1) -> np.ndarray:
     """Normalized exp(scale * values) along ``axis``, computed max-shifted.
 
@@ -48,14 +57,42 @@ def exp_weights(values: np.ndarray, scale: float, axis: int = -1) -> np.ndarray:
     keeps every intermediate finite for |scale * v| far beyond 1e14 and
     makes the weights exactly invariant under v -> v + c whenever the
     constant adds without rounding.
+
+    The result is bit for bit ``e / e.sum(axis, keepdims=True)`` with
+    ``e = np.exp(scale * (values - pivot))``, computed in one buffer that
+    keeps the layout of ``e``, so the sums and the division are the same
+    operations on the same bits.  In an input of at least
+    ``_SKIP_MIN_ENTRIES`` entries where more than half of the scaled
+    exponents lie below ``_EXP_ZERO_CUT``, where exp returns exactly 0.0,
+    only the others are exponentiated and the rest of the buffer is
+    zero-filled.  Such inputs arise while the particles are spread out and
+    the weight parameters are large, and exp is slowest on them.  NaN
+    exponents are not below the cut, so they reach exp as before.
     """
     values = np.asarray(values, dtype=float)
     if scale >= 0:
         pivot = values.max(axis=axis, keepdims=True)
     else:
         pivot = values.min(axis=axis, keepdims=True)
-    w = np.exp(scale * (values - pivot))
-    return w / w.sum(axis=axis, keepdims=True)
+    w = values - pivot
+    w *= scale
+    _exp_in_place(w)
+    w /= w.sum(axis=axis, keepdims=True)
+    return w
+
+
+def _exp_in_place(w: np.ndarray) -> None:
+    if w.size >= _SKIP_MIN_ENTRIES:
+        flat = w.ravel(order="K")  # a view in memory order: w is a fresh dense array
+        dead = flat < _EXP_ZERO_CUT
+        if 2 * np.count_nonzero(dead) > flat.size:
+            live_idx = np.flatnonzero(np.logical_not(dead, out=dead))
+            live = flat[live_idx]
+            np.exp(live, out=live)
+            w.fill(0.0)
+            flat[live_idx] = live
+            return
+    np.exp(w, out=w)
 
 
 def _as_ensemble(arr, dim: int, what: str) -> np.ndarray:

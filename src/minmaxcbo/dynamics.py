@@ -260,6 +260,7 @@ def run(
     for k in range(n_steps + 1):
         cp, pair_values = consensus_points(obj, ensemble.xs, ensemble.ys, config.alpha, config.beta)
         _record_state(record, ensemble, config, cp, pair_values, reference)
+        del pair_values  # the next step's N x N matrix is built without this one alive
         if callback is not None:
             callback(ensemble.step_index, ensemble, cp)
         if k < n_steps:

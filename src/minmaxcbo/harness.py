@@ -130,8 +130,8 @@ CONFIG_KEYS = {
     "init_mean": ConfigKey(float, ("init.mean",), ("--init-mean",)),
     "init_std": ConfigKey(float, ("init.std",), ("--init-std",)),
     "project": ConfigKey(parse_bool, ("project",), ("--project",)),
-    "box_x": ConfigKey(_parse_pair, (), ("--box-x",), "override x-domain, e.g. '-4,4'"),
-    "box_y": ConfigKey(_parse_pair, (), ("--box-y",), "override y-domain, e.g. '-4,4'"),
+    "box_x": ConfigKey(_parse_pair, (), ("--box-x",), "override x-domain, e.g. --box-x=-4,4"),
+    "box_y": ConfigKey(_parse_pair, (), ("--box-y",), "override y-domain, e.g. --box-y=-4,4"),
 }
 
 # Sweep parameter -> the configuration keys one swept value sets.

@@ -185,6 +185,15 @@ def test_gda_unparsable_start_exits_2(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_negative_comma_values_in_equals_form(tmp_path, capsys):
+    # argparse reads a separate "-1,1" as an option, so the help and README use the = form
+    assert main(["solve", "--benchmark", "bilinear", "-T", "0.2", "--box-x=-1,1", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["gda", "--benchmark", "bilinear", "--iters", "0", "--start=-1,0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["final_x"] == [-1.0] and payload["final_y"] == [0.0]
+
+
 def test_sweep_honours_box_override(tmp_path):
     argv = ["sweep", "--benchmark", "bilinear", "--parameter", "sigma", "--values", "1.0,2.0",
             "--trials", "2", "-T", "1", "--seed", "5"]
