@@ -8,9 +8,9 @@ harness for seeded runs and parameter sweeps.
 """
 
 from .baselines import GdaConfig, GdaRun, gda_run
-from .consensus import ConsensusPoint, laplace_gap, x_consensus, y_consensus
+from .consensus import ConsensusPoint, laplace_gap, y_consensus
 from .diagnostics import RunRecord, best_pair, error_to_reference, fit_decay_rate, spread, variance
-from .dynamics import Ensemble, InitSpec, SolverConfig, initialize, run, step
+from .dynamics import Ensemble, InitSpec, SolverConfig, initialize, run, step, trajectory
 from .errors import ConfigError, InputError, NumericalError
 from .harness import SweepSpec, TrialSummary, run_benchmark, run_sweep
 from .objectives import (
@@ -61,7 +61,7 @@ __all__ = [
     "solve_minmax",
     "spread",
     "step",
+    "trajectory",
     "variance",
-    "x_consensus",
     "y_consensus",
 ]

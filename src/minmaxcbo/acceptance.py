@@ -17,9 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import GdaConfig, gda_run
-from .consensus import consensus_points, x_consensus, y_consensus
+from .consensus import consensus_points, y_consensus
 from .diagnostics import error_to_reference, fit_decay_rate
 from .dynamics import InitSpec, SolverConfig, run
+from .errors import ConfigError
 from .harness import SweepSpec, benchmark_config, run_benchmark, run_sweep, _sweep_trial
 from .objectives import BoxDomain, ObjectiveFunction, benchmark_reference, make_benchmark
 from .oracle import GridSpec, solve_minmax
@@ -221,8 +222,8 @@ def criterion_5(cases: int = 10_000) -> CriterionResult:
             if low2[1] - low2[0] < 1e-5:
                 continue
         i_star = int(np.argmin(inner))
-        point = x_consensus(obj, xs, ys, alpha=1e8, beta=1e8)
-        fail["argmax"] += not np.array_equal(point, xs[i_star])
+        cp, _ = consensus_points(obj, xs, ys, alpha=1e8, beta=1e8)
+        fail["argmax"] += not np.array_equal(cp.x_cons, xs[i_star])
         done += 1
 
     ok = not any(fail.values())
@@ -312,6 +313,8 @@ _CRITERIA = {
 
 def run_all(only=None) -> list[CriterionResult]:
     numbers = sorted(only) if only else sorted(_CRITERIA)
+    if not set(numbers) <= set(_CRITERIA):
+        raise ConfigError(f"criterion numbers must be among {sorted(_CRITERIA)}, got {numbers}")
     results = []
     for n in numbers:
         result = _CRITERIA[n]()

@@ -29,8 +29,8 @@ class GdaConfig:
     mode: str = "simultaneous"
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise InputError("step_size must be > 0")
+        if not 0 < self.step_size < np.inf:
+            raise InputError(f"step_size must be finite and > 0, got {self.step_size!r}")
         if self.iterations < 0:
             raise InputError("iterations must be >= 0")
         if self.mode not in ("simultaneous", "alternating"):
@@ -86,6 +86,8 @@ def gda_run(obj: ObjectiveFunction, config: GdaConfig) -> GdaRun:
     y = np.atleast_1d(np.asarray(config.start[1], dtype=float)).copy()
     if x.size != obj.dim_x or y.size != obj.dim_y:
         raise InputError("start point dimensions do not match objective")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise InputError("start point must be finite")
     eta = config.step_size
     xs, ys = [x.copy()], [y.copy()]
     diverged = False

@@ -178,7 +178,10 @@ def _cmd_gda(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from . import acceptance
 
-    only = [int(v) for v in args.only.split(",")] if args.only else None
+    try:
+        only = [int(v) for v in args.only.split(",")] if args.only else None
+    except ValueError as exc:
+        raise ConfigError(f"--only needs comma-separated criterion numbers, got {args.only!r}") from exc
     results = acceptance.run_all(only=only)
     return 0 if all(r.passed for r in results) else 1
 

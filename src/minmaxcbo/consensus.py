@@ -20,7 +20,6 @@ __all__ = [
     "ConsensusPoint",
     "exp_weights",
     "y_consensus",
-    "x_consensus",
     "consensus_points",
     "laplace_gap",
 ]
@@ -126,12 +125,6 @@ def y_consensus(obj: ObjectiveFunction, ensemble_y, x, beta: float) -> np.ndarra
     return w @ ys
 
 
-def x_consensus(obj: ObjectiveFunction, ensemble_x, ensemble_y, alpha: float, beta: float) -> np.ndarray:
-    """Soft-argmin over the x-ensemble of E(X^i, yhat_i) with the inner y-consensus at each X^i."""
-    cp, _ = consensus_points(obj, ensemble_x, ensemble_y, alpha, beta)
-    return cp.x_cons
-
-
 def consensus_points(
     obj: ObjectiveFunction, ensemble_x, ensemble_y, alpha: float, beta: float
 ) -> tuple[ConsensusPoint, np.ndarray]:
@@ -150,7 +143,7 @@ def consensus_points(
     w_y = exp_weights(pair_values, beta, axis=1)
     yhat = w_y @ ys
     outer_vals = obj.batch(xs, yhat)
-    _check_finite(outer_vals, "x_consensus outer weights")
+    _check_finite(outer_vals, "x-consensus outer weights")
     w_x = exp_weights(outer_vals, -alpha)
     x_cons = w_x @ xs
     return ConsensusPoint(x_cons=x_cons, y_cons_per_particle=yhat), pair_values

@@ -45,7 +45,6 @@ class RunRecord:
     spread_y: list[float] = field(default_factory=list)
     mean_x: list[np.ndarray] = field(default_factory=list)
     mean_y: list[np.ndarray] = field(default_factory=list)
-    consensus_trace: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     best_pair_trace: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     best_value_trace: list[float] = field(default_factory=list)
     best_error_trace: list[float] = field(default_factory=list)

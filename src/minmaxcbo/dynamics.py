@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Iterator
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
@@ -20,7 +20,7 @@ from .diagnostics import RunRecord, best_pair_from_matrix, error_to_reference, s
 from .errors import ConfigError, NumericalError
 from .objectives import ObjectiveFunction, ReferencePoint
 
-__all__ = ["InitSpec", "SolverConfig", "Ensemble", "initialize", "step", "run"]
+__all__ = ["InitSpec", "SolverConfig", "Ensemble", "initialize", "step", "trajectory", "run"]
 
 INIT_MODES = ("uniform_box", "border", "gaussian")
 DIFFUSION_MODES = ("anisotropic", "isotropic")
@@ -133,10 +133,6 @@ class Ensemble:
         return self.xs.shape[0]
 
 
-def _uniform_rows(gen, box, n):
-    return gen.uniform(box.lower, box.upper, (n, box.dim))
-
-
 def initialize(config: SolverConfig, obj: ObjectiveFunction) -> Ensemble:
     """Draw the initial ensemble from the seeded generator per the init spec."""
     config.validate()
@@ -146,15 +142,13 @@ def initialize(config: SolverConfig, obj: ObjectiveFunction) -> Ensemble:
         raise ConfigError(f"{mode} initialization requires bounded domains")
     gen_x = _rng(config.seed, _TAG_INIT_X, 0)
     gen_y = _rng(config.seed, _TAG_INIT_Y, 0)
-    if mode == "uniform_box":
-        xs = _uniform_rows(gen_x, box_x, n)
-        ys = _uniform_rows(gen_y, box_y, n)
-    elif mode == "gaussian":
+    if mode == "gaussian":
         xs = gen_x.normal(config.init.mean, config.init.std, (n, box_x.dim))
         ys = gen_y.normal(config.init.mean, config.init.std, (n, box_y.dim))
-    else:  # border of the product box
-        xs = _uniform_rows(gen_x, box_x, n)
-        ys = _uniform_rows(gen_y, box_y, n)
+    else:
+        xs = gen_x.uniform(box_x.lower, box_x.upper, (n, box_x.dim))
+        ys = gen_y.uniform(box_y.lower, box_y.upper, (n, box_y.dim))
+    if mode == "border":  # border of the product box
         gen_f = _rng(config.seed, _TAG_INIT_AUX, 0)
         d1, d_total = box_x.dim, box_x.dim + box_y.dim
         faces = gen_f.integers(0, 2 * d_total, n)
@@ -216,7 +210,6 @@ def _record_state(
     record: RunRecord,
     ensemble: Ensemble,
     config: SolverConfig,
-    cp: ConsensusPoint,
     pair_values: np.ndarray,
     reference: ReferencePoint | None,
 ) -> None:
@@ -232,7 +225,6 @@ def _record_state(
     record.spread_y.append(sy)
     record.mean_x.append(ensemble.xs.mean(axis=0))
     record.mean_y.append(ensemble.ys.mean(axis=0))
-    record.consensus_trace.append((cp.x_cons.copy(), cp.y_cons_per_particle.mean(axis=0)))
     bx, by, bval = best_pair_from_matrix(ensemble.xs, ensemble.ys, pair_values)
     record.best_pair_trace.append((bx, by))
     record.best_value_trace.append(bval)
@@ -240,31 +232,34 @@ def _record_state(
     record.best_error_trace.append(err)
 
 
-def run(
-    config: SolverConfig,
-    obj: ObjectiveFunction,
-    reference: ReferencePoint | None = None,
-    callback: Callable[[int, Ensemble, ConsensusPoint], None] | None = None,
-) -> RunRecord:
+def trajectory(config: SolverConfig, obj: ObjectiveFunction) -> Iterator[tuple[Ensemble, ConsensusPoint, np.ndarray]]:
+    """Yield (ensemble, consensus, pair matrix) for each of the n_steps + 1 states: the one time loop.
+
+    Evaluations are counted on ``obj``; pass ``obj.fresh()`` for a per-run
+    count.  Consumers drop the pair matrix (``del``) before asking for the
+    next state, so no two N x N matrices are alive at once.
+    """
+    ensemble = initialize(config, obj)
+    for k in range(config.n_steps + 1):
+        cp, pair_values = consensus_points(obj, ensemble.xs, ensemble.ys, config.alpha, config.beta)
+        yield ensemble, cp, pair_values
+        del pair_values
+        if k < config.n_steps:
+            ensemble = _advance(ensemble, config, obj, cp)
+
+
+def run(config: SolverConfig, obj: ObjectiveFunction, reference: ReferencePoint | None = None) -> RunRecord:
     """Execute ceil(horizon / dt_y) steps and collect the full diagnostics record.
 
     The record includes the t=0 state, so every series has n_steps + 1
     entries.  Evaluation counting is per-run: the objective handle is
     copied up front and the copy's counter is reported.
     """
-    config.validate()
     obj = obj.fresh()
-    ensemble = initialize(config, obj)
     record = RunRecord()
-    n_steps = config.n_steps
-    for k in range(n_steps + 1):
-        cp, pair_values = consensus_points(obj, ensemble.xs, ensemble.ys, config.alpha, config.beta)
-        _record_state(record, ensemble, config, cp, pair_values, reference)
-        del pair_values  # the next step's N x N matrix is built without this one alive
-        if callback is not None:
-            callback(ensemble.step_index, ensemble, cp)
-        if k < n_steps:
-            ensemble = _advance(ensemble, config, obj, cp)
+    for ensemble, _, pair_values in trajectory(config, obj):
+        _record_state(record, ensemble, config, pair_values, reference)
+        del pair_values  # the next state's N x N matrix is built without this one alive
     record.final_ensemble = ensemble
     record.eval_count = obj.eval_count
     return record

@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import dynamics
 from .diagnostics import RunRecord, error_to_reference
 from .dynamics import DIFFUSION_MODES, INIT_MODES, SolverConfig, run
 from .errors import ConfigError, InputError, NumericalError
@@ -265,12 +266,15 @@ def _configured(spec: SweepSpec, value, trial: int) -> SolverConfig:
 
 
 def _sweep_trial(obj: ObjectiveFunction, ref: ReferencePoint, cfg: SolverConfig) -> float:
-    """Best-pair squared error of one seeded run; NaN flags a failed trial."""
+    """Best-pair squared error of one seeded run's final state; NaN flags a failed trial."""
     try:
-        record = run(cfg, obj, reference=ref)
+        for ensemble, _, pair_values in dynamics.trajectory(cfg, obj.fresh()):
+            if ensemble.step_index == cfg.n_steps:
+                # looked up on dynamics at call time, as run's recorder does
+                bx, by, _ = dynamics.best_pair_from_matrix(ensemble.xs, ensemble.ys, pair_values)
+            del pair_values
     except NumericalError:
         return float("nan")
-    bx, by = record.best_pair_trace[-1]
     return error_to_reference((bx, by), ref)
 
 

@@ -82,3 +82,8 @@ def test_config_validation():
         GdaConfig(step_size=0.1, iterations=5, start=_start(0, 0), mode="leapfrog")
     with pytest.raises(InputError):
         gda_run(BILINEAR, GdaConfig(step_size=0.1, iterations=1, start=(np.zeros(2), np.zeros(1))))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InputError, match="finite"):
+            GdaConfig(step_size=bad, iterations=5, start=_start(0, 0))
+        with pytest.raises(InputError, match="finite"):
+            gda_run(BILINEAR, GdaConfig(step_size=0.1, iterations=1, start=_start(bad, 0)))

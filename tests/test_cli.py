@@ -185,6 +185,23 @@ def test_gda_unparsable_start_exits_2(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flags", [["--eta", "nan"], ["--eta", "inf"], ["--start=nan,0"]])
+def test_gda_non_finite_input_exits_2(capsys, flags):
+    assert main(["gda", "--benchmark", "bilinear", "--iters", "3", *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("only", ["9", "0", "x", "1,9", "1,"])
+def test_bench_unknown_criterion_exits_2_before_running(monkeypatch, capsys, only):
+    from minmaxcbo import acceptance
+
+    ran = []
+    monkeypatch.setitem(acceptance._CRITERIA, 1, lambda: ran.append(1))
+    assert main(["bench", "--only", only]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert ran == []
+
+
 def test_negative_comma_values_in_equals_form(tmp_path, capsys):
     # argparse reads a separate "-1,1" as an option, so the help and README use the = form
     assert main(["solve", "--benchmark", "bilinear", "-T", "0.2", "--box-x=-1,1", "--out", str(tmp_path)]) == 0

@@ -15,7 +15,6 @@ from minmaxcbo import (
     laplace_gap,
     make_benchmark,
     run,
-    x_consensus,
     y_consensus,
 )
 from minmaxcbo import consensus
@@ -28,8 +27,8 @@ BILINEAR = make_benchmark("bilinear")
 def test_single_particle_is_its_own_consensus():
     y = np.array([[0.7]])
     assert np.array_equal(y_consensus(BILINEAR, y, np.array([1.0]), beta=123.0), y[0])
-    out = x_consensus(BILINEAR, np.array([[0.3]]), y, alpha=5.0, beta=5.0)
-    assert np.array_equal(out, np.array([0.3]))
+    cp, _ = consensus_points(BILINEAR, np.array([[0.3]]), y, alpha=5.0, beta=5.0)
+    assert np.array_equal(cp.x_cons, np.array([0.3]))
 
 
 def test_beta_zero_gives_arithmetic_mean():
@@ -41,8 +40,8 @@ def test_beta_zero_gives_arithmetic_mean():
 def test_alpha_zero_gives_mean_of_x():
     xs = np.array([[-3.0], [1.0], [5.0]])
     ys = np.array([[-1.0], [2.0]])
-    out = x_consensus(BILINEAR, xs, ys, alpha=0.0, beta=777.0)
-    assert out[0] == pytest.approx(1.0, abs=1e-14)
+    cp, _ = consensus_points(BILINEAR, xs, ys, alpha=0.0, beta=777.0)
+    assert cp.x_cons[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_large_beta_selects_ensemble_argmax():
@@ -56,7 +55,7 @@ def test_large_beta_selects_ensemble_argmax():
 def test_large_alpha_beta_select_min_max_particle():
     xs = np.array([[-1.0], [0.01], [1.0]])
     ys = np.array([[-1.0], [1.0]])
-    out = x_consensus(BILINEAR, xs, ys, alpha=1e6, beta=1e6)
+    out = consensus_points(BILINEAR, xs, ys, alpha=1e6, beta=1e6)[0].x_cons
     # brute force: inner argmax per row, then argmin of E(x_i, yhat_i)
     matrix = BILINEAR.fresh().pair_matrix(xs, ys)
     inner = matrix[np.arange(3), np.argmax(matrix, axis=1)]
@@ -74,7 +73,7 @@ def test_negative_weights_rejected():
     with pytest.raises(InputError):
         y_consensus(BILINEAR, ys, np.array([1.0]), beta=-1.0)
     with pytest.raises(InputError):
-        x_consensus(BILINEAR, ys, ys, alpha=-2.0, beta=1.0)
+        consensus_points(BILINEAR, ys, ys, alpha=-2.0, beta=1.0)
 
 
 def test_non_finite_objective_reports_particle():
@@ -339,7 +338,7 @@ def test_runs_bitwise_equal_with_reference_weights(monkeypatch):
     assert branches == {True, False}
     assert len(fast) == cfg.n_steps + 1 == 201
     for name in ("times", "variance_x", "variance_y", "spread_x", "spread_y", "mean_x", "mean_y",
-                 "consensus_trace", "best_pair_trace", "best_value_trace", "best_error_trace"):
+                 "best_pair_trace", "best_value_trace", "best_error_trace"):
         assert np.asarray(getattr(fast, name)).tobytes() == np.asarray(getattr(slow, name)).tobytes(), name
     assert fast.final_ensemble.xs.tobytes() == slow.final_ensemble.xs.tobytes()
     assert fast.final_ensemble.ys.tobytes() == slow.final_ensemble.ys.tobytes()

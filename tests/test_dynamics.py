@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from minmaxcbo import (
     make_benchmark,
     run,
     step,
+    trajectory,
 )
+from minmaxcbo import dynamics, harness
 from minmaxcbo.consensus import ConsensusPoint
 from minmaxcbo.dynamics import _TAG_STEP_X, _TAG_STEP_Y, _advance, _rng
 from minmaxcbo.objectives import BoxDomain, ObjectiveFunction
@@ -144,7 +147,6 @@ def test_run_step_count_and_series_lengths():
         record.mean_y,
         record.best_value_trace,
         record.best_error_trace,
-        record.consensus_trace,
         record.best_pair_trace,
     ):
         assert len(series) == 151
@@ -164,12 +166,48 @@ def test_run_determinism_bitwise():
 
 def test_projection_keeps_every_step_inside_box():
     config = _cfg(sigma_x=4.0, sigma_y=4.0, horizon=3.0, seed=2)
-
-    def check(step_index, ensemble, cp):
+    for ensemble, _, pair_values in trajectory(config, FORSAKEN.fresh()):
         assert FORSAKEN.domain_x.contains(ensemble.xs)
         assert FORSAKEN.domain_y.contains(ensemble.ys)
+        del pair_values
 
-    run(config, FORSAKEN, callback=check)
+
+def test_trajectory_yields_every_state_and_counts_like_run():
+    config = _cfg(horizon=2.0, seed=8)
+    before = FORSAKEN.eval_count
+    record = run(config, FORSAKEN)
+    obj = FORSAKEN.fresh()
+    indices = []
+    for ensemble, cp, pair_values in trajectory(config, obj):
+        indices.append(ensemble.step_index)
+        assert pair_values.shape == (10, 10) and cp.y_cons_per_particle.shape == (10, 1)
+        del pair_values
+    assert indices == list(range(config.n_steps + 1)) == list(range(21))
+    assert obj.eval_count == record.eval_count == 21 * (100 + 10)
+    assert FORSAKEN.eval_count == before  # run counts on its own copy
+    assert ensemble.xs.tobytes() == record.final_ensemble.xs.tobytes()
+    assert ensemble.ys.tobytes() == record.final_ensemble.ys.tobytes()
+
+
+@pytest.mark.parametrize("consumer", ["run", "sweep_trial"])
+def test_no_earlier_pair_matrix_alive_when_the_next_is_built(monkeypatch, consumer):
+    real, alive, built = dynamics.consensus_points, [], []
+
+    def spy(*args):
+        alive.append(sum(ref() is not None for ref in built))
+        cp, pair_values = real(*args)
+        built.append(weakref.ref(pair_values))
+        return cp, pair_values
+
+    monkeypatch.setattr(dynamics, "consensus_points", spy)
+    config = _cfg(n_particles=40, horizon=1.0, seed=3)
+    ref = benchmark_reference("forsaken")
+    if consumer == "run":
+        run(config, FORSAKEN, reference=ref)
+    else:
+        harness._sweep_trial(FORSAKEN, ref, config)
+    assert len(alive) == config.n_steps + 1
+    assert alive == [0] * len(alive)
 
 
 def test_epsilon_one_matches_single_timescale_update():

@@ -9,7 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minmaxcbo import ConfigError, ReferencePoint, SweepSpec, run_sweep
+from minmaxcbo import (
+    ConfigError,
+    InitSpec,
+    NumericalError,
+    ReferencePoint,
+    SolverConfig,
+    SweepSpec,
+    benchmark_reference,
+    run,
+    run_sweep,
+)
 from minmaxcbo import harness
 from minmaxcbo.harness import (
     CONFIG_KEYS,
@@ -23,7 +33,8 @@ from minmaxcbo.harness import (
     write_run_csv,
     write_sweep_csv,
 )
-from minmaxcbo.objectives import BoxDomain, register_benchmark
+from minmaxcbo.diagnostics import error_to_reference
+from minmaxcbo.objectives import BoxDomain, make_benchmark, register_benchmark
 
 
 def test_nearest_rank_quantile_rules():
@@ -176,6 +187,19 @@ def test_sweep_fails_fast_without_reference_or_picklable_objective():
     SweepSpec(parameter="sigma", values=[1.0], objective=obj, base=base, jobs=1)
     with pytest.raises(ConfigError, match="picklable"):
         SweepSpec(parameter="sigma", values=[1.0], objective=obj, base=base, jobs=2)
+
+
+def test_sweep_trial_equals_final_error_of_a_recorded_run():
+    obj, ref = make_benchmark("forsaken"), benchmark_reference("forsaken")
+    for seed in range(6):
+        cfg = SolverConfig(n_particles=12, horizon=3.0, seed=seed, init=InitSpec("border"))
+        expected = error_to_reference(run(cfg, obj, reference=ref).best_pair_trace[-1], ref)
+        assert harness._sweep_trial(obj, ref, cfg).hex() == expected.hex()
+    obj, ref = make_benchmark("bilinear"), benchmark_reference("bilinear")
+    blowup = SolverConfig(n_particles=10, sigma_x=1e308, sigma_y=1e308, project=False)
+    with pytest.raises(NumericalError, match="step 0"):
+        run(blowup, obj, reference=ref)
+    assert math.isnan(harness._sweep_trial(obj, ref, blowup))
 
 
 def test_sweep_validates_every_trial_before_running(monkeypatch):
