@@ -21,7 +21,7 @@ from .consensus import consensus_points, y_consensus
 from .diagnostics import error_to_reference, fit_decay_rate
 from .dynamics import InitSpec, SolverConfig, run
 from .errors import ConfigError
-from .harness import SweepSpec, benchmark_config, run_benchmark, run_sweep, _sweep_trial
+from .harness import SweepSpec, benchmark_config, run_sweep, _sweep_trial
 from .objectives import BoxDomain, ObjectiveFunction, benchmark_reference, make_benchmark
 from .oracle import GridSpec, solve_minmax
 
@@ -72,12 +72,13 @@ def criterion_2() -> CriterionResult:
     start = time.perf_counter()
     details, ok = [], True
     for name, horizon in _FIG3_RUNS:
+        ref = benchmark_reference(name)
         errors = []
         for seed in range(20):
-            record, _ = run_benchmark(
+            cfg, obj = benchmark_config(
                 name, {"n_particles": 25, "horizon": horizon, "seed": seed, "init": "uniform_box"}
             )
-            errors.append(record.best_error_trace[-1])
+            errors.append(_sweep_trial(obj, ref, cfg))
         errors = np.asarray(errors)
         median = float(np.median(errors))
         frac = float(np.mean(errors < 0.1))
@@ -254,10 +255,10 @@ def criterion_6() -> CriterionResult:
     stall_ok = stall_sq < 0.01
 
     ref = benchmark_reference("bilinearly_coupled")
-    record, _ = run_benchmark(
+    cfg, obj = benchmark_config(
         "bilinearly_coupled", {"n_particles": 25, "horizon": 15.0, "seed": 0, "init": "uniform_box"}
     )
-    cbo_err = record.best_error_trace[-1]
+    cbo_err = _sweep_trial(obj, ref, cfg)
     gda_err = error_to_reference((stall.xs[-1], stall.ys[-1]), ref)
     contrast_ok = cbo_err < 0.05 and gda_err > 1.0
 

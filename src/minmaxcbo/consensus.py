@@ -45,9 +45,17 @@ _EXP_ZERO_CUT = -746.0
 # Below about this many entries, counting the entries under the cut costs
 # more than skipping them saves.
 _SKIP_MIN_ENTRIES = 1024
+# Pair entries per row block of consensus_points: 2**16 float64 values
+# (512 KiB) and their weights stay in a core's L2 cache.  The row count is
+# a multiple of 8 because BLAS gemv groups output rows by 4: with blocks
+# that start off that grid, the last bits of some y-consensus rows differed
+# from the product over the whole matrix.
+_BLOCK_ENTRIES = 2**16
 
 
-def exp_weights(values: np.ndarray, scale: float, axis: int = -1) -> np.ndarray:
+def exp_weights(
+    values: np.ndarray, scale: float, axis: int = -1, *, pivot: np.ndarray | None = None
+) -> np.ndarray:
     """Normalized exp(scale * values) along ``axis``, computed max-shifted.
 
     The values are shifted by their extremum BEFORE scaling, i.e.
@@ -67,12 +75,13 @@ def exp_weights(values: np.ndarray, scale: float, axis: int = -1) -> np.ndarray:
     zero-filled.  Such inputs arise while the particles are spread out and
     the weight parameters are large, and exp is slowest on them.  NaN
     exponents are not below the cut, so they reach exp as before.
+
+    A caller that already holds the pivot (that max or min along ``axis``,
+    with the axis kept) passes it as ``pivot`` and saves that pass.
     """
     values = np.asarray(values, dtype=float)
-    if scale >= 0:
-        pivot = values.max(axis=axis, keepdims=True)
-    else:
-        pivot = values.min(axis=axis, keepdims=True)
+    if pivot is None:
+        pivot = values.max(axis=axis, keepdims=True) if scale >= 0 else values.min(axis=axis, keepdims=True)
     w = values - pivot
     w *= scale
     _exp_in_place(w)
@@ -105,10 +114,28 @@ def _as_ensemble(arr, dim: int, what: str) -> np.ndarray:
     return arr
 
 
-def _check_finite(values: np.ndarray, what: str) -> None:
+def _check_finite(values: np.ndarray, what: str, row_offset: int = 0) -> None:
     if not np.all(np.isfinite(values)):
         idx = np.argwhere(~np.isfinite(np.atleast_1d(values)))[0]
+        idx[0] += row_offset
         raise NumericalError(f"non-finite objective value in {what} at particle index {tuple(idx)}")
+
+
+def _fold_min_max(best, row_max: np.ndarray, rows: np.ndarray, offset: int) -> tuple[int, int, float]:
+    """The min-max pair (i, j, value) after folding in the pair rows that start at x-index ``offset``.
+
+    value is min over i of max over j of E(X^i, Y^j); ``row_max`` holds the
+    maxima of ``rows`` in row order, in any shape.  Ties go to the lowest
+    x-index, then the lowest y-index: argmin and argmax return the first
+    extremal entry, and a later block replaces ``best`` (None before the
+    first block) only when lower.
+    """
+    # The array methods skip np.argmin's dispatch, which took a third of this call at N=10.
+    r = int(row_max.argmin())
+    value = row_max.item(r)
+    if best is None or value < best[2]:
+        return offset + r, int(rows[r].argmax()), value
+    return best
 
 
 def y_consensus(obj: ObjectiveFunction, ensemble_y, x, beta: float) -> np.ndarray:
@@ -127,26 +154,35 @@ def y_consensus(obj: ObjectiveFunction, ensemble_y, x, beta: float) -> np.ndarra
 
 def consensus_points(
     obj: ObjectiveFunction, ensemble_x, ensemble_y, alpha: float, beta: float
-) -> tuple[ConsensusPoint, np.ndarray]:
-    """Both consensus quantities from one all-pairs evaluation.
+) -> tuple[ConsensusPoint, tuple[np.ndarray, np.ndarray, float]]:
+    """Both consensus quantities and the best pair from one all-pairs evaluation.
 
-    Evaluates E(X^i, Y^j) exactly once per (i, j) pair and returns the
-    matrix alongside the consensus data so callers (the time stepper, the
-    best-pair diagnostic) can reuse it.
+    Evaluates E(X^i, Y^j) exactly once per (i, j) pair, in blocks of x-rows
+    of about ``_BLOCK_ENTRIES`` pairs.  Each block's y-weights, its rows of
+    the y-consensus and its share of the best pair are taken before the next
+    block is evaluated, so no N x N array is built.  The best pair is
+    (x, y, value) with value = min over i of max over j of E(X^i, Y^j), as
+    ``diagnostics.best_pair`` returns it.
     """
     xs = _as_ensemble(ensemble_x, obj.dim_x, "ensemble_x")
     ys = _as_ensemble(ensemble_y, obj.dim_y, "ensemble_y")
     if alpha < 0 or beta < 0:
         raise InputError("alpha and beta must be >= 0")
-    pair_values = obj.pair_matrix(xs, ys)
-    _check_finite(pair_values, "consensus pair matrix")
-    w_y = exp_weights(pair_values, beta, axis=1)
-    yhat = w_y @ ys
+    n_rows = max(8, _BLOCK_ENTRIES // ys.shape[0] // 8 * 8)
+    yhat = np.empty((xs.shape[0], obj.dim_y))
+    best = None
+    for a in range(0, xs.shape[0], n_rows):
+        rows = obj.pair_matrix(xs[a : a + n_rows], ys)
+        _check_finite(rows, "consensus pair matrix", a)
+        row_max = rows.max(axis=1, keepdims=True)  # the y-weights' pivot
+        np.matmul(exp_weights(rows, beta, axis=1, pivot=row_max), ys, out=yhat[a : a + n_rows])
+        best = _fold_min_max(best, row_max, rows, a)
     outer_vals = obj.batch(xs, yhat)
     _check_finite(outer_vals, "x-consensus outer weights")
     w_x = exp_weights(outer_vals, -alpha)
     x_cons = w_x @ xs
-    return ConsensusPoint(x_cons=x_cons, y_cons_per_particle=yhat), pair_values
+    i, j, value = best
+    return ConsensusPoint(x_cons=x_cons, y_cons_per_particle=yhat), (xs[i].copy(), ys[j].copy(), value)
 
 
 def laplace_gap(obj: ObjectiveFunction, ensemble, fixed_point, param: float, mode: str) -> float:

@@ -12,6 +12,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .consensus import _fold_min_max
 from .errors import InputError, NumericalError
 from .objectives import ObjectiveFunction, ReferencePoint
 
@@ -23,7 +24,6 @@ __all__ = [
     "variance",
     "spread",
     "best_pair",
-    "best_pair_from_matrix",
     "error_to_reference",
     "fit_decay_rate",
 ]
@@ -84,26 +84,17 @@ def spread(ensemble: "Ensemble") -> tuple[float, float]:
     return sx, sy
 
 
-def best_pair_from_matrix(
-    xs: np.ndarray, ys: np.ndarray, pair_values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Empirical min-max pair from a cached all-pairs matrix.
-
-    Ties break to the lowest x-index, then the lowest y-index (argmin and
-    argmax return the first extremal entry).
-    """
-    row_max = pair_values.max(axis=1)
-    i = int(np.argmin(row_max))
-    j = int(np.argmax(pair_values[i]))
-    return xs[i].copy(), ys[j].copy(), float(pair_values[i, j])
-
-
 def best_pair(ensemble: "Ensemble", obj: ObjectiveFunction) -> tuple[np.ndarray, np.ndarray, float]:
-    """Exhaustive min over i of max over j of E(X^i, Y^j)."""
+    """Exhaustive min over i of max over j of E(X^i, Y^j).
+
+    Ties break to the lowest x-index, then the lowest y-index, as in the
+    best pair that ``consensus.consensus_points`` returns.
+    """
     if ensemble.xs.shape[0] == 0:
         raise InputError("ensemble is empty")
     pair_values = obj.pair_matrix(ensemble.xs, ensemble.ys)
-    return best_pair_from_matrix(ensemble.xs, ensemble.ys, pair_values)
+    i, j, value = _fold_min_max(None, pair_values.max(axis=1), pair_values, 0)
+    return ensemble.xs[i].copy(), ensemble.ys[j].copy(), value
 
 
 def error_to_reference(pair: tuple[np.ndarray, np.ndarray], ref: ReferencePoint) -> float:

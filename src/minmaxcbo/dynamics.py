@@ -16,7 +16,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .consensus import ConsensusPoint, consensus_points
-from .diagnostics import RunRecord, best_pair_from_matrix, error_to_reference, spread, variance
+from .diagnostics import RunRecord, error_to_reference, spread, variance
 from .errors import ConfigError, NumericalError
 from .objectives import ObjectiveFunction, ReferencePoint
 
@@ -210,7 +210,7 @@ def _record_state(
     record: RunRecord,
     ensemble: Ensemble,
     config: SolverConfig,
-    pair_values: np.ndarray,
+    best_pair: tuple[np.ndarray, np.ndarray, float],
     reference: ReferencePoint | None,
 ) -> None:
     record.times.append(ensemble.step_index * config.dt_y)
@@ -225,25 +225,26 @@ def _record_state(
     record.spread_y.append(sy)
     record.mean_x.append(ensemble.xs.mean(axis=0))
     record.mean_y.append(ensemble.ys.mean(axis=0))
-    bx, by, bval = best_pair_from_matrix(ensemble.xs, ensemble.ys, pair_values)
+    bx, by, bval = best_pair
     record.best_pair_trace.append((bx, by))
     record.best_value_trace.append(bval)
     err = error_to_reference((bx, by), reference) if reference is not None else float("nan")
     record.best_error_trace.append(err)
 
 
-def trajectory(config: SolverConfig, obj: ObjectiveFunction) -> Iterator[tuple[Ensemble, ConsensusPoint, np.ndarray]]:
-    """Yield (ensemble, consensus, pair matrix) for each of the n_steps + 1 states: the one time loop.
+def trajectory(
+    config: SolverConfig, obj: ObjectiveFunction
+) -> Iterator[tuple[Ensemble, ConsensusPoint, tuple[np.ndarray, np.ndarray, float]]]:
+    """Yield (ensemble, consensus, best pair) for each of the n_steps + 1 states: the one time loop.
 
+    The best pair is the state's (x, y, value) from ``consensus_points``.
     Evaluations are counted on ``obj``; pass ``obj.fresh()`` for a per-run
-    count.  Consumers drop the pair matrix (``del``) before asking for the
-    next state, so no two N x N matrices are alive at once.
+    count.
     """
     ensemble = initialize(config, obj)
     for k in range(config.n_steps + 1):
-        cp, pair_values = consensus_points(obj, ensemble.xs, ensemble.ys, config.alpha, config.beta)
-        yield ensemble, cp, pair_values
-        del pair_values
+        cp, best_pair = consensus_points(obj, ensemble.xs, ensemble.ys, config.alpha, config.beta)
+        yield ensemble, cp, best_pair
         if k < config.n_steps:
             ensemble = _advance(ensemble, config, obj, cp)
 
@@ -257,9 +258,8 @@ def run(config: SolverConfig, obj: ObjectiveFunction, reference: ReferencePoint 
     """
     obj = obj.fresh()
     record = RunRecord()
-    for ensemble, _, pair_values in trajectory(config, obj):
-        _record_state(record, ensemble, config, pair_values, reference)
-        del pair_values  # the next state's N x N matrix is built without this one alive
+    for ensemble, _, best_pair in trajectory(config, obj):
+        _record_state(record, ensemble, config, best_pair, reference)
     record.final_ensemble = ensemble
     record.eval_count = obj.eval_count
     return record

@@ -268,11 +268,8 @@ def _configured(spec: SweepSpec, value, trial: int) -> SolverConfig:
 def _sweep_trial(obj: ObjectiveFunction, ref: ReferencePoint, cfg: SolverConfig) -> float:
     """Best-pair squared error of one seeded run's final state; NaN flags a failed trial."""
     try:
-        for ensemble, _, pair_values in dynamics.trajectory(cfg, obj.fresh()):
-            if ensemble.step_index == cfg.n_steps:
-                # looked up on dynamics at call time, as run's recorder does
-                bx, by, _ = dynamics.best_pair_from_matrix(ensemble.xs, ensemble.ys, pair_values)
-            del pair_values
+        for _, _, (bx, by, _) in dynamics.trajectory(cfg, obj.fresh()):
+            pass  # only the final state's best pair is kept
     except NumericalError:
         return float("nan")
     return error_to_reference((bx, by), ref)

@@ -1,4 +1,8 @@
 import math
+import os
+import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -7,19 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minmaxcbo import (
+    Ensemble,
     InitSpec,
     InputError,
     NumericalError,
     SolverConfig,
     benchmark_reference,
+    best_pair,
     laplace_gap,
     make_benchmark,
     run,
     y_consensus,
 )
 from minmaxcbo import consensus
-from minmaxcbo.consensus import _EXP_ZERO_CUT, _SKIP_MIN_ENTRIES, consensus_points, exp_weights
-from minmaxcbo.objectives import BoxDomain, ObjectiveFunction
+from minmaxcbo.consensus import _BLOCK_ENTRIES, _EXP_ZERO_CUT, _SKIP_MIN_ENTRIES, consensus_points, exp_weights
+from minmaxcbo.objectives import BENCHMARK_IDS, BoxDomain, ObjectiveFunction
 
 BILINEAR = make_benchmark("bilinear")
 
@@ -326,14 +332,15 @@ def test_runs_bitwise_equal_with_reference_weights(monkeypatch):
     ref = benchmark_reference("bilinear")
     branches = set()  # of the pair-matrix calls; the outer weights of 200 entries never skip
 
-    def spy(values, scale, axis=-1):
+    def spy(values, scale, axis=-1, pivot=None):
         if values.ndim == 2:
             branches.add(_gathers(values, scale, axis))
-        return exp_weights(values, scale, axis)
+        return exp_weights(values, scale, axis, pivot=pivot)
 
     monkeypatch.setattr(consensus, "exp_weights", spy)
     fast = run(cfg, BILINEAR, reference=ref)
-    monkeypatch.setattr(consensus, "exp_weights", _reference_weights)
+    monkeypatch.setattr(consensus, "exp_weights", lambda values, scale, axis=-1, pivot=None: _reference_weights(
+        values, scale, axis))
     slow = run(cfg, BILINEAR, reference=ref)
     assert branches == {True, False}
     assert len(fast) == cfg.n_steps + 1 == 201
@@ -343,3 +350,105 @@ def test_runs_bitwise_equal_with_reference_weights(monkeypatch):
     assert fast.final_ensemble.xs.tobytes() == slow.final_ensemble.xs.tobytes()
     assert fast.final_ensemble.ys.tobytes() == slow.final_ensemble.ys.tobytes()
     assert fast.eval_count == slow.eval_count
+
+
+def _reference_consensus(obj, xs, ys, alpha, beta):
+    """consensus_points over the whole pair matrix: x_cons, yhat and the best pair (x, y, value)."""
+    pair_values = obj.pair_matrix(xs, ys)
+    yhat = _reference_weights(pair_values, beta, axis=1) @ ys
+    x_cons = _reference_weights(obj.batch(xs, yhat), -alpha) @ xs
+    i = int(np.argmin(pair_values.max(axis=1)))
+    j = int(np.argmax(pair_values[i]))
+    return x_cons, yhat, (xs[i], ys[j], float(pair_values[i, j]))
+
+
+def _blocked_mismatches():
+    """(benchmark, n_x, n_y, alpha=beta) of every case where consensus_points differs in a bit from the reference."""
+    cases = [(name, n, n) for name in BENCHMARK_IDS for n in (1, 7, 513, 997, 1000, 1031)]
+    cases += [("forsaken", 1000, 1500), ("bilinearly_coupled", 997, 130), ("sixth_order", 40, 2000)]
+    mismatches = []
+    for name, n_x, n_y in cases:
+        obj = make_benchmark(name)
+        rng = np.random.default_rng([n_x, n_y])
+        xs = rng.uniform(obj.domain_x.lower, obj.domain_x.upper, (n_x, obj.dim_x))
+        ys = rng.uniform(obj.domain_y.lower, obj.domain_y.upper, (n_y, obj.dim_y))
+        for weight in (1e4, 30.0):
+            cp, (bx, by, value) = consensus_points(obj, xs, ys, weight, weight)
+            x_cons, yhat, (rx, ry, rvalue) = _reference_consensus(obj, xs, ys, weight, weight)
+            got = (cp.x_cons, cp.y_cons_per_particle, bx, by, np.float64(value))
+            want = (x_cons, yhat, rx, ry, np.float64(rvalue))
+            if any(g.tobytes() != w.tobytes() for g, w in zip(got, want)):
+                mismatches.append((name, n_x, n_y, weight))
+    return mismatches
+
+
+# OpenBLAS may split the rows of one large product between threads, and a
+# split that leaves the grid of 4 rows its kernel works in changes the last
+# bits of the whole-matrix product: at N = 997 on two threads, y-consensus
+# rows 496, 497, 995 and 996 of the reference changed, and those of the row
+# blocks did not.  The comparison therefore runs in a child process with one
+# BLAS thread, as the benchmark runs.
+_ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def test_row_blocks_bitwise_equal_whole_matrix_reference():
+    code = f"import runpy; print(runpy.run_path({__file__!r})['_blocked_mismatches']())"
+    env = {**os.environ, **_ONE_BLAS_THREAD, "PYTHONPATH": os.pathsep.join(sys.path)}
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
+
+
+def test_best_pair_tie_across_a_block_boundary_goes_to_the_lowest_indices():
+    # every row peaks at min(y, 1) = 1, first reached at y-index 10; rows 63
+    # and 64 end the first block and start the second and tie at the lowest
+    # row max with row 900, so row 63 and y-index 10 must win
+    box = BoxDomain(np.array([-4.0]), np.array([4.0]))
+    obj = ObjectiveFunction("tie", 1, 1, box, box, lambda x, y: (x[..., 0] - 1.0) ** 2 + np.minimum(y[..., 0], 1.0))
+    rng = np.random.default_rng(2)
+    xs = rng.uniform(2.0, 4.0, (1000, 1))
+    xs[[63, 64, 900], 0] = 1.5, 0.5, 0.5
+    ys = rng.uniform(-4.0, 0.5, (1000, 1))
+    ys[[10, 20, 700], 0] = 2.0, 1.0, 3.0
+    assert _BLOCK_ENTRIES // 1000 // 8 * 8 == 64  # rows per block
+    _, (bx, by, value) = consensus_points(obj, xs, ys, 1e4, 1e4)
+    assert (bx[0], by[0], value) == (1.5, 2.0, 1.25)
+    whole = best_pair(Ensemble(xs=xs, ys=ys), obj)
+    assert (whole[0][0], whole[1][0], whole[2]) == (1.5, 2.0, 1.25)
+
+
+def test_non_finite_pair_value_in_a_later_block_reports_its_global_index():
+    box = BoxDomain(np.array([-1.0]), np.array([1.0]))
+
+    def bad(x, y):
+        return np.where((x[..., 0] == 0.25) & (y[..., 0] == -0.5), np.nan, x[..., 0] * y[..., 0])
+
+    obj = ObjectiveFunction("bad", 1, 1, box, box, bad)
+    rng = np.random.default_rng(4)
+    xs, ys = rng.uniform(-1, 1, (1000, 1)), rng.uniform(-1, 1, (1000, 1))
+    xs[700, 0], ys[3, 0] = 0.25, -0.5
+    index = tuple(np.array([700, 3]))
+    with pytest.raises(NumericalError, match=re.escape(f"consensus pair matrix at particle index {index}")):
+        consensus_points(obj, xs, ys, 1e4, 1e4)
+
+
+def test_two_dimensional_y_agrees_with_whole_matrix_reference():
+    # gemm sums the blocked and the whole product in different orders, so
+    # the bits may differ; y lies in a positive box, so every entry of yhat
+    # is well away from zero and a relative bound is meaningful
+    box_x = BoxDomain(np.array([-2.0]), np.array([2.0]))
+    box_y = BoxDomain(np.array([0.5, 0.5]), np.array([3.0, 3.0]))
+
+    def saddle(x, y):
+        return x[..., 0] * (y[..., 0] - 2.0 * y[..., 1]) - (y[..., 0] - 1.5) ** 2 - 0.5 * (y[..., 1] - 1.0) ** 2
+
+    obj = ObjectiveFunction("saddle2", 1, 2, box_x, box_y, saddle)
+    rng = np.random.default_rng(6)
+    for n in (513, 1000, 1031):
+        xs = rng.uniform(-2.0, 2.0, (n, 1))
+        ys = rng.uniform(0.5, 3.0, (n, 2))
+        cp, (bx, by, value) = consensus_points(obj, xs, ys, 30.0, 30.0)
+        x_cons, yhat, (rx, ry, rvalue) = _reference_consensus(obj, xs, ys, 30.0, 30.0)
+        np.testing.assert_allclose(cp.y_cons_per_particle, yhat, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(cp.x_cons, x_cons, rtol=1e-14, atol=0)
+        assert (bx.tobytes(), by.tobytes(), value) == (rx.tobytes(), ry.tobytes(), rvalue)

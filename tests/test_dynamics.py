@@ -1,5 +1,6 @@
+import gc
 import math
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,10 +18,10 @@ from minmaxcbo import (
     step,
     trajectory,
 )
-from minmaxcbo import dynamics, harness
-from minmaxcbo.consensus import ConsensusPoint
+from minmaxcbo import harness
+from minmaxcbo.consensus import ConsensusPoint, consensus_points
 from minmaxcbo.dynamics import _TAG_STEP_X, _TAG_STEP_Y, _advance, _rng
-from minmaxcbo.objectives import BoxDomain, ObjectiveFunction
+from minmaxcbo.objectives import BENCHMARK_IDS, BoxDomain, ObjectiveFunction
 
 FORSAKEN = make_benchmark("forsaken")
 BILINEAR = make_benchmark("bilinear")
@@ -166,10 +167,9 @@ def test_run_determinism_bitwise():
 
 def test_projection_keeps_every_step_inside_box():
     config = _cfg(sigma_x=4.0, sigma_y=4.0, horizon=3.0, seed=2)
-    for ensemble, _, pair_values in trajectory(config, FORSAKEN.fresh()):
+    for ensemble, _, _ in trajectory(config, FORSAKEN.fresh()):
         assert FORSAKEN.domain_x.contains(ensemble.xs)
         assert FORSAKEN.domain_y.contains(ensemble.ys)
-        del pair_values
 
 
 def test_trajectory_yields_every_state_and_counts_like_run():
@@ -177,37 +177,43 @@ def test_trajectory_yields_every_state_and_counts_like_run():
     before = FORSAKEN.eval_count
     record = run(config, FORSAKEN)
     obj = FORSAKEN.fresh()
-    indices = []
-    for ensemble, cp, pair_values in trajectory(config, obj):
+    indices, pairs = [], []
+    for ensemble, cp, (bx, by, bval) in trajectory(config, obj):
         indices.append(ensemble.step_index)
-        assert pair_values.shape == (10, 10) and cp.y_cons_per_particle.shape == (10, 1)
-        del pair_values
+        pairs.append((bx, by, bval))
+        assert bx.shape == by.shape == (1,) and cp.y_cons_per_particle.shape == (10, 1)
     assert indices == list(range(config.n_steps + 1)) == list(range(21))
+    assert [(bx.tobytes(), by.tobytes()) for bx, by, _ in pairs] == [
+        (bx.tobytes(), by.tobytes()) for bx, by in record.best_pair_trace
+    ]
+    assert [bval for _, _, bval in pairs] == record.best_value_trace
     assert obj.eval_count == record.eval_count == 21 * (100 + 10)
     assert FORSAKEN.eval_count == before  # run counts on its own copy
     assert ensemble.xs.tobytes() == record.final_ensemble.xs.tobytes()
     assert ensemble.ys.tobytes() == record.final_ensemble.ys.tobytes()
 
 
-@pytest.mark.parametrize("consumer", ["run", "sweep_trial"])
-def test_no_earlier_pair_matrix_alive_when_the_next_is_built(monkeypatch, consumer):
-    real, alive, built = dynamics.consensus_points, [], []
-
-    def spy(*args):
-        alive.append(sum(ref() is not None for ref in built))
-        cp, pair_values = real(*args)
-        built.append(weakref.ref(pair_values))
-        return cp, pair_values
-
-    monkeypatch.setattr(dynamics, "consensus_points", spy)
-    config = _cfg(n_particles=40, horizon=1.0, seed=3)
+@pytest.mark.parametrize("consumer", ["run", "sweep_trial"] + [f"consensus_points-{n}" for n in BENCHMARK_IDS])
+def test_no_pair_matrix_held_at_n1000(consumer):
+    # one 1000 x 1000 pair matrix is 7.6 MiB; the row blocks of consensus_points keep every call below 2 MiB
+    config = _cfg(n_particles=1000, dt_y=0.01, horizon=0.05, seed=3, init=InitSpec("uniform_box"))
     ref = benchmark_reference("forsaken")
     if consumer == "run":
-        run(config, FORSAKEN, reference=ref)
+        call = lambda: run(config, FORSAKEN, reference=ref)
+    elif consumer == "sweep_trial":
+        call = lambda: harness._sweep_trial(FORSAKEN, ref, config)
     else:
-        harness._sweep_trial(FORSAKEN, ref, config)
-    assert len(alive) == config.n_steps + 1
-    assert alive == [0] * len(alive)
+        obj = make_benchmark(consumer.split("-", 1)[1])
+        ensemble = initialize(config, obj)
+        call = lambda: consensus_points(obj, ensemble.xs, ensemble.ys, config.alpha, config.beta)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_epsilon_one_matches_single_timescale_update():
