@@ -6,10 +6,11 @@ Run from the repository root:
 
 The parent revision (``--parent``, default HEAD) is exported with
 ``git archive`` into a temporary directory.  For each seed, ``perfbench/run.py
---workload W --seed S --trace 0`` runs once in the parent's copy and once in
-the working tree, one run at a time; pair i runs the parent first when i is
-even and the working tree first when it is odd, so drift of the host's speed
-does not favour one side.
+--workload W --seed S --seconds T --trace 0``, with T the ``run_seconds`` of
+BENCHMARK.json, runs once in the parent's copy and once in the working tree,
+one run at a time; pair i runs the parent first when i is even and the
+working tree first when it is odd, so drift of the host's speed does not
+favour one side.
 
 The results go to ``BENCH_<date>_<topic>.json`` (``--out`` overrides the
 path) under ``workloads.<W>``; the other workloads of an existing file are
@@ -37,6 +38,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 900
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+RUN_SECONDS = BENCHMARK["run_seconds"]
 
 
 def export_revision(rev: str, dest: Path) -> str:
@@ -52,10 +55,10 @@ def export_revision(rev: str, dest: Path) -> str:
     return sha
 
 
-def run_side(root: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_side(root: Path, workload: str, seed: int) -> dict:
     """One untraced benchmark run in ``root``: its report, with the result line's counts."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(RUN_SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S, check=False)
     if proc.returncode != 0:
         raise SystemExit(f"error: {' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
@@ -113,14 +116,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", required=True, help="comma-separated workload seeds, one pair each")
     parser.add_argument("--topic", required=True, help="names the output file BENCH_<date>_<topic>.json")
     parser.add_argument("--parent", default="HEAD", help="revision to compare the working tree against")
-    parser.add_argument("--seconds", type=int, help="run length; default: run_seconds of BENCHMARK.json")
     parser.add_argument("--out", type=Path, help="output path; default: BENCH_<date>_<topic>.json at the root")
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    if args.workload not in {w["name"] for w in benchmark["workloads"]}:
+    if args.workload not in {w["name"] for w in BENCHMARK["workloads"]}:
         parser.error(f"unknown workload {args.workload!r}")
-    seconds = args.seconds or benchmark["run_seconds"]
     today = datetime.date.today().isoformat()
     out = args.out or ROOT / f"BENCH_{today}_{args.topic}.json"
 
@@ -132,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "ran_first": order[0]}
             for side in order:
-                pair[side] = run_side(roots[side], args.workload, seed, seconds)
+                pair[side] = run_side(roots[side], args.workload, seed)
                 print(f"{args.workload} seed {seed} {side}: "
                       + json.dumps({k: round(v, 4) for k, v in pair[side]["metrics"].items()}), file=sys.stderr)
             pair["output_sha256_equal"] = pair["parent"]["output_sha256"] == pair["change"]["output_sha256"]
@@ -147,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
         "topic": args.topic,
         "date": today,
         "parent": parent_sha,
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {RUN_SECONDS} --trace 0",
         "protocol": "pairs of one parent run (git archive of the parent commit) and one working-tree run, one run "
                     "at a time; pair i runs the parent first when i is even. Quartiles are inclusive "
                     "(statistics.quantiles, n=4); change_better_pairs counts strict wins.",
@@ -164,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
     doc["workloads"][args.workload] = {
         "seeds": seeds,
         "pairs": pairs,
-        "summary": summarize(pairs, benchmark["end_to_end"]),
+        "summary": summarize(pairs, BENCHMARK["end_to_end"]),
         "all_output_sha256_equal": all(p["output_sha256_equal"] for p in pairs),
         "failed_total": {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")},
     }
