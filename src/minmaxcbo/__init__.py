@@ -10,7 +10,7 @@ harness for seeded runs and parameter sweeps.
 from .baselines import GdaConfig, GdaRun, gda_run
 from .consensus import ConsensusPoint, laplace_gap, y_consensus
 from .diagnostics import RunRecord, best_pair, error_to_reference, fit_decay_rate, spread, variance
-from .dynamics import Ensemble, InitSpec, SolverConfig, initialize, run, step, trajectory
+from .dynamics import Ensemble, InitSpec, SolverConfig, initialize, run, trajectory
 from .errors import ConfigError, InputError, NumericalError
 from .harness import SweepSpec, TrialSummary, run_benchmark, run_sweep
 from .objectives import (
@@ -60,7 +60,6 @@ __all__ = [
     "run_sweep",
     "solve_minmax",
     "spread",
-    "step",
     "trajectory",
     "variance",
     "y_consensus",

@@ -34,22 +34,51 @@ _FIT_FLOOR_REL = 1e-3
 _FIT_FLOOR_ABS = 1e-12
 
 
+def _no_rows() -> np.ndarray:
+    return np.empty(0)
+
+
 @dataclass
 class RunRecord:
-    """Diagnostics time series of one solver run; all lists have steps+1 rows."""
+    """Diagnostics time series of one solver run, one row per state (n_steps + 1 rows).
 
-    times: list[float] = field(default_factory=list)
-    variance_x: list[float] = field(default_factory=list)
-    variance_y: list[float] = field(default_factory=list)
-    spread_x: list[float] = field(default_factory=list)
-    spread_y: list[float] = field(default_factory=list)
-    mean_x: list[np.ndarray] = field(default_factory=list)
-    mean_y: list[np.ndarray] = field(default_factory=list)
-    best_pair_trace: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-    best_value_trace: list[float] = field(default_factory=list)
-    best_error_trace: list[float] = field(default_factory=list)
+    ``times``, ``variance_x``/``variance_y`` (NaN without a reference),
+    ``spread_x``/``spread_y``, ``best_value_trace`` and ``best_error_trace``
+    (NaN without a reference) have shape (rows,).  ``mean_x`` and the best
+    pair's ``best_x`` have shape (rows, d1); ``mean_y`` and ``best_y``
+    (rows, d2).
+    """
+
+    times: np.ndarray = field(default_factory=_no_rows)
+    variance_x: np.ndarray = field(default_factory=_no_rows)
+    variance_y: np.ndarray = field(default_factory=_no_rows)
+    spread_x: np.ndarray = field(default_factory=_no_rows)
+    spread_y: np.ndarray = field(default_factory=_no_rows)
+    mean_x: np.ndarray = field(default_factory=_no_rows)
+    mean_y: np.ndarray = field(default_factory=_no_rows)
+    best_x: np.ndarray = field(default_factory=_no_rows)
+    best_y: np.ndarray = field(default_factory=_no_rows)
+    best_value_trace: np.ndarray = field(default_factory=_no_rows)
+    best_error_trace: np.ndarray = field(default_factory=_no_rows)
     final_ensemble: "Ensemble | None" = None
     eval_count: int = 0
+
+    @classmethod
+    def allocate(cls, rows: int, d1: int, d2: int) -> "RunRecord":
+        """A record of ``rows`` unfilled rows; the reference-dependent series start as NaN."""
+        return cls(
+            times=np.empty(rows),
+            variance_x=np.full(rows, np.nan),
+            variance_y=np.full(rows, np.nan),
+            spread_x=np.empty(rows),
+            spread_y=np.empty(rows),
+            mean_x=np.empty((rows, d1)),
+            mean_y=np.empty((rows, d2)),
+            best_x=np.empty((rows, d1)),
+            best_y=np.empty((rows, d2)),
+            best_value_trace=np.empty(rows),
+            best_error_trace=np.full(rows, np.nan),
+        )
 
     @property
     def variance_total(self) -> np.ndarray:
@@ -59,29 +88,40 @@ class RunRecord:
         return len(self.times)
 
 
+def _float_or_array(values):
+    """A Python float for one state or pair (leading shape ()), else the array of the stack."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
 def _nearest_y_sq(ys: np.ndarray, ref: ReferencePoint) -> np.ndarray:
-    """Squared distance of each y-row to the nearest y* (zero if y is free)."""
+    """Squared distance of each y-row (the last axis) to the nearest y* (zero if y is free)."""
     if ref.y_free:
-        return np.zeros(ys.shape[0])
-    diffs = ys[:, None, :] - ref.y_star_set[None, :, :]
-    return np.min(np.sum(diffs**2, axis=2), axis=1)
+        return np.zeros(ys.shape[:-1])
+    diffs = ys[..., None, :] - ref.y_star_set
+    return np.min(np.sum(diffs**2, axis=-1), axis=-1)
 
 
 def variance(ensemble: "Ensemble", ref: ReferencePoint) -> tuple[float, float]:
-    """Empirical variance functionals (V^X, V^Y) about the reference solution."""
+    """Empirical variance functionals (V^X, V^Y) about the reference solution.
+
+    ``ensemble.xs`` and ``ensemble.ys`` have shape (..., N, d): one state,
+    or a stack of states along the leading axes, for which the results are
+    arrays of the leading shape.  The same holds for ``spread``.
+    """
     xs, ys = ensemble.xs, ensemble.ys
-    if ref.x_star.size != xs.shape[1] or ref.y_star_set.shape[1] != ys.shape[1]:
+    if ref.x_star.size != xs.shape[-1] or ref.y_star_set.shape[1] != ys.shape[-1]:
         raise InputError("reference dimensions do not match ensemble")
-    vx = float(np.mean(np.sum((xs - ref.x_star) ** 2, axis=1)))
-    vy = float(np.mean(_nearest_y_sq(ys, ref)))
-    return vx, vy
+    vx = np.mean(np.sum((xs - ref.x_star) ** 2, axis=-1), axis=-1)
+    vy = np.mean(_nearest_y_sq(ys, ref), axis=-1)
+    return _float_or_array(vx), _float_or_array(vy)
 
 
 def spread(ensemble: "Ensemble") -> tuple[float, float]:
     """Max pairwise l-infinity distance within each population."""
-    sx = float(np.max(ensemble.xs.max(axis=0) - ensemble.xs.min(axis=0)))
-    sy = float(np.max(ensemble.ys.max(axis=0) - ensemble.ys.min(axis=0)))
-    return sx, sy
+    xs, ys = ensemble.xs, ensemble.ys
+    sx = np.max(xs.max(axis=-2) - xs.min(axis=-2), axis=-1)
+    sy = np.max(ys.max(axis=-2) - ys.min(axis=-2), axis=-1)
+    return _float_or_array(sx), _float_or_array(sy)
 
 
 def best_pair(ensemble: "Ensemble", obj: ObjectiveFunction) -> tuple[np.ndarray, np.ndarray, float]:
@@ -98,13 +138,15 @@ def best_pair(ensemble: "Ensemble", obj: ObjectiveFunction) -> tuple[np.ndarray,
 
 
 def error_to_reference(pair: tuple[np.ndarray, np.ndarray], ref: ReferencePoint) -> float:
-    """Squared norm from the pair to the closest global min-max point."""
+    """Squared norm from the pair to the closest global min-max point.
+
+    x and y may carry leading axes, (..., d1) and (..., d2), for a stack of
+    pairs; the result then has the leading shape.
+    """
     x, y = (np.atleast_1d(np.asarray(p, dtype=float)) for p in pair)
-    if x.size != ref.x_star.size or y.size != ref.y_star_set.shape[1]:
+    if x.shape[-1] != ref.x_star.size or y.shape[-1] != ref.y_star_set.shape[1]:
         raise InputError("pair dimensions do not match reference")
-    ex = float(np.sum((x - ref.x_star) ** 2))
-    ey = float(_nearest_y_sq(y[None, :], ref)[0])
-    return ex + ey
+    return _float_or_array(np.sum((x - ref.x_star) ** 2, axis=-1) + _nearest_y_sq(y, ref))
 
 
 def fit_decay_rate(record: RunRecord) -> float:

@@ -13,14 +13,14 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
-from numpy.random import SeedSequence, default_rng
+from numpy.random import PCG64, Generator, SeedSequence, default_rng
 
 from .consensus import ConsensusPoint, consensus_points
 from .diagnostics import RunRecord, error_to_reference, spread, variance
 from .errors import ConfigError, NumericalError
 from .objectives import ObjectiveFunction, ReferencePoint
 
-__all__ = ["InitSpec", "SolverConfig", "Ensemble", "initialize", "step", "trajectory", "run"]
+__all__ = ["InitSpec", "SolverConfig", "Ensemble", "initialize", "trajectory", "run"]
 
 INIT_MODES = ("uniform_box", "border", "gaussian")
 DIFFUSION_MODES = ("anisotropic", "isotropic")
@@ -28,10 +28,128 @@ DIFFUSION_MODES = ("anisotropic", "isotropic")
 # Stream tags for the keyed generator: (seed, tag, step) identifies every
 # draw, so no execution order can reshuffle noise between runs.
 _TAG_INIT_X, _TAG_INIT_Y, _TAG_STEP_X, _TAG_STEP_Y, _TAG_INIT_AUX = 0, 1, 2, 3, 4
+# Floats of particle state that run stages before it fills their rows.
+_STAGE_FLOATS = 4096
 
 
 def _rng(seed: int, tag: int, step_index: int):
+    """The keyed generator: the reference definition of every draw."""
     return default_rng(SeedSequence(seed, spawn_key=(tag, step_index)))
+
+
+# numpy's SeedSequence (stable under NEP 19; O'Neill's seed_seq_fe) and the
+# PCG64 setseq seeding rule, restated for _KeyedStreams.
+_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# Steps whose seed words one vectorized pass forms.
+_NOISE_CHUNK = 64
+
+
+def _hashmix(value, h, mult=_MULT_A):
+    """seed_seq_fe's hash of ``value`` with constant ``h``: (hashed value, next constant).
+
+    Works on ints and on uint64 arrays alike: every product of two 32-bit
+    words fits in 64 bits, and masking gives the uint32 result.
+    """
+    h_next = (h * mult) & _MASK32
+    value = ((value ^ h) * h_next) & _MASK32
+    return value ^ (value >> 16), h_next
+
+
+def _mix(x, y):
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+def _words32(n: int) -> list[int]:
+    """n as little-endian 32-bit words, the way SeedSequence splits an integer (0 is one word)."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _schedule(h: int, mult: int, n: int) -> np.ndarray:
+    """The n hash constants h, h*mult, h*mult^2, ... (mod 2^32) as a uint64 column."""
+    consts = [h]
+    for _ in range(n - 1):
+        consts.append((consts[-1] * mult) & _MASK32)
+    return np.array(consts, dtype=np.uint64)[:, None]
+
+
+# generate_state(4, uint64) hashes the pool words 0-3 twice over with these constants.
+_STATE_SOURCES = [0, 1, 2, 3, 0, 1, 2, 3]
+_STATE_CONSTS = _schedule(_INIT_B, _MULT_B, 8)
+
+
+class _KeyedStreams:
+    """The keyed generators of one run: ``generator(tag, step)`` is in the state of ``_rng(seed, tag, step)``.
+
+    The entropy of a key is the seed's words padded to the pool size of 4,
+    then the tag, then the step, and SeedSequence's hash constants advance
+    on a schedule that does not depend on the data.  So the pool after the
+    tag is formed once per tag; a chunk of _NOISE_CHUNK steps then mixes
+    its step words and runs generate_state's output hashes in one pass of
+    uint64 arithmetic.  Per key, the PCG64 (state, inc) follows from the
+    four output words by the setseq rule and is set on the one generator
+    this object reuses.  A step of more than one 32-bit word falls back to
+    ``_rng``.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._pools = {}  # tag -> (pool words, hash constants for the step word), uint64 columns
+        self._chunks = {}  # tag -> (first step, (4, _NOISE_CHUNK) words of generate_state(4, uint64))
+        self._bitgen = PCG64(0)
+        self._gen = Generator(self._bitgen)
+
+    def _pool_after_tag(self, tag: int):
+        entropy = _words32(self.seed)
+        entropy += [0] * (4 - len(entropy)) + _words32(tag)
+        pool, h = [], _INIT_A
+        for word in entropy[:4]:
+            value, h = _hashmix(word, h)
+            pool.append(value)
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    value, h = _hashmix(pool[src], h)
+                    pool[dst] = _mix(pool[dst], value)
+        for word in entropy[4:]:
+            for dst in range(4):
+                value, h = _hashmix(word, h)
+                pool[dst] = _mix(pool[dst], value)
+        return np.array(pool, dtype=np.uint64)[:, None], _schedule(h, _MULT_A, 4)
+
+    def _chunk(self, tag: int, first: int) -> tuple[int, np.ndarray]:
+        if tag not in self._pools:
+            self._pools[tag] = self._pool_after_tag(tag)
+        pool, consts = self._pools[tag]
+        steps = np.arange(first, first + _NOISE_CHUNK, dtype=np.uint64)
+        pool = _mix(pool, _hashmix(steps, consts)[0])
+        out = _hashmix(pool[_STATE_SOURCES], _STATE_CONSTS, _MULT_B)[0]
+        return first, out[0::2] | (out[1::2] << 32)  # rows: seed high, seed low, inc high, inc low
+
+    def generator(self, tag: int, step: int) -> Generator:
+        if step > _MASK32:
+            return _rng(self.seed, tag, step)
+        chunk = self._chunks.get(tag)
+        if chunk is None or not chunk[0] <= step < chunk[0] + _NOISE_CHUNK:
+            chunk = self._chunks[tag] = self._chunk(tag, step - step % _NOISE_CHUNK)
+        first, words = chunk
+        seed_hi, seed_lo, inc_hi, inc_lo = words[:, step - first].tolist()
+        inc = ((inc_hi << 65) | (inc_lo << 1) | 1) & _MASK128
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
+        self._bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._gen
 
 
 @dataclass
@@ -171,14 +289,26 @@ def _diffusion_factor(dev: np.ndarray, mode: str) -> np.ndarray:
     return np.linalg.norm(dev, axis=1, keepdims=True)
 
 
-def _advance(ensemble: Ensemble, config: SolverConfig, obj: ObjectiveFunction, cp: ConsensusPoint) -> Ensemble:
-    """Apply one Euler-Maruyama update from precomputed consensus data."""
+def _advance(
+    ensemble: Ensemble,
+    config: SolverConfig,
+    obj: ObjectiveFunction,
+    cp: ConsensusPoint,
+    streams: _KeyedStreams | None = None,
+) -> Ensemble:
+    """Apply one Euler-Maruyama update from precomputed consensus data.
+
+    ``streams`` are the run's keyed generators; without them, those of the
+    ensemble's seed are made for this step.
+    """
     k = ensemble.step_index
     dt_x, dt_y = config.dt_x, config.dt_y
+    if streams is None:
+        streams = _KeyedStreams(ensemble.seed)
     dev_x = ensemble.xs - cp.x_cons[None, :]
     dev_y = ensemble.ys - cp.y_cons_per_particle
-    noise_x = _rng(ensemble.seed, _TAG_STEP_X, k).standard_normal(ensemble.xs.shape)
-    noise_y = _rng(ensemble.seed, _TAG_STEP_Y, k).standard_normal(ensemble.ys.shape)
+    noise_x = streams.generator(_TAG_STEP_X, k).standard_normal(ensemble.xs.shape)
+    noise_y = streams.generator(_TAG_STEP_Y, k).standard_normal(ensemble.ys.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite states raise below
         xs = (
             ensemble.xs
@@ -194,42 +324,10 @@ def _advance(ensemble: Ensemble, config: SolverConfig, obj: ObjectiveFunction, c
         xs = obj.domain_x.clamp(xs)
         ys = obj.domain_y.clamp(ys)
     for arr, name in ((xs, "x"), (ys, "y")):
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             i = int(np.argwhere(~np.isfinite(arr))[0][0])
             raise NumericalError(f"non-finite {name}-state after step {k} at particle {i}")
     return Ensemble(xs=xs, ys=ys, step_index=k + 1, seed=ensemble.seed)
-
-
-def step(ensemble: Ensemble, config: SolverConfig, obj: ObjectiveFunction) -> Ensemble:
-    """One simultaneous update of all particles from the pre-step state."""
-    cp, _ = consensus_points(obj, ensemble.xs, ensemble.ys, config.alpha, config.beta)
-    return _advance(ensemble, config, obj, cp)
-
-
-def _record_state(
-    record: RunRecord,
-    ensemble: Ensemble,
-    config: SolverConfig,
-    best_pair: tuple[np.ndarray, np.ndarray, float],
-    reference: ReferencePoint | None,
-) -> None:
-    record.times.append(ensemble.step_index * config.dt_y)
-    if reference is not None:
-        vx, vy = variance(ensemble, reference)
-    else:
-        vx = vy = float("nan")
-    record.variance_x.append(vx)
-    record.variance_y.append(vy)
-    sx, sy = spread(ensemble)
-    record.spread_x.append(sx)
-    record.spread_y.append(sy)
-    record.mean_x.append(ensemble.xs.mean(axis=0))
-    record.mean_y.append(ensemble.ys.mean(axis=0))
-    bx, by, bval = best_pair
-    record.best_pair_trace.append((bx, by))
-    record.best_value_trace.append(bval)
-    err = error_to_reference((bx, by), reference) if reference is not None else float("nan")
-    record.best_error_trace.append(err)
 
 
 def trajectory(
@@ -242,24 +340,44 @@ def trajectory(
     count.
     """
     ensemble = initialize(config, obj)
+    streams = _KeyedStreams(config.seed)
     for k in range(config.n_steps + 1):
         cp, best_pair = consensus_points(obj, ensemble.xs, ensemble.ys, config.alpha, config.beta)
         yield ensemble, cp, best_pair
         if k < config.n_steps:
-            ensemble = _advance(ensemble, config, obj, cp)
+            ensemble = _advance(ensemble, config, obj, cp, streams)
 
 
 def run(config: SolverConfig, obj: ObjectiveFunction, reference: ReferencePoint | None = None) -> RunRecord:
     """Execute ceil(horizon / dt_y) steps and collect the full diagnostics record.
 
     The record includes the t=0 state, so every series has n_steps + 1
-    entries.  Evaluation counting is per-run: the objective handle is
-    copied up front and the copy's counter is reported.
+    rows.  Each state's particles are copied into a staging buffer of
+    about _STAGE_FLOATS floats, and each full buffer, then the last partial
+    one, fills its rows in one vectorized pass.  Evaluation counting is
+    per-run: the objective handle is copied up front and the copy's counter
+    is reported.
     """
     obj = obj.fresh()
-    record = RunRecord()
-    for ensemble, _, best_pair in trajectory(config, obj):
-        _record_state(record, ensemble, config, best_pair, reference)
+    n, rows = config.n_particles, config.n_steps + 1
+    record = RunRecord.allocate(rows, obj.dim_x, obj.dim_y)
+    record.times[:] = np.arange(rows) * config.dt_y
+    chunk = max(1, _STAGE_FLOATS // (n * (obj.dim_x + obj.dim_y)))
+    stage_x, stage_y = np.empty((chunk, n, obj.dim_x)), np.empty((chunk, n, obj.dim_y))
+    for ensemble, _, (bx, by, bval) in trajectory(config, obj):
+        k = ensemble.step_index
+        i = k % chunk
+        stage_x[i], stage_y[i] = ensemble.xs, ensemble.ys
+        record.best_x[k], record.best_y[k], record.best_value_trace[k] = bx, by, bval
+        if i == chunk - 1 or k == rows - 1:
+            filled = slice(k - i, k + 1)
+            states = Ensemble(xs=stage_x[: i + 1], ys=stage_y[: i + 1])
+            if reference is not None:
+                record.variance_x[filled], record.variance_y[filled] = variance(states, reference)
+            record.spread_x[filled], record.spread_y[filled] = spread(states)
+            record.mean_x[filled], record.mean_y[filled] = states.xs.mean(axis=-2), states.ys.mean(axis=-2)
+    if reference is not None:
+        record.best_error_trace[:] = error_to_reference((record.best_x, record.best_y), reference)
     record.final_ensemble = ensemble
     record.eval_count = obj.eval_count
     return record

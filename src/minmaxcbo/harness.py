@@ -320,28 +320,28 @@ def write_run_csv(path, record: RunRecord, d1: int, d2: int) -> None:
         + [f"mean_y_{k}" for k in range(d2)]
         + ["best_value", "best_err"]
     )
+    columns = [
+        record.times,
+        record.variance_x,
+        record.variance_y,
+        record.variance_total,
+        record.spread_x,
+        record.spread_y,
+        *record.mean_x.T,
+        *record.mean_y.T,
+        record.best_value_trace,
+        record.best_error_trace,
+    ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for k in range(len(record)):
-            row = [
-                RUN_CSV_SCHEMA,
-                k,
-                _fmt(record.times[k]),
-                _fmt(record.variance_x[k]),
-                _fmt(record.variance_y[k]),
-                _fmt(record.variance_x[k] + record.variance_y[k]),
-                _fmt(record.spread_x[k]),
-                _fmt(record.spread_y[k]),
-            ]
-            row += [_fmt(v) for v in record.mean_x[k]]
-            row += [_fmt(v) for v in record.mean_y[k]]
-            row += [_fmt(record.best_value_trace[k]), _fmt(record.best_error_trace[k])]
-            writer.writerow(row)
+        # tolist() gives Python floats, whose repr is what _fmt writes for a float64
+        for k, values in enumerate(zip(*(column.tolist() for column in columns))):
+            writer.writerow([RUN_CSV_SCHEMA, k, *map(repr, values)])
 
 
 def write_run_summary(path, record: RunRecord, config: SolverConfig, benchmark: str, wall_time: float) -> dict:
-    bx, by = record.best_pair_trace[-1]
+    bx, by = record.best_x[-1], record.best_y[-1]
     summary = {
         "schema": RUN_JSON_SCHEMA,
         "benchmark": benchmark,

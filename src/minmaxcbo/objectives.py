@@ -61,7 +61,7 @@ class BoxDomain:
 
     def clamp(self, points: np.ndarray) -> np.ndarray:
         """Coordinate-wise projection onto the box (last axis indexes coordinates)."""
-        return np.clip(points, self.lower, self.upper)
+        return points.clip(self.lower, self.upper)
 
     def contains(self, points: np.ndarray) -> bool:
         return bool(np.all(points >= self.lower) and np.all(points <= self.upper))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minmaxcbo import (
     NumericalError,
@@ -148,3 +150,27 @@ def test_benchmark_reference_values():
     assert benchmark_reference("bivariate").y_free
     assert not benchmark_reference("forsaken").y_free
     assert benchmark_reference("forsaken").y_star_set[0, 0] == pytest.approx(1.30656296, abs=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 7, 8, 9, 20, 129, 160, 1000]),
+    d1=st.sampled_from([1, 2, 3, 5, 9]),
+    d2=st.sampled_from([1, 2, 3, 5, 9]),
+    states=st.integers(1, 4),
+    m=st.integers(1, 3),
+    y_free=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_states_equal_each_state_bitwise(n, d1, d2, states, m, y_free, seed):
+    # run fills many rows in one call; each row must be that state's own value
+    rng = np.random.default_rng(seed)
+    xs, ys = rng.normal(size=(states, n, d1)), rng.normal(size=(states, n, d2))
+    ref = ReferencePoint(rng.normal(size=d1), rng.normal(size=(m, d2)), y_free=y_free)
+    stacked = (*variance(_ens(xs, ys), ref), *spread(_ens(xs, ys)), xs.mean(axis=-2), ys.mean(axis=-2),
+               error_to_reference((xs[:, 0], ys[:, -1]), ref))
+    for s in range(states):
+        one = (*variance(_ens(xs[s], ys[s]), ref), *spread(_ens(xs[s], ys[s])), xs[s].mean(axis=0),
+               ys[s].mean(axis=0), error_to_reference((xs[s, 0], ys[s, -1]), ref))
+        for got, want in zip(stacked, one):
+            assert np.asarray(got[s]).tobytes() == np.asarray(want).tobytes()

@@ -4,23 +4,26 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.random import SeedSequence, default_rng
 
 from minmaxcbo import (
     ConfigError,
     InitSpec,
     NumericalError,
+    ReferencePoint,
     SolverConfig,
     benchmark_reference,
     fit_decay_rate,
     initialize,
     make_benchmark,
     run,
-    step,
     trajectory,
 )
 from minmaxcbo import harness
 from minmaxcbo.consensus import ConsensusPoint, consensus_points
-from minmaxcbo.dynamics import _TAG_STEP_X, _TAG_STEP_Y, _advance, _rng
+from minmaxcbo.dynamics import _TAG_STEP_X, _TAG_STEP_Y, _KeyedStreams, _advance, _rng
 from minmaxcbo.objectives import BENCHMARK_IDS, BoxDomain, ObjectiveFunction
 
 FORSAKEN = make_benchmark("forsaken")
@@ -72,7 +75,8 @@ def test_gaussian_mean_outside_box_projected_on_first_step():
     config = _cfg(init=InitSpec(mode="gaussian", mean=10.0, std=0.1), sigma_x=0.5, sigma_y=0.5)
     ens = initialize(config, BILINEAR)
     assert np.any(ens.xs > 4.0)  # allowed before the first step
-    stepped = step(ens, config, BILINEAR)
+    cp, _ = consensus_points(BILINEAR, ens.xs, ens.ys, config.alpha, config.beta)
+    stepped = _advance(ens, config, BILINEAR, cp)
     assert BILINEAR.domain_x.contains(stepped.xs)
     assert BILINEAR.domain_y.contains(stepped.ys)
 
@@ -80,7 +84,8 @@ def test_gaussian_mean_outside_box_projected_on_first_step():
 def test_single_particle_zero_noise_is_fixed_point():
     config = _cfg(n_particles=1, sigma_x=0.0, sigma_y=0.0)
     ens = initialize(config, BILINEAR)
-    nxt = step(ens, config, BILINEAR)
+    cp, _ = consensus_points(BILINEAR, ens.xs, ens.ys, config.alpha, config.beta)
+    nxt = _advance(ens, config, BILINEAR, cp)
     assert np.array_equal(nxt.xs, ens.xs) and np.array_equal(nxt.ys, ens.ys)
     assert nxt.step_index == 1
 
@@ -148,7 +153,8 @@ def test_run_step_count_and_series_lengths():
         record.mean_y,
         record.best_value_trace,
         record.best_error_trace,
-        record.best_pair_trace,
+        record.best_x,
+        record.best_y,
     ):
         assert len(series) == 151
     assert record.final_ensemble.step_index == 150
@@ -162,7 +168,7 @@ def test_run_determinism_bitwise():
     b = run(config, FORSAKEN)
     assert np.array_equal(a.final_ensemble.xs, b.final_ensemble.xs)
     assert np.array_equal(a.final_ensemble.ys, b.final_ensemble.ys)
-    assert a.best_value_trace == b.best_value_trace
+    assert a.best_value_trace.tobytes() == b.best_value_trace.tobytes()
 
 
 def test_projection_keeps_every_step_inside_box():
@@ -184,9 +190,9 @@ def test_trajectory_yields_every_state_and_counts_like_run():
         assert bx.shape == by.shape == (1,) and cp.y_cons_per_particle.shape == (10, 1)
     assert indices == list(range(config.n_steps + 1)) == list(range(21))
     assert [(bx.tobytes(), by.tobytes()) for bx, by, _ in pairs] == [
-        (bx.tobytes(), by.tobytes()) for bx, by in record.best_pair_trace
+        (bx.tobytes(), by.tobytes()) for bx, by in zip(record.best_x, record.best_y)
     ]
-    assert [bval for _, _, bval in pairs] == record.best_value_trace
+    assert [bval for _, _, bval in pairs] == record.best_value_trace.tolist()
     assert obj.eval_count == record.eval_count == 21 * (100 + 10)
     assert FORSAKEN.eval_count == before  # run counts on its own copy
     assert ensemble.xs.tobytes() == record.final_ensemble.xs.tobytes()
@@ -237,12 +243,14 @@ def test_simultaneity_under_particle_permutation():
     # which fails for any sequential Gauss-Seidel style sweep
     config = _cfg(sigma_x=0.0, sigma_y=0.0, n_particles=8, seed=12)
     ens = initialize(config, BILINEAR)
-    base = step(ens, config, BILINEAR)
+    cp, _ = consensus_points(BILINEAR, ens.xs, ens.ys, config.alpha, config.beta)
+    base = _advance(ens, config, BILINEAR, cp)
     perm = np.random.default_rng(0).permutation(8)
     from minmaxcbo.dynamics import Ensemble
 
     shuffled = Ensemble(xs=ens.xs[perm], ys=ens.ys[perm], step_index=0, seed=config.seed)
-    stepped = step(shuffled, config, BILINEAR)
+    cp, _ = consensus_points(BILINEAR, shuffled.xs, shuffled.ys, config.alpha, config.beta)
+    stepped = _advance(shuffled, config, BILINEAR, cp)
     np.testing.assert_allclose(stepped.xs, base.xs[perm], rtol=0, atol=1e-12)
     np.testing.assert_allclose(stepped.ys, base.ys[perm], rtol=0, atol=1e-12)
 
@@ -332,5 +340,122 @@ def test_config_validation():
 def test_non_finite_state_raises_numerical_error():
     config = _cfg(sigma_x=1e308, sigma_y=1e308, project=False, seed=0)
     ens = initialize(config, BILINEAR)
+    cp, _ = consensus_points(BILINEAR, ens.xs, ens.ys, config.alpha, config.beta)
     with pytest.raises(NumericalError, match="step 0"):
-        step(ens, config, BILINEAR)
+        _advance(ens, config, BILINEAR, cp)
+
+
+# Keys at and around the chunk edges of the run's keyed streams, and past 2**16.
+_EDGE_STEPS = (0, 63, 64, 65, 127, 128, 2**16, 2**20 + 1, 2**32 - 1)
+_WIDE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 3)
+_DRAW_SHAPES = ((1, 1), (20, 1), (7, 3))
+_SERIES = ("times", "variance_x", "variance_y", "spread_x", "spread_y", "mean_x", "mean_y",
+           "best_x", "best_y", "best_value_trace", "best_error_trace")
+
+
+def _assert_stream_matches_numpy(streams, seed, tag, step):
+    want = default_rng(SeedSequence(seed, spawn_key=(tag, step)))
+    got = streams.generator(tag, step)
+    assert got.bit_generator.state == want.bit_generator.state, (seed, tag, step)
+    for shape in _DRAW_SHAPES:
+        assert got.standard_normal(shape).tobytes() == want.standard_normal(shape).tobytes(), (seed, tag, step)
+
+
+def test_keyed_streams_match_numpy_at_chunk_edges():
+    for seed in _WIDE_SEEDS:
+        streams = _KeyedStreams(seed)
+        for tag in range(5):
+            for step in _EDGE_STEPS + (64, 5, 2**32, 2**40):  # revisits, a backward jump, two-word steps
+                _assert_stream_matches_numpy(streams, seed, tag, step)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.one_of(st.sampled_from(_WIDE_SEEDS), st.integers(0, 2**32), st.integers(0, 2**200)),
+    keys=st.lists(
+        st.tuples(st.integers(0, 4), st.one_of(st.sampled_from(_EDGE_STEPS), st.integers(0, 2**33))),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_keyed_streams_match_numpy(seed, keys):
+    streams = _KeyedStreams(seed)
+    for tag, step in keys:
+        _assert_stream_matches_numpy(streams, seed, tag, step)
+
+
+def test_run_at_a_wide_seed_equals_the_run_with_numpy_keyed_generators(monkeypatch):
+    # 150 steps cross the chunk edges at 64 and 128; the seed takes two 32-bit words
+    config = _cfg(n_particles=12, horizon=15.0, seed=2**32 + 11, init=InitSpec("border"))
+    ref = benchmark_reference("forsaken")
+    fast = run(config, FORSAKEN, reference=ref)
+    monkeypatch.setattr(_KeyedStreams, "generator", lambda self, tag, step: _rng(self.seed, tag, step))
+    slow = run(config, FORSAKEN, reference=ref)
+    for name in _SERIES:
+        assert getattr(fast, name).tobytes() == getattr(slow, name).tobytes(), name
+    assert fast.final_ensemble.xs.tobytes() == slow.final_ensemble.xs.tobytes()
+    assert fast.final_ensemble.ys.tobytes() == slow.final_ensemble.ys.tobytes()
+
+
+def _reference_record(config, obj, reference):
+    """The series of run, recorded one state at a time with the per-state formulas."""
+
+    def nearest_y_sq(ys, ref):
+        if ref.y_free:
+            return np.zeros(ys.shape[0])
+        return np.min(np.sum((ys[:, None, :] - ref.y_star_set[None, :, :]) ** 2, axis=2), axis=1)
+
+    series = {name: [] for name in _SERIES}
+    for ensemble, _, (bx, by, bval) in trajectory(config, obj.fresh()):
+        xs, ys = ensemble.xs, ensemble.ys
+        series["times"].append(ensemble.step_index * config.dt_y)
+        if reference is not None:
+            vx = float(np.mean(np.sum((xs - reference.x_star) ** 2, axis=1)))
+            vy = float(np.mean(nearest_y_sq(ys, reference)))
+            err = float(np.sum((bx - reference.x_star) ** 2)) + float(nearest_y_sq(by[None, :], reference)[0])
+        else:
+            vx = vy = err = float("nan")
+        series["variance_x"].append(vx)
+        series["variance_y"].append(vy)
+        series["spread_x"].append(float(np.max(xs.max(axis=0) - xs.min(axis=0))))
+        series["spread_y"].append(float(np.max(ys.max(axis=0) - ys.min(axis=0))))
+        series["mean_x"].append(xs.mean(axis=0))
+        series["mean_y"].append(ys.mean(axis=0))
+        series["best_x"].append(bx)
+        series["best_y"].append(by)
+        series["best_value_trace"].append(bval)
+        series["best_error_trace"].append(err)
+    return {name: np.array(values) for name, values in series.items()}
+
+
+def _two_dim_saddle(x, y):
+    return np.sum(x * y, axis=-1) + 0.25 * np.sum(x**2, axis=-1) - 0.5 * (y[..., 0] - 0.5) ** 2 - 0.25 * y[..., 1] ** 2
+
+
+_SQUARE = BoxDomain(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
+_TWO_DIM = ObjectiveFunction("two_dim", 2, 2, _SQUARE, _SQUARE, _two_dim_saddle)
+_TWO_DIM_REF = ReferencePoint(np.array([0.1, -0.2]), np.array([[0.5, 0.0], [-0.5, 1.0]]))
+
+
+@pytest.mark.parametrize(
+    "name, n, horizon, with_reference",
+    [(name, 20, 15.0, True) for name in BENCHMARK_IDS]  # 151 rows: a chunk of 102, then a partial one of 49
+    + [
+        ("bilinearly_coupled", 20, 15.0, False),
+        ("forsaken", 1, 3.0, True),  # 31 rows in one partial chunk of 2048
+        ("forsaken", 1000, 0.05, True),  # 6 rows in full chunks of 2
+        ("two_dim", 20, 15.0, True),  # chunks of 51
+        ("two_dim", 1100, 0.03, False),  # chunks of one state
+    ],
+)
+def test_run_series_equal_per_state_reference_bitwise(name, n, horizon, with_reference):
+    obj = _TWO_DIM if name == "two_dim" else make_benchmark(name)
+    ref = (_TWO_DIM_REF if name == "two_dim" else benchmark_reference(name)) if with_reference else None
+    dt = 0.01 if n >= 1000 else 0.1
+    config = _cfg(n_particles=n, horizon=horizon, dt_y=dt, seed=5, init=InitSpec("uniform_box"))
+    record = run(config, obj, reference=ref)
+    expected = _reference_record(config, obj, ref)
+    assert len(record) == config.n_steps + 1
+    for series in _SERIES:
+        got = getattr(record, series)
+        assert got.shape == expected[series].shape and got.tobytes() == expected[series].tobytes(), series

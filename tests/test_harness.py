@@ -193,7 +193,8 @@ def test_sweep_trial_equals_final_error_of_a_recorded_run():
     obj, ref = make_benchmark("forsaken"), benchmark_reference("forsaken")
     for seed in range(6):
         cfg = SolverConfig(n_particles=12, horizon=3.0, seed=seed, init=InitSpec("border"))
-        expected = error_to_reference(run(cfg, obj, reference=ref).best_pair_trace[-1], ref)
+        record = run(cfg, obj, reference=ref)
+        expected = error_to_reference((record.best_x[-1], record.best_y[-1]), ref)
         assert harness._sweep_trial(obj, ref, cfg).hex() == expected.hex()
     obj, ref = make_benchmark("bilinear"), benchmark_reference("bilinear")
     blowup = SolverConfig(n_particles=10, sigma_x=1e308, sigma_y=1e308, project=False)

@@ -1,0 +1,104 @@
+"""Check that a parent revision and the working tree write the same output files.
+
+Run from the repository root:
+
+    python3 tools/compare_outputs.py [--parent REV]
+
+The parent revision (default HEAD) is exported with ``git archive``, as
+``tools/bench_pairs.py`` does.  One child process per side then runs, with
+its own ``src/`` first on the path and one BLAS thread:
+
+- ``solve`` for every built-in benchmark under each init mode, with seeds
+  3 and 2**32 + 7 (a seed of two 32-bit words) and horizon 2;
+- one small ``sweep`` of ``forsaken`` over N in {5, 12}, 3 trials, horizon 3.
+
+Each output file is hashed with sha256.  The JSON summaries are hashed
+without their ``wall_time_s``, the one field that varies between calls.
+The script prints one line per file and exits 1 if any file differs or
+exists on one side only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import ROOT, export_revision
+
+SEEDS = (3, 2**32 + 7)
+INIT_MODES = ("uniform_box", "border", "gaussian")
+HORIZON = "2"
+SWEEP = ["sweep", "--benchmark", "forsaken", "--parameter", "n_particles", "--values", "5,12",
+         "--trials", "3", "-T", "3", "--jobs", "1", "--prefix", "sweep"]
+CHILD = """
+import json, sys
+from minmaxcbo.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"exited nonzero: {argv}")
+"""
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def commands(benchmarks: list[str]) -> list[list[str]]:
+    """The CLI calls both sides make; each writes under the directory given as --out."""
+    calls = [
+        ["solve", "--benchmark", name, "--init", mode, "--seed", str(seed), "-T", HORIZON,
+         "--prefix", f"{name}_{mode}_seed{seed}"]
+        for name in benchmarks for mode in INIT_MODES for seed in SEEDS
+    ]
+    return calls + [SWEEP]
+
+
+def run_side(root: Path, calls: list[list[str]], out: Path) -> None:
+    out.mkdir(parents=True)
+    argvs = [call + ["--out", str(out)] for call in calls]
+    env = {**os.environ, **ONE_BLAS_THREAD, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argvs)], cwd=root, env=env,
+                          capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise SystemExit(f"error: the run in {root} failed:\n{proc.stderr[-2000:]}")
+
+
+def digest(path: Path) -> str:
+    data = path.read_bytes()
+    if path.suffix == ".json":
+        summary = json.loads(data)
+        summary.pop("wall_time_s", None)
+        data = json.dumps(summary, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", default="HEAD", help="revision to compare the working tree against")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(ROOT / "src"))
+    from minmaxcbo.objectives import BENCHMARK_IDS
+
+    calls = commands(list(BENCHMARK_IDS))
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
+        sha = export_revision(args.parent, Path(tmp))
+        outs = {"parent": Path(tmp) / "out_parent", "change": Path(tmp) / "out_change"}
+        run_side(Path(tmp) / "parent", calls, outs["parent"])
+        run_side(ROOT, calls, outs["change"])
+        hashes = {side: {p.name: digest(p) for p in out.iterdir()} for side, out in outs.items()}
+    names = sorted(hashes["parent"].keys() | hashes["change"].keys())
+    differ = 0
+    for name in names:
+        parent, change = hashes["parent"].get(name), hashes["change"].get(name)
+        same = parent is not None and parent == change
+        differ += not same
+        print(f"{'equal' if same else 'DIFFERS'}  {name}  {parent or '-'}  {change or '-'}")
+    print(f"{len(names) - differ} of {len(names)} output files equal (parent {sha[:12]})")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
