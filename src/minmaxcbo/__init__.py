@@ -9,7 +9,7 @@ harness for seeded runs and parameter sweeps.
 
 from .baselines import GdaConfig, GdaRun, gda_run
 from .consensus import ConsensusPoint, laplace_gap, y_consensus
-from .diagnostics import RunRecord, best_pair, error_to_reference, fit_decay_rate, spread, variance
+from .diagnostics import RunRecord, error_to_reference, fit_decay_rate, spread, variance
 from .dynamics import Ensemble, InitSpec, SolverConfig, initialize, run, trajectory
 from .errors import ConfigError, InputError, NumericalError
 from .harness import SweepSpec, TrialSummary, run_benchmark, run_sweep
@@ -46,7 +46,6 @@ __all__ = [
     "SweepSpec",
     "TrialSummary",
     "benchmark_reference",
-    "best_pair",
     "envelope",
     "error_to_reference",
     "fit_decay_rate",

@@ -21,7 +21,7 @@ from .consensus import consensus_points, y_consensus
 from .diagnostics import error_to_reference, fit_decay_rate
 from .dynamics import InitSpec, SolverConfig, run
 from .errors import ConfigError
-from .harness import SweepSpec, benchmark_config, run_sweep, _sweep_trial
+from .harness import SweepSpec, benchmark_config, run_sweep, _sweep_trials
 from .objectives import BoxDomain, ObjectiveFunction, benchmark_reference, make_benchmark
 from .oracle import GridSpec, solve_minmax
 
@@ -72,14 +72,8 @@ def criterion_2() -> CriterionResult:
     start = time.perf_counter()
     details, ok = [], True
     for name, horizon in _FIG3_RUNS:
-        ref = benchmark_reference(name)
-        errors = []
-        for seed in range(20):
-            cfg, obj = benchmark_config(
-                name, {"n_particles": 25, "horizon": horizon, "seed": seed, "init": "uniform_box"}
-            )
-            errors.append(_sweep_trial(obj, ref, cfg))
-        errors = np.asarray(errors)
+        cfg, obj = benchmark_config(name, {"n_particles": 25, "horizon": horizon, "init": "uniform_box"})
+        errors = np.asarray(_sweep_trials(obj, benchmark_reference(name), [replace(cfg, seed=s) for s in range(20)]))
         median = float(np.median(errors))
         frac = float(np.mean(errors < 0.1))
         ok &= median < 0.05 and frac >= 0.7
@@ -258,7 +252,7 @@ def criterion_6() -> CriterionResult:
     cfg, obj = benchmark_config(
         "bilinearly_coupled", {"n_particles": 25, "horizon": 15.0, "seed": 0, "init": "uniform_box"}
     )
-    cbo_err = _sweep_trial(obj, ref, cfg)
+    cbo_err = _sweep_trials(obj, ref, [cfg])[0]
     gda_err = error_to_reference((stall.xs[-1], stall.ys[-1]), ref)
     contrast_ok = cbo_err < 0.05 and gda_err > 1.0
 
@@ -291,7 +285,7 @@ def criterion_7() -> CriterionResult:
     sweep_errors = run_sweep(spec)[0].errors
     ref = benchmark_reference("bilinear")
     replayed = [
-        _sweep_trial(obj, ref, replace(base, seed=base.seed + trial, sigma_x=1.5, sigma_y=1.5))
+        _sweep_trials(obj, ref, [replace(base, seed=base.seed + trial, sigma_x=1.5, sigma_y=1.5)])[0]
         for trial in range(3)
     ]
     rows_equal = sweep_errors == replayed

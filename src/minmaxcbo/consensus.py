@@ -9,6 +9,7 @@ zero) so that weight parameters of 1e4 and far beyond cannot overflow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,35 +108,20 @@ def _as_ensemble(arr, dim: int, what: str) -> np.ndarray:
     arr = np.asarray(arr, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[1] != dim:
-        raise InputError(f"{what} must have shape (N, {dim})")
-    if arr.shape[0] == 0:
+    if arr.ndim not in (2, 3) or arr.shape[-1] != dim:
+        raise InputError(f"{what} must have shape (N, {dim}) or (T, N, {dim})")
+    if arr.size == 0:
         raise InputError(f"{what} is empty")
     return arr
 
 
-def _check_finite(values: np.ndarray, what: str, row_offset: int = 0) -> None:
+def _check_finite(values: np.ndarray, what: str, row_offset: int = 0, batched: bool = False) -> None:
+    """Raise at the first non-finite value; in a batch the leading axis indexes trials and the error names the trial."""
     if not np.isfinite(values).all():  # the method skips np.all's dispatch, a few us per step
         idx = np.argwhere(~np.isfinite(np.atleast_1d(values)))[0].tolist()
+        trial = idx.pop(0) if batched else None
         idx[0] += row_offset
-        raise NumericalError(f"non-finite objective value in {what} at particle index {tuple(idx)}")
-
-
-def _fold_min_max(best, row_max: np.ndarray, rows: np.ndarray, offset: int) -> tuple[int, int, float]:
-    """The min-max pair (i, j, value) after folding in the pair rows that start at x-index ``offset``.
-
-    value is min over i of max over j of E(X^i, Y^j); ``row_max`` holds the
-    maxima of ``rows`` in row order, in any shape.  Ties go to the lowest
-    x-index, then the lowest y-index: argmin and argmax return the first
-    extremal entry, and a later block replaces ``best`` (None before the
-    first block) only when lower.
-    """
-    # The array methods skip np.argmin's dispatch, which took a third of this call at N=10.
-    r = int(row_max.argmin())
-    value = row_max.item(r)
-    if best is None or value < best[2]:
-        return offset + r, int(rows[r].argmax()), value
-    return best
+        raise NumericalError(f"non-finite objective value in {what} at particle index {tuple(idx)}", trial)
 
 
 def y_consensus(obj: ObjectiveFunction, ensemble_y, x, beta: float) -> np.ndarray:
@@ -157,32 +143,64 @@ def consensus_points(
 ) -> tuple[ConsensusPoint, tuple[np.ndarray, np.ndarray, float]]:
     """Both consensus quantities and the best pair from one all-pairs evaluation.
 
-    Evaluates E(X^i, Y^j) exactly once per (i, j) pair, in blocks of x-rows
-    of about ``_BLOCK_ENTRIES`` pairs.  Each block's y-weights, its rows of
-    the y-consensus and its share of the best pair are taken before the next
-    block is evaluated, so no N x N array is built.  The best pair is
-    (x, y, value) with value = min over i of max over j of E(X^i, Y^j), as
-    ``diagnostics.best_pair`` returns it.
+    The ensembles are (N, d) arrays, or (T, N, d) arrays of T trials that
+    are computed together; every result then gains the leading axis T, and
+    a trial's results are bitwise those of its (N, d) call.  Evaluates
+    E(X^i, Y^j) exactly once per (i, j) pair of each trial, in blocks of
+    x-rows of about ``_BLOCK_ENTRIES`` pairs per trial.  Each block's
+    y-weights, its rows of the y-consensus and its share of the best pair
+    are taken before the next block is evaluated, so no N x N array is
+    built.  The best pair is (x, y, value) with value = min over i of max
+    over j of E(X^i, Y^j); ties go to the lowest x-index, then the lowest
+    y-index.  In a batch, a NumericalError names the trial it arose in.
     """
     xs = _as_ensemble(ensemble_x, obj.dim_x, "ensemble_x")
     ys = _as_ensemble(ensemble_y, obj.dim_y, "ensemble_y")
+    lead = xs.shape[:-2]
+    if ys.shape[:-2] != lead:
+        raise InputError(f"ensemble_x has trial shape {lead}, ensemble_y {ys.shape[:-2]}")
     if alpha < 0 or beta < 0:
         raise InputError("alpha and beta must be >= 0")
-    n_rows = max(8, _BLOCK_ENTRIES // ys.shape[0] // 8 * 8)
-    yhat = np.empty((xs.shape[0], obj.dim_y))
-    best = None
-    for a in range(0, xs.shape[0], n_rows):
-        rows = obj.pair_matrix(xs[a : a + n_rows], ys)
-        _check_finite(rows, "consensus pair matrix", a)
-        row_max = rows.max(axis=1, keepdims=True)  # the y-weights' pivot
-        np.matmul(exp_weights(rows, beta, axis=1, pivot=row_max), ys, out=yhat[a : a + n_rows])
-        best = _fold_min_max(best, row_max, rows, a)
+    (n_x, d1), (n_y, d2) = xs.shape[-2:], ys.shape[-2:]
+    batched, n_trials = bool(lead), math.prod(lead)  # one (N, d) call is the batch of one trial
+    n_rows = max(8, _BLOCK_ENTRIES // n_y // 8 * 8)
+    yhat = np.empty((*lead, n_x, d2))
+    # The best pair is gathered with take() on trial-major flat row indices,
+    # a few times faster than fancy indexing at small N.
+    x_flat, y_flat = xs.reshape(-1, d1), ys.reshape(-1, d2)
+    y_starts = np.arange(0, n_trials * n_y, n_y)
+    for a in range(0, n_x, n_rows):
+        rows = obj.pair_matrix(xs[..., a : a + n_rows, :], ys)
+        _check_finite(rows, "consensus pair matrix", a, batched)
+        pair_rows = rows.reshape(-1, n_y)  # trial-major
+        row_max = pair_rows.max(axis=1, keepdims=True)  # the y-weights' pivot
+        weights = exp_weights(pair_rows, beta, axis=1, pivot=row_max).reshape(rows.shape)
+        np.matmul(weights, ys, out=yhat[..., a : a + n_rows, :])
+        del weights  # a block-sized array: free it before the next block is evaluated
+        # Each trial's lowest row max in this block and the first y-index that
+        # attains it (argmin and argmax return the first extremal entry); a
+        # later block replaces a trial's best pair only where strictly lower.
+        n_block = rows.shape[-2]
+        r = row_max.reshape(n_trials, n_block).argmin(axis=1)
+        in_block = r + np.arange(0, n_trials * n_block, n_block)
+        # flat rows of xs, which are the block's own when one block holds all rows
+        i = in_block if n_block == n_x else r + np.arange(a, n_trials * n_x, n_x)
+        j = pair_rows.take(in_block, 0).argmax(axis=1) + y_starts
+        value = row_max.take(in_block)
+        if a == 0:
+            best_i, best_j, best_value = i, j, value
+        else:
+            lower = value < best_value
+            best_i, best_j = np.where(lower, i, best_i), np.where(lower, j, best_j)
+            best_value = np.minimum(value, best_value)
     outer_vals = obj.batch(xs, yhat)
-    _check_finite(outer_vals, "x-consensus outer weights")
-    w_x = exp_weights(outer_vals, -alpha)
-    x_cons = w_x @ xs
-    i, j, value = best
-    return ConsensusPoint(x_cons=x_cons, y_cons_per_particle=yhat), (xs[i].copy(), ys[j].copy(), value)
+    _check_finite(outer_vals, "x-consensus outer weights", 0, batched)
+    x_cons = np.matmul(exp_weights(outer_vals, -alpha)[..., None, :], xs)[..., 0, :]
+    return ConsensusPoint(x_cons=x_cons, y_cons_per_particle=yhat), (
+        x_flat.take(best_i, 0).reshape(*lead, d1),
+        y_flat.take(best_j, 0).reshape(*lead, d2),
+        best_value.reshape(lead) if lead else best_value.item(),
+    )
 
 
 def laplace_gap(obj: ObjectiveFunction, ensemble, fixed_point, param: float, mode: str) -> float:

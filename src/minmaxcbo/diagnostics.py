@@ -1,4 +1,4 @@
-"""Per-step run metrics: variance functionals, spread, best pair, decay fits.
+"""Per-step run metrics: variance functionals, spread, errors to the reference, decay fits.
 
 The variance functionals substitute the empirical N-particle average for
 the mean-field expectation; they are the finite-N estimators of the
@@ -12,9 +12,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .consensus import _fold_min_max
 from .errors import InputError, NumericalError
-from .objectives import ObjectiveFunction, ReferencePoint
+from .objectives import ReferencePoint
 
 if TYPE_CHECKING:
     from .dynamics import Ensemble
@@ -23,7 +22,6 @@ __all__ = [
     "RunRecord",
     "variance",
     "spread",
-    "best_pair",
     "error_to_reference",
     "fit_decay_rate",
 ]
@@ -122,19 +120,6 @@ def spread(ensemble: "Ensemble") -> tuple[float, float]:
     sx = np.max(xs.max(axis=-2) - xs.min(axis=-2), axis=-1)
     sy = np.max(ys.max(axis=-2) - ys.min(axis=-2), axis=-1)
     return _float_or_array(sx), _float_or_array(sy)
-
-
-def best_pair(ensemble: "Ensemble", obj: ObjectiveFunction) -> tuple[np.ndarray, np.ndarray, float]:
-    """Exhaustive min over i of max over j of E(X^i, Y^j).
-
-    Ties break to the lowest x-index, then the lowest y-index, as in the
-    best pair that ``consensus.consensus_points`` returns.
-    """
-    if ensemble.xs.shape[0] == 0:
-        raise InputError("ensemble is empty")
-    pair_values = obj.pair_matrix(ensemble.xs, ensemble.ys)
-    i, j, value = _fold_min_max(None, pair_values.max(axis=1), pair_values, 0)
-    return ensemble.xs[i].copy(), ensemble.ys[j].copy(), value
 
 
 def error_to_reference(pair: tuple[np.ndarray, np.ndarray], ref: ReferencePoint) -> float:

@@ -9,8 +9,8 @@ drift scaled accordingly and noise by the square root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass, field, replace
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence, default_rng
@@ -102,7 +102,7 @@ class _KeyedStreams:
     def __init__(self, seed: int):
         self.seed = seed
         self._pools = {}  # tag -> (pool words, hash constants for the step word), uint64 columns
-        self._chunks = {}  # tag -> (first step, (4, _NOISE_CHUNK) words of generate_state(4, uint64))
+        self._chunks = {}  # tag -> (first step, the 4 words of generate_state(4, uint64) per step)
         self._bitgen = PCG64(0)
         self._gen = Generator(self._bitgen)
 
@@ -124,14 +124,15 @@ class _KeyedStreams:
                 pool[dst] = _mix(pool[dst], value)
         return np.array(pool, dtype=np.uint64)[:, None], _schedule(h, _MULT_A, 4)
 
-    def _chunk(self, tag: int, first: int) -> tuple[int, np.ndarray]:
+    def _chunk(self, tag: int, first: int) -> tuple[int, list[list[int]]]:
         if tag not in self._pools:
             self._pools[tag] = self._pool_after_tag(tag)
         pool, consts = self._pools[tag]
         steps = np.arange(first, first + _NOISE_CHUNK, dtype=np.uint64)
         pool = _mix(pool, _hashmix(steps, consts)[0])
         out = _hashmix(pool[_STATE_SOURCES], _STATE_CONSTS, _MULT_B)[0]
-        return first, out[0::2] | (out[1::2] << 32)  # rows: seed high, seed low, inc high, inc low
+        # one row per step: seed high, seed low, inc high, inc low
+        return first, (out[0::2] | (out[1::2] << 32)).T.tolist()
 
     def generator(self, tag: int, step: int) -> Generator:
         if step > _MASK32:
@@ -140,7 +141,7 @@ class _KeyedStreams:
         if chunk is None or not chunk[0] <= step < chunk[0] + _NOISE_CHUNK:
             chunk = self._chunks[tag] = self._chunk(tag, step - step % _NOISE_CHUNK)
         first, words = chunk
-        seed_hi, seed_lo, inc_hi, inc_lo = words[:, step - first].tolist()
+        seed_hi, seed_lo, inc_hi, inc_lo = words[step - first]
         inc = ((inc_hi << 65) | (inc_lo << 1) | 1) & _MASK128
         state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
         self._bitgen.state = {
@@ -239,16 +240,26 @@ class SolverConfig:
 
 @dataclass
 class Ensemble:
-    """State of the 2N coupled particles; rows are particles."""
+    """State of the 2N coupled particles; rows are particles.
+
+    One run holds (N, d) arrays and its seed.  A batch of runs that differ
+    only in their seeds holds (T, N, d) arrays, one trial per leading
+    index, and the tuple of the T seeds in that order.
+    """
 
     xs: np.ndarray
     ys: np.ndarray
     step_index: int = 0
-    seed: int = 0
+    seed: int | tuple[int, ...] = 0
 
     @property
     def n_particles(self) -> int:
-        return self.xs.shape[0]
+        return self.xs.shape[-2]
+
+    @property
+    def seeds(self) -> tuple[int, ...]:
+        """The seed of each trial, one for a single run."""
+        return self.seed if isinstance(self.seed, tuple) else (self.seed,)
 
 
 def initialize(config: SolverConfig, obj: ObjectiveFunction) -> Ensemble:
@@ -286,7 +297,13 @@ def _diffusion_factor(dev: np.ndarray, mode: str) -> np.ndarray:
     """Noise scale per particle: the deviation itself, or its Euclidean norm."""
     if mode == "anisotropic":
         return dev
-    return np.linalg.norm(dev, axis=1, keepdims=True)
+    return np.linalg.norm(dev, axis=-1, keepdims=True)
+
+
+def _noise(streams: list[_KeyedStreams], tag: int, k: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Standard normals of shape (N, d), or (T, N, d) for a batch: each trial's own keyed draw (tag, k)."""
+    draws = [trial_streams.generator(tag, k).standard_normal(shape[-2:]) for trial_streams in streams]
+    return np.stack(draws) if len(shape) == 3 else draws[0]
 
 
 def _advance(
@@ -294,22 +311,24 @@ def _advance(
     config: SolverConfig,
     obj: ObjectiveFunction,
     cp: ConsensusPoint,
-    streams: _KeyedStreams | None = None,
+    streams: list[_KeyedStreams] | None = None,
 ) -> Ensemble:
     """Apply one Euler-Maruyama update from precomputed consensus data.
 
-    ``streams`` are the run's keyed generators; without them, those of the
-    ensemble's seed are made for this step.
+    The ensemble is one run or a batch (see ``Ensemble``); ``streams`` are
+    the keyed generators of its trials, in order.  Without them, those of
+    the ensemble's seeds are made for this step.  In a batch, a
+    NumericalError names the trial whose state turned non-finite.
     """
     k = ensemble.step_index
     dt_x, dt_y = config.dt_x, config.dt_y
     if streams is None:
-        streams = _KeyedStreams(ensemble.seed)
-    dev_x = ensemble.xs - cp.x_cons[None, :]
-    dev_y = ensemble.ys - cp.y_cons_per_particle
-    noise_x = streams.generator(_TAG_STEP_X, k).standard_normal(ensemble.xs.shape)
-    noise_y = streams.generator(_TAG_STEP_Y, k).standard_normal(ensemble.ys.shape)
+        streams = [_KeyedStreams(seed) for seed in ensemble.seeds]
+    noise_x = _noise(streams, _TAG_STEP_X, k, ensemble.xs.shape)
+    noise_y = _noise(streams, _TAG_STEP_Y, k, ensemble.ys.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite states raise below
+        dev_x = ensemble.xs - cp.x_cons[..., None, :]
+        dev_y = ensemble.ys - cp.y_cons_per_particle
         xs = (
             ensemble.xs
             - config.lambda_x * dt_x * dev_x
@@ -325,27 +344,54 @@ def _advance(
         ys = obj.domain_y.clamp(ys)
     for arr, name in ((xs, "x"), (ys, "y")):
         if not np.isfinite(arr).all():
-            i = int(np.argwhere(~np.isfinite(arr))[0][0])
-            raise NumericalError(f"non-finite {name}-state after step {k} at particle {i}")
+            *trial, i, _ = np.argwhere(~np.isfinite(arr))[0].tolist()
+            raise NumericalError(f"non-finite {name}-state after step {k} at particle {i}", *trial)
     return Ensemble(xs=xs, ys=ys, step_index=k + 1, seed=ensemble.seed)
 
 
 def trajectory(
-    config: SolverConfig, obj: ObjectiveFunction
+    config: SolverConfig, obj: ObjectiveFunction, seeds: Sequence[int] | None = None
 ) -> Iterator[tuple[Ensemble, ConsensusPoint, tuple[np.ndarray, np.ndarray, float]]]:
     """Yield (ensemble, consensus, best pair) for each of the n_steps + 1 states: the one time loop.
 
     The best pair is the state's (x, y, value) from ``consensus_points``.
-    Evaluations are counted on ``obj``; pass ``obj.fresh()`` for a per-run
-    count.
+    Without ``seeds`` this is the run of ``config.seed``, and a
+    NumericalError ends it.  With ``seeds`` the runs of ``config`` under
+    each of those seeds advance together as one batch: every array gains a
+    leading trial axis and ``ensemble.seed`` is the tuple of the seeds still
+    running.  A trial whose values or state turn non-finite leaves the
+    batch, and its step is taken again for the others, which go on
+    unchanged: no trial's arithmetic reads another trial's data, so each
+    trial is bitwise the run of its seed alone.  When no trial is left, the
+    loop ends early.  Evaluations are counted on ``obj``; pass
+    ``obj.fresh()`` for a per-run count.
     """
-    ensemble = initialize(config, obj)
-    streams = _KeyedStreams(config.seed)
-    for k in range(config.n_steps + 1):
-        cp, best_pair = consensus_points(obj, ensemble.xs, ensemble.ys, config.alpha, config.beta)
+    if seeds is None:
+        ensemble = initialize(config, obj)
+    else:
+        runs = [initialize(replace(config, seed=seed), obj) for seed in seeds]
+        ensemble = Ensemble(np.stack([e.xs for e in runs]), np.stack([e.ys for e in runs]), 0, tuple(seeds))
+    streams = [_KeyedStreams(seed) for seed in ensemble.seeds]
+    cp = None
+    for _ in range(config.n_steps + 1):
+        while True:
+            try:
+                stepped = ensemble if cp is None else _advance(ensemble, config, obj, cp, streams)
+                stepped_cp, best_pair = consensus_points(obj, stepped.xs, stepped.ys, config.alpha, config.beta)
+                break
+            except NumericalError as exc:
+                if exc.trial is None:
+                    raise
+                keep = [t for t in range(len(streams)) if t != exc.trial]
+                if not keep:
+                    return
+                seeds = tuple(ensemble.seed[t] for t in keep)
+                ensemble = Ensemble(ensemble.xs[keep], ensemble.ys[keep], ensemble.step_index, seeds)
+                if cp is not None:
+                    cp = ConsensusPoint(cp.x_cons[keep], cp.y_cons_per_particle[keep])
+                streams = [streams[t] for t in keep]
+        ensemble, cp = stepped, stepped_cp
         yield ensemble, cp, best_pair
-        if k < config.n_steps:
-            ensemble = _advance(ensemble, config, obj, cp, streams)
 
 
 def run(config: SolverConfig, obj: ObjectiveFunction, reference: ReferencePoint | None = None) -> RunRecord:

@@ -135,8 +135,12 @@ class ObjectiveFunction:
         return out
 
     def pair_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """All-pairs matrix M[i, j] = E(xs[i], ys[j]) in one vectorized call."""
-        return self.batch(xs[:, None, :], ys[None, :, :])
+        """All-pairs matrix M[..., i, j] = E(xs[..., i, :], ys[..., j, :]) in one vectorized call.
+
+        xs (..., r, d1) and ys (..., N, d2) share their leading axes, and so
+        does the (..., r, N) result.
+        """
+        return self.batch(xs[..., :, None, :], ys[..., None, :, :])
 
 
 def _quartic(z):

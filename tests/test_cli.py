@@ -1,12 +1,16 @@
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
 from minmaxcbo import benchmark_reference, make_benchmark
 from minmaxcbo.cli import _collect_overrides, build_parser, main
-from minmaxcbo.harness import _sweep_trial, benchmark_config
+from minmaxcbo.harness import _sweep_trials, benchmark_config, run_benchmark, write_run_csv
 
 
 def test_solve_writes_csv_and_json(tmp_path, capsys):
@@ -226,4 +230,43 @@ def test_sweep_honours_box_override(tmp_path):
         _, _, value, trial, seed, error = row.split(",")
         sigma = float(value)
         cfg = replace(base, seed=int(seed), sigma_x=sigma, sigma_y=sigma)
-        assert repr(_sweep_trial(obj, benchmark_reference("bilinear"), cfg)) == error
+        assert repr(_sweep_trials(obj, benchmark_reference("bilinear"), [cfg])[0]) == error
+
+
+def test_cached_parser_carries_no_flags_into_the_next_call(tmp_path):
+    assert build_parser() is build_parser()
+    first = build_parser().parse_args(["solve", "--benchmark", "bilinear", "--sigma", "0.5", "--no-project"])
+    second = build_parser().parse_args(["solve", "--benchmark", "forsaken"])
+    assert (first.benchmark, first.sigma, first.project) == ("bilinear", "0.5", "false")
+    assert (second.benchmark, second.sigma, second.project) == ("forsaken", None, None)
+    # a solve after one with overrides writes what a solve with defaults writes
+    common = ["solve", "--benchmark", "bilinear", "--seed", "2", "-T", "1", "--prefix", "run"]
+    assert main(common + ["--sigma", "0.5", "--no-project", "--out", str(tmp_path / "a")]) == 0
+    assert main(common + ["--out", str(tmp_path / "b")]) == 0
+    record, _ = run_benchmark("bilinear", {"seed": 2, "horizon": 1.0})
+    write_run_csv(tmp_path / "fresh.csv", record, 1, 1)
+    assert (tmp_path / "b" / "run.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+    assert (tmp_path / "a" / "run.csv").read_bytes() != (tmp_path / "fresh.csv").read_bytes()
+
+
+_FAULTS_PER_STEP = """
+import contextlib, io, resource, sys, tempfile
+from minmaxcbo.cli import main
+argv = ["solve", "--benchmark", "forsaken", "-N", "200", "--out", tempfile.mkdtemp()]
+with contextlib.redirect_stdout(io.StringIO()):
+    main(argv + ["-T", "0.5"])
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    main(argv + ["-T", "3"])
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 30)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds")
+def test_cli_steps_reuse_freed_memory_instead_of_faulting_it_in_again():
+    # an N=200 step frees arrays of 312 KiB; under glibc's default thresholds each step of this run
+    # faulted in about 130 fresh pages; a child process keeps this process's allocator out of it
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+    child = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP], env=env, capture_output=True, text=True,
+                           timeout=300)
+    assert child.returncode == 0, child.stderr
+    assert float(child.stdout) < 10

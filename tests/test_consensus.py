@@ -11,13 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minmaxcbo import (
-    Ensemble,
     InitSpec,
     InputError,
     NumericalError,
     SolverConfig,
     benchmark_reference,
-    best_pair,
     laplace_gap,
     make_benchmark,
     run,
@@ -413,8 +411,14 @@ def test_best_pair_tie_across_a_block_boundary_goes_to_the_lowest_indices():
     assert _BLOCK_ENTRIES // 1000 // 8 * 8 == 64  # rows per block
     _, (bx, by, value) = consensus_points(obj, xs, ys, 1e4, 1e4)
     assert (bx[0], by[0], value) == (1.5, 2.0, 1.25)
-    whole = best_pair(Ensemble(xs=xs, ys=ys), obj)
+    _, _, whole = _reference_consensus(obj, xs, ys, 1e4, 1e4)
     assert (whole[0][0], whole[1][0], whole[2]) == (1.5, 2.0, 1.25)
+    # in a batch, beside a trial whose best row lies in another block, the tie resolves the same way
+    perm = rng.permutation(1000)
+    _, (bx, by, value) = consensus_points(obj, np.stack([xs, xs[perm]]), np.stack([ys, ys[perm]]), 1e4, 1e4)
+    _, alone = consensus_points(obj, xs[perm], ys[perm], 1e4, 1e4)
+    assert (bx[0, 0], by[0, 0], value[0]) == (1.5, 2.0, 1.25)
+    assert (bx[1].tobytes(), by[1].tobytes(), value[1]) == (alone[0].tobytes(), alone[1].tobytes(), alone[2])
 
 
 def test_non_finite_pair_value_in_a_later_block_reports_its_global_index():

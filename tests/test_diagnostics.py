@@ -7,7 +7,6 @@ from minmaxcbo import (
     NumericalError,
     ReferencePoint,
     benchmark_reference,
-    best_pair,
     error_to_reference,
     fit_decay_rate,
     make_benchmark,
@@ -15,6 +14,7 @@ from minmaxcbo import (
     spread,
     variance,
 )
+from minmaxcbo.consensus import consensus_points
 from minmaxcbo.diagnostics import RunRecord
 from minmaxcbo.dynamics import Ensemble
 
@@ -23,6 +23,16 @@ COUPLED = make_benchmark("bilinearly_coupled")
 
 def _ens(xs, ys):
     return Ensemble(xs=np.asarray(xs, float), ys=np.asarray(ys, float), step_index=0, seed=0)
+
+
+def best_pair(ensemble, obj):
+    """The kernel's best pair of one state, checked against the min-max pair of the whole pair matrix."""
+    _, (bx, by, value) = consensus_points(obj, ensemble.xs, ensemble.ys, 1e4, 1e4)
+    matrix = obj.pair_matrix(ensemble.xs, ensemble.ys)
+    i = int(np.argmin(matrix.max(axis=1)))
+    j = int(np.argmax(matrix[i]))
+    assert (bx.tobytes(), by.tobytes(), value) == (ensemble.xs[i].tobytes(), ensemble.ys[j].tobytes(), matrix[i, j])
+    return bx, by, value
 
 
 def test_variance_zero_at_reference():

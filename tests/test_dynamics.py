@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from minmaxcbo import (
 )
 from minmaxcbo import harness
 from minmaxcbo.consensus import ConsensusPoint, consensus_points
-from minmaxcbo.dynamics import _TAG_STEP_X, _TAG_STEP_Y, _KeyedStreams, _advance, _rng
+from minmaxcbo.dynamics import _TAG_STEP_X, _TAG_STEP_Y, Ensemble, _KeyedStreams, _advance, _rng
 from minmaxcbo.objectives import BENCHMARK_IDS, BoxDomain, ObjectiveFunction
 
 FORSAKEN = make_benchmark("forsaken")
@@ -208,7 +209,7 @@ def test_no_pair_matrix_held_at_n1000(consumer):
     if consumer == "run":
         call = lambda: run(config, FORSAKEN, reference=ref)
     elif consumer == "sweep_trial":
-        call = lambda: harness._sweep_trial(FORSAKEN, ref, config)
+        call = lambda: harness._sweep_trials(FORSAKEN, ref, [config])
     else:
         obj = make_benchmark(consumer.split("-", 1)[1])
         ensemble = initialize(config, obj)
@@ -459,3 +460,82 @@ def test_run_series_equal_per_state_reference_bitwise(name, n, horizon, with_ref
     for series in _SERIES:
         got = getattr(record, series)
         assert got.shape == expected[series].shape and got.tobytes() == expected[series].tobytes(), series
+
+
+def _random_ensembles(obj, n_trials, n, seed):
+    rng = np.random.default_rng([n_trials, n, seed])
+    xs = rng.uniform(obj.domain_x.lower, obj.domain_x.upper, (n_trials, n, obj.dim_x))
+    ys = rng.uniform(obj.domain_y.lower, obj.domain_y.upper, (n_trials, n, obj.dim_y))
+    return xs, ys
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_IDS) + ["two_dim"])
+@pytest.mark.parametrize("n_trials, n", [(1, 7), (3, 10), (5, 160), (2, 1000)])  # N=1000: 16 row blocks
+def test_batched_kernel_equals_each_trial_alone_bitwise(name, n_trials, n):
+    obj = _TWO_DIM if name == "two_dim" else make_benchmark(name)
+    xs, ys = _random_ensembles(obj, n_trials, n, 0)
+    config = _cfg(n_particles=n, diffusion="isotropic" if name == "two_dim" else "anisotropic", project=False)
+    seeds = tuple(range(40, 40 + n_trials))
+    cp, (bx, by, value) = consensus_points(obj, xs, ys, 30.0, 1e4)
+    stepped = _advance(Ensemble(xs, ys, 3, seeds), config, obj, cp)
+    assert stepped.seed == seeds and value.shape == (n_trials,)
+    for t, seed in enumerate(seeds):
+        cp_t, (bx_t, by_t, value_t) = consensus_points(obj, xs[t], ys[t], 30.0, 1e4)
+        got = (cp.x_cons[t], cp.y_cons_per_particle[t], bx[t], by[t], value[t])
+        want = (cp_t.x_cons, cp_t.y_cons_per_particle, bx_t, by_t, np.float64(value_t))
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want], (name, t)
+        alone = _advance(Ensemble(xs[t], ys[t], 3, seed), config, obj, cp_t)
+        assert stepped.xs[t].tobytes() == alone.xs.tobytes() and stepped.ys[t].tobytes() == alone.ys.tobytes()
+
+
+def test_batch_errors_name_the_failing_trial():
+    box = BoxDomain(np.array([-1.0]), np.array([1.0]))
+    obj = ObjectiveFunction("hole", 1, 1, box, box,
+                            lambda x, y: np.where(x[..., 0] == 0.5, np.nan, x[..., 0] * y[..., 0]))
+    xs, ys = np.zeros((3, 4, 1)), np.zeros((3, 4, 1))
+    xs[2, 1, 0] = 0.5
+    message = r"^non-finite objective value in consensus pair matrix at particle index \(1, 0\)$"
+    with pytest.raises(NumericalError, match=message) as info:
+        consensus_points(obj, xs, ys, 1.0, 1.0)
+    assert info.value.trial == 2
+    with pytest.raises(NumericalError) as info:
+        consensus_points(obj, xs[2], ys[2], 1.0, 1.0)
+    assert info.value.trial is None
+    # a state that overflows in trial 1 only
+    config = _cfg(n_particles=4, project=False)
+    xs, ys = np.zeros((2, 4, 1)), np.zeros((2, 4, 1))
+    xs[1, 3, 0] = 1e308
+    cp = ConsensusPoint(x_cons=np.array([[0.0], [-1e308]]), y_cons_per_particle=np.zeros((2, 4, 1)))
+    with pytest.raises(NumericalError, match=r"^non-finite x-state after step 0 at particle 3$") as info:
+        _advance(Ensemble(xs, ys, 0, (5, 6)), config, BILINEAR, cp)
+    assert info.value.trial == 1
+
+
+def _bounded(x, y):
+    return np.tanh(x[..., 0]) * np.tanh(y[..., 0])
+
+
+def test_trial_whose_state_overflows_leaves_the_batch_and_the_others_go_on_unchanged():
+    # at sigma = 3e28 the states grow by about 1e28 per step; of seeds 0-11, the state of seed 7 alone
+    # overflows within the 11 steps
+    box = BoxDomain(np.array([-1.0]), np.array([1.0]))
+    obj = ObjectiveFunction("bounded", 1, 1, box, box, _bounded)
+    config = _cfg(n_particles=5, sigma_x=3e28, sigma_y=3e28, horizon=1.1, project=False)
+    seeds = list(range(12))
+    for ensemble, _, (bx, by, value) in trajectory(config, obj.fresh(), seeds):
+        pass
+    assert ensemble.step_index == config.n_steps == 11
+    survivors = []
+    for seed in seeds:
+        try:
+            alone = run(replace(config, seed=seed), obj)
+        except NumericalError as exc:
+            assert "x-state" in str(exc) or "y-state" in str(exc)
+            continue
+        t = len(survivors)
+        survivors.append(seed)
+        assert ensemble.xs[t].tobytes() == alone.final_ensemble.xs.tobytes()
+        assert ensemble.ys[t].tobytes() == alone.final_ensemble.ys.tobytes()
+        assert (bx[t].tobytes(), by[t].tobytes(), value[t]) == (
+            alone.best_x[-1].tobytes(), alone.best_y[-1].tobytes(), alone.best_value_trace[-1])
+    assert ensemble.seed == tuple(survivors) and 0 < len(survivors) < len(seeds)

@@ -1,8 +1,10 @@
 import csv
+import itertools
 import math
 import multiprocessing
 import re
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import pytest
 from minmaxcbo import (
     ConfigError,
     InitSpec,
+    InputError,
     NumericalError,
     ReferencePoint,
     SolverConfig,
@@ -20,7 +23,7 @@ from minmaxcbo import (
     run,
     run_sweep,
 )
-from minmaxcbo import harness
+from minmaxcbo import dynamics, harness
 from minmaxcbo.harness import (
     CONFIG_KEYS,
     RUN_CSV_SCHEMA,
@@ -34,7 +37,8 @@ from minmaxcbo.harness import (
     write_sweep_csv,
 )
 from minmaxcbo.diagnostics import error_to_reference
-from minmaxcbo.objectives import BoxDomain, make_benchmark, register_benchmark
+from minmaxcbo.cli import main
+from minmaxcbo.objectives import BENCHMARK_IDS, BoxDomain, ObjectiveFunction, make_benchmark, register_benchmark
 
 
 def test_nearest_rank_quantile_rules():
@@ -195,17 +199,17 @@ def test_sweep_trial_equals_final_error_of_a_recorded_run():
         cfg = SolverConfig(n_particles=12, horizon=3.0, seed=seed, init=InitSpec("border"))
         record = run(cfg, obj, reference=ref)
         expected = error_to_reference((record.best_x[-1], record.best_y[-1]), ref)
-        assert harness._sweep_trial(obj, ref, cfg).hex() == expected.hex()
+        assert harness._sweep_trials(obj, ref, [cfg])[0].hex() == expected.hex()
     obj, ref = make_benchmark("bilinear"), benchmark_reference("bilinear")
     blowup = SolverConfig(n_particles=10, sigma_x=1e308, sigma_y=1e308, project=False)
     with pytest.raises(NumericalError, match="step 0"):
         run(blowup, obj, reference=ref)
-    assert math.isnan(harness._sweep_trial(obj, ref, blowup))
+    assert math.isnan(harness._sweep_trials(obj, ref, [blowup])[0])
 
 
 def test_sweep_validates_every_trial_before_running(monkeypatch):
     ran = []
-    monkeypatch.setattr(harness, "_sweep_trial", lambda *args: ran.append(args) or 0.0)
+    monkeypatch.setattr(harness, "_sweep_trials", lambda *args: ran.append(args) or [0.0])
     with pytest.raises(ConfigError, match="sigma_x must be finite"):
         run_sweep(_tiny_spec(values=[1.0, float("nan")]))
     assert ran == []
@@ -253,3 +257,143 @@ def test_sweep_csv_schema(tmp_path):
         trows = list(csv.DictReader(fh))
     assert [int(r["trial"]) for r in trows] == [0, 1]
     assert [int(r["seed"]) for r in trows] == [100, 101]
+
+
+def _assert_batch_equals_runs_alone(obj, ref, config, n_trials):
+    """Each trial of the batch of seeds config.seed + t equals its run alone: final ensemble and best-pair error."""
+    cfgs = [replace(config, seed=config.seed + t) for t in range(n_trials)]
+    for ensemble, _, _ in dynamics.trajectory(config, obj.fresh(), [cfg.seed for cfg in cfgs]):
+        pass
+    assert ensemble.step_index == config.n_steps and ensemble.seed == tuple(cfg.seed for cfg in cfgs)
+    errors = harness._sweep_trials(obj, ref, cfgs)
+    for t, cfg in enumerate(cfgs):
+        alone = run(cfg, obj, reference=ref)
+        assert ensemble.xs[t].tobytes() == alone.final_ensemble.xs.tobytes(), t
+        assert ensemble.ys[t].tobytes() == alone.final_ensemble.ys.tobytes(), t
+        assert errors[t].hex() == error_to_reference((alone.best_x[-1], alone.best_y[-1]), ref).hex(), t
+
+
+# Every trial count with every N, the built-ins in turn; N=300 takes two row blocks.
+_BATCH_CASES = [
+    (BENCHMARK_IDS[k % len(BENCHMARK_IDS)], n_trials, n)
+    for k, (n_trials, n) in enumerate(itertools.product((1, 2, 7, 40), (1, 7, 10, 25, 128, 160)))
+] + [("forsaken", 3, 300)]
+
+
+@pytest.mark.parametrize("name, n_trials, n", _BATCH_CASES)
+def test_batch_trials_equal_their_runs_alone_bitwise(name, n_trials, n):
+    config = SolverConfig(n_particles=n, horizon=2.0, seed=11, init=InitSpec("border"))
+    _assert_batch_equals_runs_alone(make_benchmark(name), benchmark_reference(name), config, n_trials)
+
+
+def _two_dim_saddle(x, y):
+    return np.sum(x * y, axis=-1) + 0.25 * np.sum(x**2, axis=-1) - 0.5 * (y[..., 0] - 0.5) ** 2 - 0.25 * y[..., 1] ** 2
+
+
+@pytest.mark.parametrize(
+    "diffusion, epsilon, project", [("isotropic", 0.5, False), ("isotropic", 4.0, True), ("anisotropic", 0.5, False)]
+)
+def test_two_dimensional_batch_equals_runs_alone_bitwise(diffusion, epsilon, project):
+    square = BoxDomain(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
+    obj = ObjectiveFunction("two_dim", 2, 2, square, square, _two_dim_saddle)
+    ref = ReferencePoint(np.array([0.1, -0.2]), np.array([[0.5, 0.0], [-0.5, 1.0]]))
+    config = SolverConfig(n_particles=12, horizon=3.0, seed=4, diffusion=diffusion, epsilon_scale=epsilon,
+                          project=project, init=InitSpec("uniform_box"))
+    _assert_batch_equals_runs_alone(obj, ref, config, 7)
+
+
+def _edge(x, y):
+    """A saddle that is NaN beyond |x| = 2, which unprojected particles reach in some runs."""
+    xx, yy = x[..., 0], y[..., 0]
+    return np.where(np.abs(xx) > 2.0, np.nan, xx * yy + 0.25 * xx**2 - 0.25 * yy**2)
+
+
+def test_failed_trial_reads_nan_and_the_others_equal_their_runs_alone():
+    box = BoxDomain(np.array([-1.0]), np.array([1.0]))
+    obj = ObjectiveFunction("edge", 1, 1, box, box, _edge)
+    ref = ReferencePoint(np.array([0.0]), np.array([[0.0]]))
+    base = SolverConfig(n_particles=7, sigma_x=2.0, sigma_y=2.0, horizon=3.0, project=False)
+    cfgs = [replace(base, seed=s) for s in range(12)]
+    errors = harness._sweep_trials(obj, ref, cfgs)
+    failed = 0
+    for cfg, error in zip(cfgs, errors):
+        try:
+            alone = run(cfg, obj, reference=ref)
+        except NumericalError:
+            failed += 1
+            assert math.isnan(error), cfg.seed
+        else:
+            assert error.hex() == error_to_reference((alone.best_x[-1], alone.best_y[-1]), ref).hex(), cfg.seed
+    assert 0 < failed < len(cfgs)
+
+
+def test_sweep_trials_takes_only_configs_that_differ_in_the_seed():
+    obj, ref = make_benchmark("bilinear"), benchmark_reference("bilinear")
+    cfg = SolverConfig(n_particles=4, horizon=0.5)
+    with pytest.raises(InputError, match="only in their seeds"):
+        harness._sweep_trials(obj, ref, [cfg, replace(cfg, seed=1, sigma_x=0.5)])
+    # a repeated seed runs once and reads the same error in both rows
+    twice = harness._sweep_trials(obj, ref, [cfg, replace(cfg, seed=1), cfg])
+    assert twice[0] == twice[2] == harness._sweep_trials(obj, ref, [cfg])[0]
+
+
+@pytest.mark.parametrize("n, trials, jobs", [(10, 400, 1), (10, 7, 2), (20, 100, 1), (20, 3, 4), (128, 5, 1),
+                                             (129, 3, 1), (160, 40, 2), (1, 1000, 3)])
+def test_batches_respect_the_entry_cap_and_keep_every_job_busy(monkeypatch, n, trials, jobs):
+    ran = []
+    monkeypatch.setattr(harness, "_sweep_trials", lambda obj, ref, cfgs: ran.append(cfgs) or [0.0] * len(cfgs))
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
+    spec = _tiny_spec(parameter="n_particles", values=[n], trials=trials, jobs=jobs)
+    run_sweep(spec)
+    assert [cfg.seed for batch in ran for cfg in batch] == [spec.base.seed + t for t in range(trials)]
+    sizes = [len(batch) for batch in ran]
+    cap = max(1, harness._BATCH_ENTRIES // (n * n))
+    assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1
+    assert len(ran) == max(min(jobs, trials), -(-trials // cap))  # as few batches as the cap and the jobs allow
+    if n >= 129:
+        assert sizes == [1] * trials
+
+
+def test_sweep_batch_blocks_hold_at_most_the_batch_entries():
+    entries = []
+
+    def counted(x, y):
+        entries.append(np.broadcast(x[..., 0], y[..., 0]).size)
+        return x[..., 0] * y[..., 0]
+
+    box = BoxDomain(np.array([-1.0]), np.array([1.0]))
+    obj = ObjectiveFunction("counted", 1, 1, box, box, counted)
+    ref = ReferencePoint(np.array([0.0]), np.array([[0.0]]))
+    base = SolverConfig(horizon=0.2, init=InitSpec("border"))
+    # 200 trials at N=10 (163 fit) run as two batches of 100, 41 at N=20 (40 fit) as 21 and 20, N=160 alone
+    for n, trials, largest in ((10, 200, 100 * 10 * 10), (20, 41, 21 * 20 * 20), (160, 2, 160 * 160)):
+        entries.clear()
+        for batch in harness._batches([replace(base, n_particles=n, seed=s) for s in range(trials)], 1):
+            harness._sweep_trials(obj, ref, batch)
+        assert max(entries) == largest
+
+
+class _InlinePool:
+    """A stand-in for ProcessPoolExecutor that maps in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_sweep_cli_writes_the_same_bytes_at_jobs_1_and_2(tmp_path):
+    # N=5 and 12 run their 7 trials in one batch at --jobs 1 and in batches of 4 and 3 at --jobs 2; N=160 one at a time
+    argv = ["sweep", "--benchmark", "forsaken", "--parameter", "n_particles", "--values", "5,12,160",
+            "--trials", "7", "-T", "1", "--seed", "9"]
+    for jobs in ("1", "2"):
+        assert main(argv + ["--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+    for name in ("sweep_forsaken_n_particles.csv", "sweep_forsaken_n_particles_trials.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()

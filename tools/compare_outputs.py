@@ -10,7 +10,10 @@ its own ``src/`` first on the path and one BLAS thread:
 
 - ``solve`` for every built-in benchmark under each init mode, with seeds
   3 and 2**32 + 7 (a seed of two 32-bit words) and horizon 2;
-- one small ``sweep`` of ``forsaken`` over N in {5, 12}, 3 trials, horizon 3.
+- one small ``sweep`` of ``forsaken`` over N in {5, 12}, 3 trials, horizon 3;
+- ``sweep`` of ``forsaken`` over N in {5, 12, 160}, 7 trials, horizon 3, at
+  ``--jobs 1`` and ``--jobs 2``: at N = 5 and 12 a batch holds more than one
+  trial (all 7, or 4 and 3 on two jobs), at N = 160 every trial runs alone.
 
 Each output file is hashed with sha256.  The JSON summaries are hashed
 without their ``wall_time_s``, the one field that varies between calls.
@@ -34,8 +37,12 @@ from bench_pairs import ROOT, export_revision
 SEEDS = (3, 2**32 + 7)
 INIT_MODES = ("uniform_box", "border", "gaussian")
 HORIZON = "2"
-SWEEP = ["sweep", "--benchmark", "forsaken", "--parameter", "n_particles", "--values", "5,12",
-         "--trials", "3", "-T", "3", "--jobs", "1", "--prefix", "sweep"]
+SWEEPS = [
+    ["sweep", "--benchmark", "forsaken", "--parameter", "n_particles", "--values", "5,12",
+     "--trials", "3", "-T", "3", "--jobs", "1", "--prefix", "sweep"],
+    *(["sweep", "--benchmark", "forsaken", "--parameter", "n_particles", "--values", "5,12,160",
+       "--trials", "7", "-T", "3", "--jobs", jobs, "--prefix", f"sweep_batches_jobs{jobs}"] for jobs in ("1", "2")),
+]
 CHILD = """
 import json, sys
 from minmaxcbo.cli import main
@@ -53,7 +60,7 @@ def commands(benchmarks: list[str]) -> list[list[str]]:
          "--prefix", f"{name}_{mode}_seed{seed}"]
         for name in benchmarks for mode in INIT_MODES for seed in SEEDS
     ]
-    return calls + [SWEEP]
+    return calls + SWEEPS
 
 
 def run_side(root: Path, calls: list[list[str]], out: Path) -> None:
