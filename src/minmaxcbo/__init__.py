@@ -8,7 +8,7 @@ harness for seeded runs and parameter sweeps.
 """
 
 from .baselines import GdaConfig, GdaRun, gda_run
-from .consensus import ConsensusPoint, laplace_gap, y_consensus
+from .consensus import ConsensusPoint, laplace_gap
 from .diagnostics import RunRecord, error_to_reference, fit_decay_rate, spread, variance
 from .dynamics import Ensemble, InitSpec, SolverConfig, initialize, run, trajectory
 from .errors import ConfigError, InputError, NumericalError
@@ -61,5 +61,4 @@ __all__ = [
     "spread",
     "trajectory",
     "variance",
-    "y_consensus",
 ]

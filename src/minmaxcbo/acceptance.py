@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import GdaConfig, gda_run
-from .consensus import consensus_points, y_consensus
+from .consensus import consensus_points
 from .diagnostics import error_to_reference, fit_decay_rate
 from .dynamics import InitSpec, SolverConfig, run
 from .errors import ConfigError
@@ -73,7 +73,7 @@ def criterion_2() -> CriterionResult:
     details, ok = [], True
     for name, horizon in _FIG3_RUNS:
         cfg, obj = benchmark_config(name, {"n_particles": 25, "horizon": horizon, "init": "uniform_box"})
-        errors = np.asarray(_sweep_trials(obj, benchmark_reference(name), [replace(cfg, seed=s) for s in range(20)]))
+        errors = np.asarray(_sweep_trials(obj, benchmark_reference(name), cfg, list(range(20))))
         median = float(np.median(errors))
         frac = float(np.mean(errors < 0.1))
         ok &= median < 0.05 and frac >= 0.7
@@ -195,7 +195,7 @@ def criterion_5(cases: int = 10_000) -> CriterionResult:
         )
         fail["shift"] += not shift_ok
 
-        y_mean = y_consensus(obj, ys, xs[0], beta=0.0)
+        y_mean = consensus_points(obj, xs[:1], ys, alpha, 0.0)[0].y_cons_per_particle[0]
         mean_ok = np.allclose(y_mean, ys.mean(axis=0), rtol=0.0, atol=1e-11 * (1.0 + np.abs(ys).max()))
         fail["mean"] += not mean_ok
 
@@ -252,7 +252,7 @@ def criterion_6() -> CriterionResult:
     cfg, obj = benchmark_config(
         "bilinearly_coupled", {"n_particles": 25, "horizon": 15.0, "seed": 0, "init": "uniform_box"}
     )
-    cbo_err = _sweep_trials(obj, ref, [cfg])[0]
+    cbo_err = _sweep_trials(obj, ref, cfg, [cfg.seed])[0]
     gda_err = error_to_reference((stall.xs[-1], stall.ys[-1]), ref)
     contrast_ok = cbo_err < 0.05 and gda_err > 1.0
 
@@ -285,7 +285,7 @@ def criterion_7() -> CriterionResult:
     sweep_errors = run_sweep(spec)[0].errors
     ref = benchmark_reference("bilinear")
     replayed = [
-        _sweep_trials(obj, ref, [replace(base, seed=base.seed + trial, sigma_x=1.5, sigma_y=1.5)])[0]
+        _sweep_trials(obj, ref, replace(base, sigma_x=1.5, sigma_y=1.5), [base.seed + trial])[0]
         for trial in range(3)
     ]
     rows_equal = sweep_errors == replayed

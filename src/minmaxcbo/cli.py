@@ -80,11 +80,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     wall = time.perf_counter() - start
     out = _out_dir(args.out)
     prefix = args.prefix or f"run_{benchmark}_seed{config.seed}"
-    d1 = record.final_ensemble.xs.shape[1]
-    d2 = record.final_ensemble.ys.shape[1]
     csv_path = out / f"{prefix}.csv"
     json_path = out / f"{prefix}.json"
-    write_run_csv(csv_path, record, d1, d2)
+    write_run_csv(csv_path, record)
     summary = write_run_summary(json_path, record, config, benchmark, wall)
     print(json.dumps(summary, sort_keys=True))
     return 0

@@ -20,7 +20,6 @@ from .objectives import ObjectiveFunction
 __all__ = [
     "ConsensusPoint",
     "exp_weights",
-    "y_consensus",
     "consensus_points",
     "laplace_gap",
 ]
@@ -115,27 +114,13 @@ def _as_ensemble(arr, dim: int, what: str) -> np.ndarray:
     return arr
 
 
-def _check_finite(values: np.ndarray, what: str, row_offset: int = 0, batched: bool = False) -> None:
-    """Raise at the first non-finite value; in a batch the leading axis indexes trials and the error names the trial."""
+def _check_finite(values: np.ndarray, what: str, row_offset: int = 0) -> None:
+    """Raise at the first non-finite value, named by its full index; ``row_offset`` shifts a pair block's rows."""
     if not np.isfinite(values).all():  # the method skips np.all's dispatch, a few us per step
         idx = np.argwhere(~np.isfinite(np.atleast_1d(values)))[0].tolist()
-        trial = idx.pop(0) if batched else None
-        idx[0] += row_offset
-        raise NumericalError(f"non-finite objective value in {what} at particle index {tuple(idx)}", trial)
-
-
-def y_consensus(obj: ObjectiveFunction, ensemble_y, x, beta: float) -> np.ndarray:
-    """Soft-argmax of E(x, .) over the y-ensemble: sum_i w_i Y^i, w_i ~ exp(beta E(x, Y^i))."""
-    ys = _as_ensemble(ensemble_y, obj.dim_y, "ensemble_y")
-    if beta < 0:
-        raise InputError("beta must be >= 0")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (obj.dim_x,):
-        raise InputError(f"x has shape {x.shape}, expected ({obj.dim_x},)")
-    vals = obj.batch(np.broadcast_to(x, (ys.shape[0], obj.dim_x)), ys)
-    _check_finite(vals, "y_consensus")
-    w = exp_weights(vals, beta)
-    return w @ ys
+        if row_offset:
+            idx[-2] += row_offset
+        raise NumericalError(f"non-finite objective value in {what} at particle index {tuple(idx)}")
 
 
 def consensus_points(
@@ -152,7 +137,7 @@ def consensus_points(
     are taken before the next block is evaluated, so no N x N array is
     built.  The best pair is (x, y, value) with value = min over i of max
     over j of E(X^i, Y^j); ties go to the lowest x-index, then the lowest
-    y-index.  In a batch, a NumericalError names the trial it arose in.
+    y-index.  In a batch, a NumericalError names the full index (t, i, j).
     """
     xs = _as_ensemble(ensemble_x, obj.dim_x, "ensemble_x")
     ys = _as_ensemble(ensemble_y, obj.dim_y, "ensemble_y")
@@ -162,7 +147,7 @@ def consensus_points(
     if alpha < 0 or beta < 0:
         raise InputError("alpha and beta must be >= 0")
     (n_x, d1), (n_y, d2) = xs.shape[-2:], ys.shape[-2:]
-    batched, n_trials = bool(lead), math.prod(lead)  # one (N, d) call is the batch of one trial
+    n_trials = math.prod(lead)  # one (N, d) call is the batch of one trial
     n_rows = max(8, _BLOCK_ENTRIES // n_y // 8 * 8)
     yhat = np.empty((*lead, n_x, d2))
     # The best pair is gathered with take() on trial-major flat row indices,
@@ -171,7 +156,7 @@ def consensus_points(
     y_starts = np.arange(0, n_trials * n_y, n_y)
     for a in range(0, n_x, n_rows):
         rows = obj.pair_matrix(xs[..., a : a + n_rows, :], ys)
-        _check_finite(rows, "consensus pair matrix", a, batched)
+        _check_finite(rows, "consensus pair matrix", a)
         pair_rows = rows.reshape(-1, n_y)  # trial-major
         row_max = pair_rows.max(axis=1, keepdims=True)  # the y-weights' pivot
         weights = exp_weights(pair_rows, beta, axis=1, pivot=row_max).reshape(rows.shape)
@@ -194,7 +179,7 @@ def consensus_points(
             best_i, best_j = np.where(lower, i, best_i), np.where(lower, j, best_j)
             best_value = np.minimum(value, best_value)
     outer_vals = obj.batch(xs, yhat)
-    _check_finite(outer_vals, "x-consensus outer weights", 0, batched)
+    _check_finite(outer_vals, "x-consensus outer weights")
     x_cons = np.matmul(exp_weights(outer_vals, -alpha)[..., None, :], xs)[..., 0, :]
     return ConsensusPoint(x_cons=x_cons, y_cons_per_particle=yhat), (
         x_flat.take(best_i, 0).reshape(*lead, d1),

@@ -317,8 +317,7 @@ def _advance(
 
     The ensemble is one run or a batch (see ``Ensemble``); ``streams`` are
     the keyed generators of its trials, in order.  Without them, those of
-    the ensemble's seeds are made for this step.  In a batch, a
-    NumericalError names the trial whose state turned non-finite.
+    the ensemble's seeds are made for this step.
     """
     k = ensemble.step_index
     dt_x, dt_y = config.dt_x, config.dt_y
@@ -344,8 +343,8 @@ def _advance(
         ys = obj.domain_y.clamp(ys)
     for arr, name in ((xs, "x"), (ys, "y")):
         if not np.isfinite(arr).all():
-            *trial, i, _ = np.argwhere(~np.isfinite(arr))[0].tolist()
-            raise NumericalError(f"non-finite {name}-state after step {k} at particle {i}", *trial)
+            i = np.argwhere(~np.isfinite(arr))[0].tolist()[-2]
+            raise NumericalError(f"non-finite {name}-state after step {k} at particle {i}")
     return Ensemble(xs=xs, ys=ys, step_index=k + 1, seed=ensemble.seed)
 
 
@@ -355,16 +354,13 @@ def trajectory(
     """Yield (ensemble, consensus, best pair) for each of the n_steps + 1 states: the one time loop.
 
     The best pair is the state's (x, y, value) from ``consensus_points``.
-    Without ``seeds`` this is the run of ``config.seed``, and a
-    NumericalError ends it.  With ``seeds`` the runs of ``config`` under
-    each of those seeds advance together as one batch: every array gains a
-    leading trial axis and ``ensemble.seed`` is the tuple of the seeds still
-    running.  A trial whose values or state turn non-finite leaves the
-    batch, and its step is taken again for the others, which go on
-    unchanged: no trial's arithmetic reads another trial's data, so each
-    trial is bitwise the run of its seed alone.  When no trial is left, the
-    loop ends early.  Evaluations are counted on ``obj``; pass
-    ``obj.fresh()`` for a per-run count.
+    Without ``seeds`` this is the run of ``config.seed``.  With ``seeds``
+    the runs of ``config`` under each of those seeds advance together as
+    one batch: every array gains a leading trial axis and ``ensemble.seed``
+    is the tuple of the seeds.  No trial's arithmetic reads another trial's
+    data, so each trial is bitwise the run of its seed alone.  A non-finite
+    value in any trial raises NumericalError.  Evaluations are counted on
+    ``obj``; pass ``obj.fresh()`` for a per-run count.
     """
     if seeds is None:
         ensemble = initialize(config, obj)
@@ -372,25 +368,10 @@ def trajectory(
         runs = [initialize(replace(config, seed=seed), obj) for seed in seeds]
         ensemble = Ensemble(np.stack([e.xs for e in runs]), np.stack([e.ys for e in runs]), 0, tuple(seeds))
     streams = [_KeyedStreams(seed) for seed in ensemble.seeds]
-    cp = None
-    for _ in range(config.n_steps + 1):
-        while True:
-            try:
-                stepped = ensemble if cp is None else _advance(ensemble, config, obj, cp, streams)
-                stepped_cp, best_pair = consensus_points(obj, stepped.xs, stepped.ys, config.alpha, config.beta)
-                break
-            except NumericalError as exc:
-                if exc.trial is None:
-                    raise
-                keep = [t for t in range(len(streams)) if t != exc.trial]
-                if not keep:
-                    return
-                seeds = tuple(ensemble.seed[t] for t in keep)
-                ensemble = Ensemble(ensemble.xs[keep], ensemble.ys[keep], ensemble.step_index, seeds)
-                if cp is not None:
-                    cp = ConsensusPoint(cp.x_cons[keep], cp.y_cons_per_particle[keep])
-                streams = [streams[t] for t in keep]
-        ensemble, cp = stepped, stepped_cp
+    for k in range(config.n_steps + 1):
+        if k:
+            ensemble = _advance(ensemble, config, obj, cp, streams)
+        cp, best_pair = consensus_points(obj, ensemble.xs, ensemble.ys, config.alpha, config.beta)
         yield ensemble, cp, best_pair
 
 

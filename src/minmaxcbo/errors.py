@@ -10,12 +10,4 @@ class ConfigError(InputError):
 
 
 class NumericalError(RuntimeError):
-    """Raised when a computation produces non-finite or undefined values.
-
-    ``trial`` is the index along the leading trial axis of the trial that
-    failed when the computation stepped a batch of trials, else None.
-    """
-
-    def __init__(self, message: str, trial: int | None = None):
-        super().__init__(message)
-        self.trial = trial
+    """Raised when a computation produces non-finite or undefined values."""

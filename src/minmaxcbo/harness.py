@@ -23,7 +23,7 @@ import numpy as np
 from . import dynamics
 from .diagnostics import RunRecord, error_to_reference
 from .dynamics import DIFFUSION_MODES, INIT_MODES, SolverConfig, run
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, NumericalError
 from .objectives import (
     BENCHMARK_IDS,
     ObjectiveFunction,
@@ -269,63 +269,62 @@ def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
     return float(values[rank - 1])
 
 
-def _configured(spec: SweepSpec, value, trial: int) -> SolverConfig:
+def _configured(spec: SweepSpec, value) -> SolverConfig:
     overrides = {key: value for key in SWEEP_PARAMETERS[spec.parameter]}
-    return apply_overrides(replace(spec.base, seed=spec.base.seed + trial), overrides).validate()
+    return apply_overrides(spec.base, overrides).validate()
 
 
-def _sweep_trials(obj: ObjectiveFunction, ref: ReferencePoint, cfgs: list[SolverConfig]) -> list[float]:
-    """Best-pair squared error of each seeded run's final state; NaN flags a failed trial.
+def _sweep_trials(obj: ObjectiveFunction, ref: ReferencePoint, config: SolverConfig, seeds: list[int]) -> list[float]:
+    """Best-pair squared error of the final state of ``config``'s run under each seed; NaN flags a failed trial.
 
-    The configurations may differ only in their seeds.  Their runs advance
-    together as one batch (``dynamics.trajectory`` with seeds), and each
-    error is bitwise that of the run alone.
+    The runs advance together as one batch (``dynamics.trajectory`` with
+    seeds), and each error is bitwise that of the run alone.  A batch that
+    raises NumericalError is replayed one seed at a time, so only the
+    trials that fail alone read NaN.
     """
-    base = cfgs[0]
-    if any(replace(cfg, seed=base.seed) != base for cfg in cfgs):
-        raise InputError("the trials of one batch may differ only in their seeds")
-    errors = dict.fromkeys((cfg.seed for cfg in cfgs), math.nan)
-    final = None
-    for final in dynamics.trajectory(base, obj.fresh(), list(errors)):
-        pass  # only the final state's best pairs are kept
-    if final is not None and final[0].step_index == base.n_steps:
-        ensemble, _, (bx, by, _) = final
-        errors.update(zip(ensemble.seed, error_to_reference((bx, by), ref).tolist()))
-    return [errors[cfg.seed] for cfg in cfgs]
+    try:
+        for _, _, (bx, by, _) in dynamics.trajectory(config, obj.fresh(), seeds):
+            pass  # only the final state's best pairs are kept
+    except NumericalError:
+        if len(seeds) == 1:
+            return [math.nan]
+        return [e for s in seeds for e in _sweep_trials(obj, ref, config, [s])]
+    return error_to_reference((bx, by), ref).tolist()
 
 
-def _batches(cfgs: list[SolverConfig], jobs: int) -> list[list[SolverConfig]]:
-    """The trials of one parameter value in batches of at most _BATCH_ENTRIES // N^2 trials (at least one).
+def _batches(seeds: list[int], n: int, jobs: int) -> list[list[int]]:
+    """The seeds of one parameter value in batches of at most _BATCH_ENTRIES // n^2 trials (at least one).
 
     A value of at least ``jobs`` trials splits into at least ``jobs``
     batches, so that every worker gets one; batch sizes differ by at most 1.
     """
-    cap = max(1, _BATCH_ENTRIES // cfgs[0].n_particles**2)
-    count = min(len(cfgs), max(jobs, -(-len(cfgs) // cap)))
-    size, extra = divmod(len(cfgs), count)
+    cap = max(1, _BATCH_ENTRIES // n**2)
+    count = min(len(seeds), max(jobs, -(-len(seeds) // cap)))
+    size, extra = divmod(len(seeds), count)
     bounds = [b * size + min(b, extra) for b in range(count + 1)]
-    return [cfgs[a:b] for a, b in zip(bounds, bounds[1:])]
+    return [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def run_sweep(spec: SweepSpec) -> list[TrialSummary]:
     """Run trials x values seeded runs and summarize errors per value.
 
-    Trial t uses seed base.seed + t.  Every trial configuration is validated
-    before the first trial starts.  The trials of a value advance together
-    in batches (see ``_batches``); with jobs > 1 the batches run on that
-    many processes.  Rows are ordered by (value, trial) regardless of
+    Trial t uses seed base.seed + t.  Every value's configuration is
+    validated before the first trial starts.  The trials of a value advance
+    together in batches (see ``_batches``); with jobs > 1 the batches run on
+    that many processes.  Rows are ordered by (value, trial) regardless of
     execution order, and each is bitwise the error of its trial run alone;
     failed trials enter the error list as NaN and are excluded from the
     quantiles.
     """
-    per_value = [[_configured(spec, value, trial) for trial in range(spec.trials)] for value in spec.values]
-    batches = [batch for cfgs in per_value for batch in _batches(cfgs, spec.jobs)]
+    configs = [_configured(spec, value) for value in spec.values]
+    seeds = [spec.base.seed + trial for trial in range(spec.trials)]
+    batches = [(config, batch) for config in configs for batch in _batches(seeds, config.n_particles, spec.jobs)]
     obj, ref = spec.objective, spec.reference
     if spec.jobs > 1:
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            done = list(pool.map(_sweep_trials, repeat(obj), repeat(ref), batches))
+            done = list(pool.map(_sweep_trials, repeat(obj), repeat(ref), *zip(*batches)))
     else:
-        done = [_sweep_trials(obj, ref, batch) for batch in batches]
+        done = [_sweep_trials(obj, ref, config, batch) for config, batch in batches]
     results = [error for errors in done for error in errors]
     summaries = []
     for vi, value in enumerate(spec.values):
@@ -350,7 +349,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_run_csv(path, record: RunRecord, d1: int, d2: int) -> None:
+def write_run_csv(path, record: RunRecord) -> None:
+    d1, d2 = record.mean_x.shape[1], record.mean_y.shape[1]
     header = (
         ["schema", "step", "t", "Vx", "Vy", "V", "spread_x", "spread_y"]
         + [f"mean_x_{k}" for k in range(d1)]

@@ -230,7 +230,7 @@ def test_sweep_honours_box_override(tmp_path):
         _, _, value, trial, seed, error = row.split(",")
         sigma = float(value)
         cfg = replace(base, seed=int(seed), sigma_x=sigma, sigma_y=sigma)
-        assert repr(_sweep_trials(obj, benchmark_reference("bilinear"), [cfg])[0]) == error
+        assert repr(_sweep_trials(obj, benchmark_reference("bilinear"), cfg, [cfg.seed])[0]) == error
 
 
 def test_cached_parser_carries_no_flags_into_the_next_call(tmp_path):
@@ -244,7 +244,7 @@ def test_cached_parser_carries_no_flags_into_the_next_call(tmp_path):
     assert main(common + ["--sigma", "0.5", "--no-project", "--out", str(tmp_path / "a")]) == 0
     assert main(common + ["--out", str(tmp_path / "b")]) == 0
     record, _ = run_benchmark("bilinear", {"seed": 2, "horizon": 1.0})
-    write_run_csv(tmp_path / "fresh.csv", record, 1, 1)
+    write_run_csv(tmp_path / "fresh.csv", record)
     assert (tmp_path / "b" / "run.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
     assert (tmp_path / "a" / "run.csv").read_bytes() != (tmp_path / "fresh.csv").read_bytes()
 

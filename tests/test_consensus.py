@@ -19,7 +19,6 @@ from minmaxcbo import (
     laplace_gap,
     make_benchmark,
     run,
-    y_consensus,
 )
 from minmaxcbo import consensus
 from minmaxcbo.consensus import _BLOCK_ENTRIES, _EXP_ZERO_CUT, _SKIP_MIN_ENTRIES, consensus_points, exp_weights
@@ -28,16 +27,21 @@ from minmaxcbo.objectives import BENCHMARK_IDS, BoxDomain, ObjectiveFunction
 BILINEAR = make_benchmark("bilinear")
 
 
+def _y_consensus(obj, ys, x, beta):
+    """The y-consensus at the one x-particle x: the soft-argmax of E(x, .) over ys."""
+    return consensus_points(obj, np.atleast_2d(x), ys, 0.0, beta)[0].y_cons_per_particle[0]
+
+
 def test_single_particle_is_its_own_consensus():
     y = np.array([[0.7]])
-    assert np.array_equal(y_consensus(BILINEAR, y, np.array([1.0]), beta=123.0), y[0])
+    assert np.array_equal(_y_consensus(BILINEAR, y, np.array([1.0]), beta=123.0), y[0])
     cp, _ = consensus_points(BILINEAR, np.array([[0.3]]), y, alpha=5.0, beta=5.0)
     assert np.array_equal(cp.x_cons, np.array([0.3]))
 
 
 def test_beta_zero_gives_arithmetic_mean():
     ys = np.array([[-1.0], [0.0], [4.0]])
-    out = y_consensus(BILINEAR, ys, np.array([2.0]), beta=0.0)
+    out = _y_consensus(BILINEAR, ys, np.array([2.0]), beta=0.0)
     assert out[0] == pytest.approx(1.0, abs=1e-14)
 
 
@@ -51,7 +55,7 @@ def test_alpha_zero_gives_mean_of_x():
 def test_large_beta_selects_ensemble_argmax():
     # E(1, y) = y over the ensemble; the beta -> inf limit is the hard argmax
     ys = np.array([[-1.0], [0.0], [2.0]])
-    out = y_consensus(BILINEAR, ys, np.array([1.0]), beta=1e6)
+    out = _y_consensus(BILINEAR, ys, np.array([1.0]), beta=1e6)
     brute = ys[np.argmax(ys[:, 0])]
     assert abs(out[0] - brute[0]) < 1e-6
 
@@ -69,13 +73,13 @@ def test_large_alpha_beta_select_min_max_particle():
 
 def test_empty_ensemble_rejected():
     with pytest.raises(InputError):
-        y_consensus(BILINEAR, np.empty((0, 1)), np.array([1.0]), beta=1.0)
+        _y_consensus(BILINEAR, np.empty((0, 1)), np.array([1.0]), beta=1.0)
 
 
 def test_negative_weights_rejected():
     ys = np.array([[0.0]])
     with pytest.raises(InputError):
-        y_consensus(BILINEAR, ys, np.array([1.0]), beta=-1.0)
+        _y_consensus(BILINEAR, ys, np.array([1.0]), beta=-1.0)
     with pytest.raises(InputError):
         consensus_points(BILINEAR, ys, ys, alpha=-2.0, beta=1.0)
 
@@ -90,7 +94,7 @@ def test_non_finite_objective_reports_particle():
     obj = ObjectiveFunction("bad", 1, 1, box, box, bad)
     ys = np.array([[0.0], [0.9]])
     with pytest.raises(NumericalError, match="particle index"):
-        y_consensus(obj, ys, np.array([1.0]), beta=1.0)
+        _y_consensus(obj, ys, np.array([1.0]), beta=1.0)
 
 
 def test_no_overflow_at_extreme_weights():
@@ -130,8 +134,8 @@ def test_permutation_invariance(seed, beta):
     xs = rng.uniform(-4, 4, (8, 1))
     ys = rng.uniform(-4, 4, (8, 1))
     perm = rng.permutation(8)
-    a = y_consensus(BILINEAR.fresh(), ys, np.array([1.3]), beta)
-    b = y_consensus(BILINEAR.fresh(), ys[perm], np.array([1.3]), beta)
+    a = _y_consensus(BILINEAR.fresh(), ys, np.array([1.3]), beta)
+    b = _y_consensus(BILINEAR.fresh(), ys[perm], np.array([1.3]), beta)
     assert np.allclose(a, b, rtol=0, atol=1e-12)
 
 

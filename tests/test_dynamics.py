@@ -16,6 +16,7 @@ from minmaxcbo import (
     ReferencePoint,
     SolverConfig,
     benchmark_reference,
+    error_to_reference,
     fit_decay_rate,
     initialize,
     make_benchmark,
@@ -209,7 +210,7 @@ def test_no_pair_matrix_held_at_n1000(consumer):
     if consumer == "run":
         call = lambda: run(config, FORSAKEN, reference=ref)
     elif consumer == "sweep_trial":
-        call = lambda: harness._sweep_trials(FORSAKEN, ref, [config])
+        call = lambda: harness._sweep_trials(FORSAKEN, ref, config, [config.seed])
     else:
         obj = make_benchmark(consumer.split("-", 1)[1])
         ensemble = initialize(config, obj)
@@ -494,48 +495,52 @@ def test_batch_errors_name_the_failing_trial():
                             lambda x, y: np.where(x[..., 0] == 0.5, np.nan, x[..., 0] * y[..., 0]))
     xs, ys = np.zeros((3, 4, 1)), np.zeros((3, 4, 1))
     xs[2, 1, 0] = 0.5
-    message = r"^non-finite objective value in consensus pair matrix at particle index \(1, 0\)$"
-    with pytest.raises(NumericalError, match=message) as info:
+    message = r"^non-finite objective value in consensus pair matrix at particle index \(2, 1, 0\)$"
+    with pytest.raises(NumericalError, match=message):
         consensus_points(obj, xs, ys, 1.0, 1.0)
-    assert info.value.trial == 2
-    with pytest.raises(NumericalError) as info:
+    message = r"^non-finite objective value in consensus pair matrix at particle index \(1, 0\)$"
+    with pytest.raises(NumericalError, match=message):
         consensus_points(obj, xs[2], ys[2], 1.0, 1.0)
-    assert info.value.trial is None
     # a state that overflows in trial 1 only
     config = _cfg(n_particles=4, project=False)
     xs, ys = np.zeros((2, 4, 1)), np.zeros((2, 4, 1))
     xs[1, 3, 0] = 1e308
     cp = ConsensusPoint(x_cons=np.array([[0.0], [-1e308]]), y_cons_per_particle=np.zeros((2, 4, 1)))
-    with pytest.raises(NumericalError, match=r"^non-finite x-state after step 0 at particle 3$") as info:
+    with pytest.raises(NumericalError, match=r"^non-finite x-state after step 0 at particle 3$"):
         _advance(Ensemble(xs, ys, 0, (5, 6)), config, BILINEAR, cp)
-    assert info.value.trial == 1
 
 
 def _bounded(x, y):
     return np.tanh(x[..., 0]) * np.tanh(y[..., 0])
 
 
-def test_trial_whose_state_overflows_leaves_the_batch_and_the_others_go_on_unchanged():
+def test_trial_whose_state_overflows_fails_its_batch_and_reads_nan_in_the_sweep():
     # at sigma = 3e28 the states grow by about 1e28 per step; of seeds 0-11, the state of seed 7 alone
     # overflows within the 11 steps
     box = BoxDomain(np.array([-1.0]), np.array([1.0]))
     obj = ObjectiveFunction("bounded", 1, 1, box, box, _bounded)
+    ref = ReferencePoint(np.array([0.0]), np.array([[0.0]]))
     config = _cfg(n_particles=5, sigma_x=3e28, sigma_y=3e28, horizon=1.1, project=False)
     seeds = list(range(12))
-    for ensemble, _, (bx, by, value) in trajectory(config, obj.fresh(), seeds):
-        pass
-    assert ensemble.step_index == config.n_steps == 11
-    survivors = []
-    for seed in seeds:
-        try:
-            alone = run(replace(config, seed=seed), obj)
-        except NumericalError as exc:
-            assert "x-state" in str(exc) or "y-state" in str(exc)
-            continue
-        t = len(survivors)
-        survivors.append(seed)
-        assert ensemble.xs[t].tobytes() == alone.final_ensemble.xs.tobytes()
-        assert ensemble.ys[t].tobytes() == alone.final_ensemble.ys.tobytes()
-        assert (bx[t].tobytes(), by[t].tobytes(), value[t]) == (
-            alone.best_x[-1].tobytes(), alone.best_y[-1].tobytes(), alone.best_value_trace[-1])
-    assert ensemble.seed == tuple(survivors) and 0 < len(survivors) < len(seeds)
+    with pytest.raises(NumericalError, match="-state after step"):
+        for _ in trajectory(config, obj.fresh(), seeds):
+            pass
+    with np.errstate(over="ignore"):  # the surviving states pass 1e154, whose squared error is inf
+        errors = harness._sweep_trials(obj, ref, config, seeds)
+        survivors = [seed for seed, error in zip(seeds, errors) if not math.isnan(error)]
+        for ensemble, _, (bx, by, value) in trajectory(config, obj.fresh(), survivors):
+            pass
+        for seed, error in zip(seeds, errors):
+            try:
+                alone = run(replace(config, seed=seed), obj)
+            except NumericalError as exc:
+                assert "x-state" in str(exc) or "y-state" in str(exc)
+                assert math.isnan(error), seed
+                continue
+            assert error.hex() == error_to_reference((alone.best_x[-1], alone.best_y[-1]), ref).hex(), seed
+            t = survivors.index(seed)
+            assert ensemble.xs[t].tobytes() == alone.final_ensemble.xs.tobytes()
+            assert ensemble.ys[t].tobytes() == alone.final_ensemble.ys.tobytes()
+            assert (bx[t].tobytes(), by[t].tobytes(), value[t]) == (
+                alone.best_x[-1].tobytes(), alone.best_y[-1].tobytes(), alone.best_value_trace[-1])
+    assert 0 < len(survivors) < len(seeds)

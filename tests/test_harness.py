@@ -14,7 +14,6 @@ import pytest
 from minmaxcbo import (
     ConfigError,
     InitSpec,
-    InputError,
     NumericalError,
     ReferencePoint,
     SolverConfig,
@@ -199,12 +198,12 @@ def test_sweep_trial_equals_final_error_of_a_recorded_run():
         cfg = SolverConfig(n_particles=12, horizon=3.0, seed=seed, init=InitSpec("border"))
         record = run(cfg, obj, reference=ref)
         expected = error_to_reference((record.best_x[-1], record.best_y[-1]), ref)
-        assert harness._sweep_trials(obj, ref, [cfg])[0].hex() == expected.hex()
+        assert harness._sweep_trials(obj, ref, cfg, [seed])[0].hex() == expected.hex()
     obj, ref = make_benchmark("bilinear"), benchmark_reference("bilinear")
     blowup = SolverConfig(n_particles=10, sigma_x=1e308, sigma_y=1e308, project=False)
     with pytest.raises(NumericalError, match="step 0"):
         run(blowup, obj, reference=ref)
-    assert math.isnan(harness._sweep_trials(obj, ref, [blowup])[0])
+    assert math.isnan(harness._sweep_trials(obj, ref, blowup, [blowup.seed])[0])
 
 
 def test_sweep_validates_every_trial_before_running(monkeypatch):
@@ -234,7 +233,7 @@ def test_sweep_spec_validation():
 def test_run_csv_schema_and_roundtrip(tmp_path):
     record, _ = run_benchmark("bilinear", {"horizon": 1.0, "seed": 0, "n_particles": 4})
     path = tmp_path / "run.csv"
-    write_run_csv(path, record, 1, 1)
+    write_run_csv(path, record)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(record)
@@ -261,13 +260,13 @@ def test_sweep_csv_schema(tmp_path):
 
 def _assert_batch_equals_runs_alone(obj, ref, config, n_trials):
     """Each trial of the batch of seeds config.seed + t equals its run alone: final ensemble and best-pair error."""
-    cfgs = [replace(config, seed=config.seed + t) for t in range(n_trials)]
-    for ensemble, _, _ in dynamics.trajectory(config, obj.fresh(), [cfg.seed for cfg in cfgs]):
+    seeds = [config.seed + t for t in range(n_trials)]
+    for ensemble, _, _ in dynamics.trajectory(config, obj.fresh(), seeds):
         pass
-    assert ensemble.step_index == config.n_steps and ensemble.seed == tuple(cfg.seed for cfg in cfgs)
-    errors = harness._sweep_trials(obj, ref, cfgs)
-    for t, cfg in enumerate(cfgs):
-        alone = run(cfg, obj, reference=ref)
+    assert ensemble.step_index == config.n_steps and ensemble.seed == tuple(seeds)
+    errors = harness._sweep_trials(obj, ref, config, seeds)
+    for t, seed in enumerate(seeds):
+        alone = run(replace(config, seed=seed), obj, reference=ref)
         assert ensemble.xs[t].tobytes() == alone.final_ensemble.xs.tobytes(), t
         assert ensemble.ys[t].tobytes() == alone.final_ensemble.ys.tobytes(), t
         assert errors[t].hex() == error_to_reference((alone.best_x[-1], alone.best_y[-1]), ref).hex(), t
@@ -313,39 +312,60 @@ def test_failed_trial_reads_nan_and_the_others_equal_their_runs_alone():
     obj = ObjectiveFunction("edge", 1, 1, box, box, _edge)
     ref = ReferencePoint(np.array([0.0]), np.array([[0.0]]))
     base = SolverConfig(n_particles=7, sigma_x=2.0, sigma_y=2.0, horizon=3.0, project=False)
-    cfgs = [replace(base, seed=s) for s in range(12)]
-    errors = harness._sweep_trials(obj, ref, cfgs)
+    seeds = list(range(12))
+    errors = harness._sweep_trials(obj, ref, base, seeds)
     failed = 0
-    for cfg, error in zip(cfgs, errors):
+    for seed, error in zip(seeds, errors):
         try:
-            alone = run(cfg, obj, reference=ref)
+            alone = run(replace(base, seed=seed), obj, reference=ref)
         except NumericalError:
             failed += 1
-            assert math.isnan(error), cfg.seed
+            assert math.isnan(error), seed
         else:
-            assert error.hex() == error_to_reference((alone.best_x[-1], alone.best_y[-1]), ref).hex(), cfg.seed
-    assert 0 < failed < len(cfgs)
+            assert error.hex() == error_to_reference((alone.best_x[-1], alone.best_y[-1]), ref).hex(), seed
+    assert 0 < failed < len(seeds)
 
 
-def test_sweep_trials_takes_only_configs_that_differ_in_the_seed():
+def test_sweep_trials_reads_a_repeated_seed_alike_in_both_rows():
     obj, ref = make_benchmark("bilinear"), benchmark_reference("bilinear")
     cfg = SolverConfig(n_particles=4, horizon=0.5)
-    with pytest.raises(InputError, match="only in their seeds"):
-        harness._sweep_trials(obj, ref, [cfg, replace(cfg, seed=1, sigma_x=0.5)])
-    # a repeated seed runs once and reads the same error in both rows
-    twice = harness._sweep_trials(obj, ref, [cfg, replace(cfg, seed=1), cfg])
-    assert twice[0] == twice[2] == harness._sweep_trials(obj, ref, [cfg])[0]
+    twice = harness._sweep_trials(obj, ref, cfg, [0, 1, 0])
+    assert twice[0] == twice[2] == harness._sweep_trials(obj, ref, cfg, [0])[0]
+
+
+def test_sweep_trials_replay_a_failing_batch_one_seed_at_a_time(monkeypatch):
+    calls, trajectory = [], dynamics.trajectory
+
+    def spy(config, obj, seeds):
+        calls.append(list(seeds))
+        return trajectory(config, obj, seeds)
+
+    monkeypatch.setattr(dynamics, "trajectory", spy)
+    obj, ref = make_benchmark("bilinear"), benchmark_reference("bilinear")
+    clean = SolverConfig(n_particles=4, horizon=0.5)
+    assert len(harness._sweep_trials(obj, ref, clean, [0, 1, 2])) == 3
+    assert calls == [[0, 1, 2]]
+    # the edge saddle is NaN beyond |x| = 2: of seeds 0-11, some runs reach it
+    calls.clear()
+    box = BoxDomain(np.array([-1.0]), np.array([1.0]))
+    edge = ObjectiveFunction("edge", 1, 1, box, box, _edge)
+    origin = ReferencePoint(np.array([0.0]), np.array([[0.0]]))
+    failing = SolverConfig(n_particles=7, sigma_x=2.0, sigma_y=2.0, horizon=3.0, project=False)
+    errors = harness._sweep_trials(edge, origin, failing, list(range(12)))
+    assert calls == [list(range(12))] + [[s] for s in range(12)]
+    assert any(math.isnan(e) for e in errors) and not all(math.isnan(e) for e in errors)
 
 
 @pytest.mark.parametrize("n, trials, jobs", [(10, 400, 1), (10, 7, 2), (20, 100, 1), (20, 3, 4), (128, 5, 1),
                                              (129, 3, 1), (160, 40, 2), (1, 1000, 3)])
 def test_batches_respect_the_entry_cap_and_keep_every_job_busy(monkeypatch, n, trials, jobs):
     ran = []
-    monkeypatch.setattr(harness, "_sweep_trials", lambda obj, ref, cfgs: ran.append(cfgs) or [0.0] * len(cfgs))
+    monkeypatch.setattr(harness, "_sweep_trials",
+                        lambda obj, ref, config, seeds: ran.append(seeds) or [0.0] * len(seeds))
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
     spec = _tiny_spec(parameter="n_particles", values=[n], trials=trials, jobs=jobs)
     run_sweep(spec)
-    assert [cfg.seed for batch in ran for cfg in batch] == [spec.base.seed + t for t in range(trials)]
+    assert [seed for batch in ran for seed in batch] == [spec.base.seed + t for t in range(trials)]
     sizes = [len(batch) for batch in ran]
     cap = max(1, harness._BATCH_ENTRIES // (n * n))
     assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1
@@ -368,8 +388,8 @@ def test_sweep_batch_blocks_hold_at_most_the_batch_entries():
     # 200 trials at N=10 (163 fit) run as two batches of 100, 41 at N=20 (40 fit) as 21 and 20, N=160 alone
     for n, trials, largest in ((10, 200, 100 * 10 * 10), (20, 41, 21 * 20 * 20), (160, 2, 160 * 160)):
         entries.clear()
-        for batch in harness._batches([replace(base, n_particles=n, seed=s) for s in range(trials)], 1):
-            harness._sweep_trials(obj, ref, batch)
+        for batch in harness._batches(list(range(trials)), n, 1):
+            harness._sweep_trials(obj, ref, replace(base, n_particles=n), batch)
         assert max(entries) == largest
 
 

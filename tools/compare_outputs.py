@@ -13,7 +13,10 @@ its own ``src/`` first on the path and one BLAS thread:
 - one small ``sweep`` of ``forsaken`` over N in {5, 12}, 3 trials, horizon 3;
 - ``sweep`` of ``forsaken`` over N in {5, 12, 160}, 7 trials, horizon 3, at
   ``--jobs 1`` and ``--jobs 2``: at N = 5 and 12 a batch holds more than one
-  trial (all 7, or 4 and 3 on two jobs), at N = 160 every trial runs alone.
+  trial (all 7, or 4 and 3 on two jobs), at N = 160 every trial runs alone;
+- ``sweep`` of ``bilinear`` over sigma in {1.5, 3.16e5}, unprojected, 7
+  trials, horizon 3, at ``--jobs 1`` and ``--jobs 2``: at sigma = 3.16e5
+  some trials turn non-finite, so their rows read ``nan``.
 
 Each output file is hashed with sha256.  The JSON summaries are hashed
 without their ``wall_time_s``, the one field that varies between calls.
@@ -42,6 +45,9 @@ SWEEPS = [
      "--trials", "3", "-T", "3", "--jobs", "1", "--prefix", "sweep"],
     *(["sweep", "--benchmark", "forsaken", "--parameter", "n_particles", "--values", "5,12,160",
        "--trials", "7", "-T", "3", "--jobs", jobs, "--prefix", f"sweep_batches_jobs{jobs}"] for jobs in ("1", "2")),
+    *(["sweep", "--benchmark", "bilinear", "--parameter", "sigma", "--values", "1.5,3.16e5", "--no-project",
+       "-T", "3", "--trials", "7", "--seed", "9", "--jobs", jobs, "--prefix", f"sweep_failing_jobs{jobs}"]
+      for jobs in ("1", "2")),
 ]
 CHILD = """
 import json, sys
