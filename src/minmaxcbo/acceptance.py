@@ -205,7 +205,7 @@ def criterion_5(cases: int = 10_000) -> CriterionResult:
     while done < cases:
         obj = _quantized_objective(rng)
         xs, ys = _case_ensembles(rng)
-        matrix = obj.fresh().pair_matrix(xs, ys)
+        matrix = obj.pair_matrix(xs, ys)
         if ys.shape[0] > 1:
             top2 = np.partition(matrix, -2, axis=1)[:, -2:]
             if np.any(top2[:, 1] - top2[:, 0] < 1e-5):

@@ -242,24 +242,13 @@ class SolverConfig:
 class Ensemble:
     """State of the 2N coupled particles; rows are particles.
 
-    One run holds (N, d) arrays and its seed.  A batch of runs that differ
-    only in their seeds holds (T, N, d) arrays, one trial per leading
-    index, and the tuple of the T seeds in that order.
+    One run holds (N, d) arrays.  A batch of runs that differ only in their
+    seeds holds (T, N, d) arrays, one trial per leading index.
     """
 
     xs: np.ndarray
     ys: np.ndarray
     step_index: int = 0
-    seed: int | tuple[int, ...] = 0
-
-    @property
-    def n_particles(self) -> int:
-        return self.xs.shape[-2]
-
-    @property
-    def seeds(self) -> tuple[int, ...]:
-        """The seed of each trial, one for a single run."""
-        return self.seed if isinstance(self.seed, tuple) else (self.seed,)
 
 
 def initialize(config: SolverConfig, obj: ObjectiveFunction) -> Ensemble:
@@ -290,7 +279,7 @@ def initialize(config: SolverConfig, obj: ObjectiveFunction) -> Ensemble:
                 xs[i, k] = value
             else:
                 ys[i, k - d1] = value
-    return Ensemble(xs=xs, ys=ys, step_index=0, seed=config.seed)
+    return Ensemble(xs=xs, ys=ys)
 
 
 def _diffusion_factor(dev: np.ndarray, mode: str) -> np.ndarray:
@@ -311,18 +300,15 @@ def _advance(
     config: SolverConfig,
     obj: ObjectiveFunction,
     cp: ConsensusPoint,
-    streams: list[_KeyedStreams] | None = None,
+    streams: list[_KeyedStreams],
 ) -> Ensemble:
     """Apply one Euler-Maruyama update from precomputed consensus data.
 
     The ensemble is one run or a batch (see ``Ensemble``); ``streams`` are
-    the keyed generators of its trials, in order.  Without them, those of
-    the ensemble's seeds are made for this step.
+    the keyed generators of its trials, in order.
     """
     k = ensemble.step_index
     dt_x, dt_y = config.dt_x, config.dt_y
-    if streams is None:
-        streams = [_KeyedStreams(seed) for seed in ensemble.seeds]
     noise_x = _noise(streams, _TAG_STEP_X, k, ensemble.xs.shape)
     noise_y = _noise(streams, _TAG_STEP_Y, k, ensemble.ys.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite states raise below
@@ -345,7 +331,7 @@ def _advance(
         if not np.isfinite(arr).all():
             i = np.argwhere(~np.isfinite(arr))[0].tolist()[-2]
             raise NumericalError(f"non-finite {name}-state after step {k} at particle {i}")
-    return Ensemble(xs=xs, ys=ys, step_index=k + 1, seed=ensemble.seed)
+    return Ensemble(xs=xs, ys=ys, step_index=k + 1)
 
 
 def trajectory(
@@ -356,18 +342,17 @@ def trajectory(
     The best pair is the state's (x, y, value) from ``consensus_points``.
     Without ``seeds`` this is the run of ``config.seed``.  With ``seeds``
     the runs of ``config`` under each of those seeds advance together as
-    one batch: every array gains a leading trial axis and ``ensemble.seed``
-    is the tuple of the seeds.  No trial's arithmetic reads another trial's
+    one batch: every array gains a leading trial axis, trial t being the
+    run of ``seeds[t]``.  No trial's arithmetic reads another trial's
     data, so each trial is bitwise the run of its seed alone.  A non-finite
-    value in any trial raises NumericalError.  Evaluations are counted on
-    ``obj``; pass ``obj.fresh()`` for a per-run count.
+    value in any trial raises NumericalError.
     """
     if seeds is None:
         ensemble = initialize(config, obj)
     else:
         runs = [initialize(replace(config, seed=seed), obj) for seed in seeds]
-        ensemble = Ensemble(np.stack([e.xs for e in runs]), np.stack([e.ys for e in runs]), 0, tuple(seeds))
-    streams = [_KeyedStreams(seed) for seed in ensemble.seeds]
+        ensemble = Ensemble(np.stack([e.xs for e in runs]), np.stack([e.ys for e in runs]))
+    streams = [_KeyedStreams(seed) for seed in ([config.seed] if seeds is None else seeds)]
     for k in range(config.n_steps + 1):
         if k:
             ensemble = _advance(ensemble, config, obj, cp, streams)
@@ -381,11 +366,10 @@ def run(config: SolverConfig, obj: ObjectiveFunction, reference: ReferencePoint 
     The record includes the t=0 state, so every series has n_steps + 1
     rows.  Each state's particles are copied into a staging buffer of
     about _STAGE_FLOATS floats, and each full buffer, then the last partial
-    one, fills its rows in one vectorized pass.  Evaluation counting is
-    per-run: the objective handle is copied up front and the copy's counter
-    is reported.
+    one, fills its rows in one vectorized pass.  ``eval_count`` is the
+    run's budget by construction: each state evaluates E once per (X^i, Y^j)
+    pair and once per outer point (X^i, yhat(X^i)).
     """
-    obj = obj.fresh()
     n, rows = config.n_particles, config.n_steps + 1
     record = RunRecord.allocate(rows, obj.dim_x, obj.dim_y)
     record.times[:] = np.arange(rows) * config.dt_y
@@ -406,5 +390,5 @@ def run(config: SolverConfig, obj: ObjectiveFunction, reference: ReferencePoint 
     if reference is not None:
         record.best_error_trace[:] = error_to_reference((record.best_x, record.best_y), reference)
     record.final_ensemble = ensemble
-    record.eval_count = obj.eval_count
+    record.eval_count = rows * n * (n + 1)
     return record

@@ -280,16 +280,19 @@ def _sweep_trials(obj: ObjectiveFunction, ref: ReferencePoint, config: SolverCon
     The runs advance together as one batch (``dynamics.trajectory`` with
     seeds), and each error is bitwise that of the run alone.  A batch that
     raises NumericalError is replayed one seed at a time, so only the
-    trials that fail alone read NaN.
+    trials that fail alone read NaN.  A finished trial whose error
+    overflows reads inf.  numpy's floating-point warnings are silenced:
+    the NaN is the failure report.
     """
     try:
-        for _, _, (bx, by, _) in dynamics.trajectory(config, obj.fresh(), seeds):
-            pass  # only the final state's best pairs are kept
+        with np.errstate(all="ignore"):
+            for _, _, (bx, by, _) in dynamics.trajectory(config, obj, seeds):
+                pass  # only the final state's best pairs are kept
+            return error_to_reference((bx, by), ref).tolist()
     except NumericalError:
         if len(seeds) == 1:
             return [math.nan]
         return [e for s in seeds for e in _sweep_trials(obj, ref, config, [s])]
-    return error_to_reference((bx, by), ref).tolist()
 
 
 def _batches(seeds: list[int], n: int, jobs: int) -> list[list[int]]:
@@ -314,7 +317,7 @@ def run_sweep(spec: SweepSpec) -> list[TrialSummary]:
     that many processes.  Rows are ordered by (value, trial) regardless of
     execution order, and each is bitwise the error of its trial run alone;
     failed trials enter the error list as NaN and are excluded from the
-    quantiles.
+    quantiles, while a finished trial's error of inf counts.
     """
     configs = [_configured(spec, value) for value in spec.values]
     seeds = [spec.base.seed + trial for trial in range(spec.trials)]
@@ -329,13 +332,13 @@ def run_sweep(spec: SweepSpec) -> list[TrialSummary]:
     summaries = []
     for vi, value in enumerate(spec.values):
         errors = results[vi * spec.trials : (vi + 1) * spec.trials]
-        finite = np.asarray([e for e in errors if math.isfinite(e)])
+        finished = np.asarray([e for e in errors if not math.isnan(e)])
         summaries.append(
             TrialSummary(
                 parameter_value=float(value),
-                median_error=nearest_rank_quantile(finite, 0.5),
-                q20=nearest_rank_quantile(finite, 0.2),
-                q80=nearest_rank_quantile(finite, 0.8),
+                median_error=nearest_rank_quantile(finished, 0.5),
+                q20=nearest_rank_quantile(finished, 0.2),
+                q80=nearest_rank_quantile(finished, 0.8),
                 errors=list(errors),
             )
         )
@@ -406,7 +409,7 @@ def write_sweep_csv(summary_path, trials_path, spec: SweepSpec, summaries: list[
         writer = csv.writer(fh)
         writer.writerow(["schema", "parameter", "value", "median_error", "q20", "q80", "n_ok", "trials"])
         for s in summaries:
-            n_ok = sum(1 for e in s.errors if math.isfinite(e))
+            n_ok = sum(1 for e in s.errors if not math.isnan(e))
             writer.writerow(
                 [SWEEP_CSV_SCHEMA, spec.parameter, _fmt(s.parameter_value), _fmt(s.median_error),
                  _fmt(s.q20), _fmt(s.q80), n_ok, spec.trials]

@@ -9,7 +9,7 @@ the variable dimension and broadcast over any leading axes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -92,11 +92,7 @@ class ReferencePoint:
 class ObjectiveFunction:
     """Evaluatable E(x, y) with its dimensions and box domains.
 
-    ``fn`` must be deterministic and finite on domain_x x domain_y.  The
-    instance also tracks how many scalar evaluations have been requested;
-    zero-order methods are judged by evaluation budget.  The counter is the
-    only mutable state; use :meth:`fresh` to obtain a per-run handle before
-    evaluating from concurrent runs.
+    ``fn`` must be deterministic and finite on domain_x x domain_y.
     """
 
     name: str
@@ -105,17 +101,12 @@ class ObjectiveFunction:
     domain_x: BoxDomain
     domain_y: BoxDomain
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    eval_count: int = field(default=0, compare=False)
 
     def __post_init__(self):
         if self.dim_x < 1 or self.dim_y < 1:
             raise InputError("objective dimensions must be positive")
         if self.domain_x.dim != self.dim_x or self.domain_y.dim != self.dim_y:
             raise InputError("domain dimensions do not match objective dimensions")
-
-    def fresh(self) -> "ObjectiveFunction":
-        """Copy of this objective with its evaluation counter reset."""
-        return replace(self, eval_count=0)
 
     def value(self, x: np.ndarray, y: np.ndarray) -> float:
         """E at a single point; validates dimensions."""
@@ -125,14 +116,11 @@ class ObjectiveFunction:
             raise InputError(f"x has shape {x.shape}, expected ({self.dim_x},)")
         if y.shape != (self.dim_y,):
             raise InputError(f"y has shape {y.shape}, expected ({self.dim_y},)")
-        self.eval_count += 1
         return float(self.fn(x, y))
 
     def batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Broadcast evaluation; xs (..., d1) against ys (..., d2)."""
-        out = np.asarray(self.fn(xs, ys), dtype=float)
-        self.eval_count += out.size
-        return out
+        return np.asarray(self.fn(xs, ys), dtype=float)
 
     def pair_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """All-pairs matrix M[..., i, j] = E(xs[..., i, :], ys[..., j, :]) in one vectorized call.

@@ -28,8 +28,6 @@ _CLUSTER_GAP = 2  # grid cells; larger index gaps split maximizer clusters
 class GridSpec:
     points_per_dim: int = 2049
     refine_rounds: int = 3
-    domain_x: BoxDomain | None = None
-    domain_y: BoxDomain | None = None
 
     def __post_init__(self):
         if self.points_per_dim < 3:
@@ -44,7 +42,6 @@ class OracleSolution:
     y_star: np.ndarray
     value: float
     y_star_all: list[np.ndarray] = field(default_factory=list)
-    envelope_samples: np.ndarray | None = None
     resolution: float = 0.0
 
 
@@ -79,19 +76,24 @@ def _envelope_over(obj, x, y_lower, y_upper, m):
     return float(vals[j]), ys[j], ys, vals
 
 
+def _refine_y(obj, x, grid: GridSpec, value: float, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Shrink the y-window around the incumbent y and rescan it, refine_rounds times: (max value, maximizer)."""
+    box_y = obj.domain_y
+    lo, hi = box_y.lower, box_y.upper
+    for _ in range(grid.refine_rounds):
+        lo, hi = _shrunk(lo, hi, y, box_y)
+        value, y, _, _ = _envelope_over(obj, x, lo, hi, grid.points_per_dim)
+    return value, y
+
+
 def envelope(obj: ObjectiveFunction, x, grid: GridSpec | None = None) -> tuple[float, np.ndarray]:
     """Upper envelope value max_y E(x, y) and its maximizer on the refined grid."""
     grid = grid or GridSpec()
-    box_y = grid.domain_y or obj.domain_y
+    box_y = obj.domain_y
     _check_domain(box_y, "y")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    m = grid.points_per_dim
-    lo, hi = box_y.lower, box_y.upper
-    best_val, best_y, _, _ = _envelope_over(obj, x, lo, hi, m)
-    for _ in range(grid.refine_rounds):
-        lo, hi = _shrunk(lo, hi, best_y, box_y)
-        best_val, best_y, _, _ = _envelope_over(obj, x, lo, hi, m)
-    return best_val, best_y
+    value, y, _, _ = _envelope_over(obj, x, box_y.lower, box_y.upper, grid.points_per_dim)
+    return _refine_y(obj, x, grid, value, y)
 
 
 def _maximizer_clusters(ys: np.ndarray, vals: np.ndarray) -> list[int]:
@@ -124,8 +126,7 @@ def solve_minmax(obj: ObjectiveFunction, grid: GridSpec | None = None) -> Oracle
     maximizers are then refined per cluster at the final x.
     """
     grid = grid or GridSpec()
-    box_x = grid.domain_x or obj.domain_x
-    box_y = grid.domain_y or obj.domain_y
+    box_x, box_y = obj.domain_x, obj.domain_y
     _check_domain(box_x, "x")
     _check_domain(box_y, "y")
     m = grid.points_per_dim
@@ -133,31 +134,20 @@ def solve_minmax(obj: ObjectiveFunction, grid: GridSpec | None = None) -> Oracle
         raise InputError("grid too large; reduce points_per_dim for multi-dimensional domains")
 
     xlo, xhi = box_x.lower, box_x.upper
-    x_star = None
-    envelope_samples = None
+    y_grid = _grid_points(box_y.lower, box_y.upper, m)
     for round_idx in range(grid.refine_rounds + 1):
         if round_idx > 0:
             xlo, xhi = _shrunk(xlo, xhi, x_star, box_x)
         xs = _grid_points(xlo, xhi, m)
-        y_grid = _grid_points(box_y.lower, box_y.upper, m)
-        vals = obj.pair_matrix(xs, y_grid)
-        env = vals.max(axis=1)
-        i = int(np.argmin(env))
-        x_star = xs[i]
-        if round_idx == 0:
-            envelope_samples = np.column_stack([xs, env])
+        upper_envelope = obj.pair_matrix(xs, y_grid).max(axis=1)
+        x_star = xs[int(np.argmin(upper_envelope))]
 
     # inner maximizers at the final x*: cluster on the full coarse y-grid,
     # then refine each representative in its own shrinking window
     _, _, y_grid, y_vals = _envelope_over(obj, x_star, box_y.lower, box_y.upper, m)
-    y_stars = []
-    for rep in _maximizer_clusters(y_grid, y_vals):
-        y_best, v_best = y_grid[rep], float(y_vals[rep])
-        lo, hi = box_y.lower, box_y.upper
-        for _ in range(grid.refine_rounds):
-            lo, hi = _shrunk(lo, hi, y_best, box_y)
-            v_best, y_best, _, _ = _envelope_over(obj, x_star, lo, hi, m)
-        y_stars.append((v_best, y_best))
+    y_stars = [
+        _refine_y(obj, x_star, grid, float(y_vals[rep]), y_grid[rep]) for rep in _maximizer_clusters(y_grid, y_vals)
+    ]
 
     value, y_star = max(y_stars, key=lambda pair: pair[0])
     res_x = float(np.max((xhi - xlo) / (m - 1)))
@@ -167,6 +157,5 @@ def solve_minmax(obj: ObjectiveFunction, grid: GridSpec | None = None) -> Oracle
         y_star=y_star,
         value=value,
         y_star_all=[y for _, y in y_stars],
-        envelope_samples=envelope_samples,
         resolution=max(res_x, res_y),
     )

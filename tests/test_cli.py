@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -231,6 +232,23 @@ def test_sweep_honours_box_override(tmp_path):
         sigma = float(value)
         cfg = replace(base, seed=int(seed), sigma_x=sigma, sigma_y=sigma)
         assert repr(_sweep_trials(obj, benchmark_reference("bilinear"), cfg, [cfg.seed])[0]) == error
+
+
+def test_sweep_with_overflowing_trials_raises_no_numpy_warning(tmp_path, capsys):
+    # at sigma = 3.16e5, unprojected, some trials overflow: their rows read nan, and nothing else reports them
+    argv = ["sweep", "--benchmark", "bilinear", "--parameter", "sigma", "--values", "1.5,3.16e5", "--no-project",
+            "-T", "3", "--trials", "7", "--seed", "9", "--prefix", "sweep"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(argv + ["--out", str(tmp_path / "ignored")]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(tmp_path / "strict")]) == 0
+    assert capsys.readouterr().err == ""
+    for name in ("sweep.csv", "sweep_trials.csv"):
+        assert (tmp_path / "strict" / name).read_bytes() == (tmp_path / "ignored" / name).read_bytes(), name
+    assert ",nan" in (tmp_path / "strict" / "sweep_trials.csv").read_text()
 
 
 def test_cached_parser_carries_no_flags_into_the_next_call(tmp_path):

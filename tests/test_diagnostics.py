@@ -22,7 +22,7 @@ COUPLED = make_benchmark("bilinearly_coupled")
 
 
 def _ens(xs, ys):
-    return Ensemble(xs=np.asarray(xs, float), ys=np.asarray(ys, float), step_index=0, seed=0)
+    return Ensemble(xs=np.asarray(xs, float), ys=np.asarray(ys, float), step_index=0)
 
 
 def best_pair(ensemble, obj):

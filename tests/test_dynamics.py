@@ -38,6 +38,11 @@ def _cfg(**kw):
     return SolverConfig(**defaults)
 
 
+def _streams(*seeds):
+    """The keyed generators of the trials of these seeds, as trajectory makes them."""
+    return [_KeyedStreams(seed) for seed in seeds]
+
+
 def test_uniform_init_moments():
     # mean of U(-4, 4) within 3 sigma / sqrt(N) of zero, per coordinate
     config = _cfg(n_particles=10_000, seed=3)
@@ -78,7 +83,7 @@ def test_gaussian_mean_outside_box_projected_on_first_step():
     ens = initialize(config, BILINEAR)
     assert np.any(ens.xs > 4.0)  # allowed before the first step
     cp, _ = consensus_points(BILINEAR, ens.xs, ens.ys, config.alpha, config.beta)
-    stepped = _advance(ens, config, BILINEAR, cp)
+    stepped = _advance(ens, config, BILINEAR, cp, _streams(config.seed))
     assert BILINEAR.domain_x.contains(stepped.xs)
     assert BILINEAR.domain_y.contains(stepped.ys)
 
@@ -87,7 +92,7 @@ def test_single_particle_zero_noise_is_fixed_point():
     config = _cfg(n_particles=1, sigma_x=0.0, sigma_y=0.0)
     ens = initialize(config, BILINEAR)
     cp, _ = consensus_points(BILINEAR, ens.xs, ens.ys, config.alpha, config.beta)
-    nxt = _advance(ens, config, BILINEAR, cp)
+    nxt = _advance(ens, config, BILINEAR, cp, _streams(config.seed))
     assert np.array_equal(nxt.xs, ens.xs) and np.array_equal(nxt.ys, ens.ys)
     assert nxt.step_index == 1
 
@@ -98,7 +103,7 @@ def test_zero_noise_contracts_deviations_by_one_minus_lambda_dt():
     from minmaxcbo.consensus import consensus_points
 
     cp, _ = consensus_points(BILINEAR, ens.xs, ens.ys, config.alpha, config.beta)
-    nxt = _advance(ens, config, BILINEAR, cp)
+    nxt = _advance(ens, config, BILINEAR, cp, _streams(config.seed))
     factor = 1.0 - config.lambda_x * config.dt_x
     np.testing.assert_allclose(nxt.xs - cp.x_cons, factor * (ens.xs - cp.x_cons), rtol=1e-13)
     np.testing.assert_allclose(
@@ -116,10 +121,10 @@ def test_anisotropic_noise_vanishes_on_zero_deviation_coordinate():
 
     xs = np.array([[1.0, 2.0], [3.0, -1.0]])
     ys = np.array([[0.5, 0.5], [0.5, 2.0]])
-    ens = Ensemble(xs=xs, ys=ys, step_index=0, seed=0)
+    ens = Ensemble(xs=xs, ys=ys, step_index=0)
     # freeze consensus so particle 0 of the y-population has deviation (0, 3)
     cp = ConsensusPoint(x_cons=xs[0].copy(), y_cons_per_particle=np.array([[0.5, -2.5], [0.5, 2.0]]))
-    nxt = _advance(ens, config, obj, cp)
+    nxt = _advance(ens, config, obj, cp, _streams(config.seed))
     # zero deviation in coordinate 0: no drift, no noise there
     assert nxt.ys[0, 0] == ys[0, 0]
     assert nxt.ys[0, 1] != ys[0, 1]
@@ -133,7 +138,7 @@ def test_isotropic_noise_scales_by_euclidean_norm():
     from minmaxcbo.consensus import consensus_points
 
     cp, _ = consensus_points(BILINEAR, ens.xs, ens.ys, config.alpha, config.beta)
-    nxt = _advance(ens, config, BILINEAR, cp)
+    nxt = _advance(ens, config, BILINEAR, cp, _streams(config.seed))
     noise = _rng(config.seed, _TAG_STEP_X, 0).standard_normal(ens.xs.shape)
     dev = ens.xs - cp.x_cons[None, :]
     expected = ens.xs - config.lambda_x * config.dt_x * dev + config.sigma_x * math.sqrt(
@@ -175,18 +180,16 @@ def test_run_determinism_bitwise():
 
 def test_projection_keeps_every_step_inside_box():
     config = _cfg(sigma_x=4.0, sigma_y=4.0, horizon=3.0, seed=2)
-    for ensemble, _, _ in trajectory(config, FORSAKEN.fresh()):
+    for ensemble, _, _ in trajectory(config, FORSAKEN):
         assert FORSAKEN.domain_x.contains(ensemble.xs)
         assert FORSAKEN.domain_y.contains(ensemble.ys)
 
 
 def test_trajectory_yields_every_state_and_counts_like_run():
     config = _cfg(horizon=2.0, seed=8)
-    before = FORSAKEN.eval_count
     record = run(config, FORSAKEN)
-    obj = FORSAKEN.fresh()
     indices, pairs = [], []
-    for ensemble, cp, (bx, by, bval) in trajectory(config, obj):
+    for ensemble, cp, (bx, by, bval) in trajectory(config, FORSAKEN):
         indices.append(ensemble.step_index)
         pairs.append((bx, by, bval))
         assert bx.shape == by.shape == (1,) and cp.y_cons_per_particle.shape == (10, 1)
@@ -195,10 +198,30 @@ def test_trajectory_yields_every_state_and_counts_like_run():
         (bx.tobytes(), by.tobytes()) for bx, by in zip(record.best_x, record.best_y)
     ]
     assert [bval for _, _, bval in pairs] == record.best_value_trace.tolist()
-    assert obj.eval_count == record.eval_count == 21 * (100 + 10)
-    assert FORSAKEN.eval_count == before  # run counts on its own copy
+    assert record.eval_count == 21 * (100 + 10)
     assert ensemble.xs.tobytes() == record.final_ensemble.xs.tobytes()
     assert ensemble.ys.tobytes() == record.final_ensemble.ys.tobytes()
+
+
+def test_eval_count_equals_the_evaluations_made():
+    # fn tallies the broadcast size of every call it gets, whichever path makes the call
+    sizes = []
+
+    def tallied(x, y):
+        sizes.append(math.prod(np.broadcast_shapes(x.shape[:-1], y.shape[:-1])))
+        return x[..., 0] * y[..., 0]
+
+    obj = ObjectiveFunction("tallied", 1, 1, BILINEAR.domain_x, BILINEAR.domain_y, tallied)
+    for n, horizon in ((5, 15.0), (1000, 0.2)):  # N=1000: 3 states of 16 row blocks each
+        sizes.clear()
+        record = run(_cfg(n_particles=n, horizon=horizon), obj)
+        assert sum(sizes) == record.eval_count == len(record) * n * (n + 1), n
+    assert len(sizes) == 3 * (16 + 1)
+    config, seeds = _cfg(n_particles=7, horizon=2.0), [4, 9, 2]
+    sizes.clear()
+    for _ in trajectory(config, obj, seeds):
+        pass
+    assert sum(sizes) == len(seeds) * (config.n_steps + 1) * 7 * 8
 
 
 @pytest.mark.parametrize("consumer", ["run", "sweep_trial"] + [f"consensus_points-{n}" for n in BENCHMARK_IDS])
@@ -232,7 +255,7 @@ def test_epsilon_one_matches_single_timescale_update():
     from minmaxcbo.consensus import consensus_points
 
     cp, _ = consensus_points(BILINEAR, ens.xs, ens.ys, config.alpha, config.beta)
-    nxt = _advance(ens, config, BILINEAR, cp)
+    nxt = _advance(ens, config, BILINEAR, cp, _streams(config.seed))
     noise = _rng(6, _TAG_STEP_X, 0).standard_normal(ens.xs.shape)
     dev = ens.xs - cp.x_cons[None, :]
     dt = config.dt_y
@@ -246,13 +269,13 @@ def test_simultaneity_under_particle_permutation():
     config = _cfg(sigma_x=0.0, sigma_y=0.0, n_particles=8, seed=12)
     ens = initialize(config, BILINEAR)
     cp, _ = consensus_points(BILINEAR, ens.xs, ens.ys, config.alpha, config.beta)
-    base = _advance(ens, config, BILINEAR, cp)
+    base = _advance(ens, config, BILINEAR, cp, _streams(config.seed))
     perm = np.random.default_rng(0).permutation(8)
     from minmaxcbo.dynamics import Ensemble
 
-    shuffled = Ensemble(xs=ens.xs[perm], ys=ens.ys[perm], step_index=0, seed=config.seed)
+    shuffled = Ensemble(xs=ens.xs[perm], ys=ens.ys[perm], step_index=0)
     cp, _ = consensus_points(BILINEAR, shuffled.xs, shuffled.ys, config.alpha, config.beta)
-    stepped = _advance(shuffled, config, BILINEAR, cp)
+    stepped = _advance(shuffled, config, BILINEAR, cp, _streams(config.seed))
     np.testing.assert_allclose(stepped.xs, base.xs[perm], rtol=0, atol=1e-12)
     np.testing.assert_allclose(stepped.ys, base.ys[perm], rtol=0, atol=1e-12)
 
@@ -344,7 +367,7 @@ def test_non_finite_state_raises_numerical_error():
     ens = initialize(config, BILINEAR)
     cp, _ = consensus_points(BILINEAR, ens.xs, ens.ys, config.alpha, config.beta)
     with pytest.raises(NumericalError, match="step 0"):
-        _advance(ens, config, BILINEAR, cp)
+        _advance(ens, config, BILINEAR, cp, _streams(config.seed))
 
 
 # Keys at and around the chunk edges of the run's keyed streams, and past 2**16.
@@ -408,7 +431,7 @@ def _reference_record(config, obj, reference):
         return np.min(np.sum((ys[:, None, :] - ref.y_star_set[None, :, :]) ** 2, axis=2), axis=1)
 
     series = {name: [] for name in _SERIES}
-    for ensemble, _, (bx, by, bval) in trajectory(config, obj.fresh()):
+    for ensemble, _, (bx, by, bval) in trajectory(config, obj):
         xs, ys = ensemble.xs, ensemble.ys
         series["times"].append(ensemble.step_index * config.dt_y)
         if reference is not None:
@@ -478,14 +501,14 @@ def test_batched_kernel_equals_each_trial_alone_bitwise(name, n_trials, n):
     config = _cfg(n_particles=n, diffusion="isotropic" if name == "two_dim" else "anisotropic", project=False)
     seeds = tuple(range(40, 40 + n_trials))
     cp, (bx, by, value) = consensus_points(obj, xs, ys, 30.0, 1e4)
-    stepped = _advance(Ensemble(xs, ys, 3, seeds), config, obj, cp)
-    assert stepped.seed == seeds and value.shape == (n_trials,)
+    stepped = _advance(Ensemble(xs, ys, 3), config, obj, cp, _streams(*seeds))
+    assert stepped.step_index == 4 and value.shape == (n_trials,)
     for t, seed in enumerate(seeds):
         cp_t, (bx_t, by_t, value_t) = consensus_points(obj, xs[t], ys[t], 30.0, 1e4)
         got = (cp.x_cons[t], cp.y_cons_per_particle[t], bx[t], by[t], value[t])
         want = (cp_t.x_cons, cp_t.y_cons_per_particle, bx_t, by_t, np.float64(value_t))
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want], (name, t)
-        alone = _advance(Ensemble(xs[t], ys[t], 3, seed), config, obj, cp_t)
+        alone = _advance(Ensemble(xs[t], ys[t], 3), config, obj, cp_t, _streams(seed))
         assert stepped.xs[t].tobytes() == alone.xs.tobytes() and stepped.ys[t].tobytes() == alone.ys.tobytes()
 
 
@@ -507,7 +530,7 @@ def test_batch_errors_name_the_failing_trial():
     xs[1, 3, 0] = 1e308
     cp = ConsensusPoint(x_cons=np.array([[0.0], [-1e308]]), y_cons_per_particle=np.zeros((2, 4, 1)))
     with pytest.raises(NumericalError, match=r"^non-finite x-state after step 0 at particle 3$"):
-        _advance(Ensemble(xs, ys, 0, (5, 6)), config, BILINEAR, cp)
+        _advance(Ensemble(xs, ys, 0), config, BILINEAR, cp, _streams(5, 6))
 
 
 def _bounded(x, y):
@@ -523,12 +546,12 @@ def test_trial_whose_state_overflows_fails_its_batch_and_reads_nan_in_the_sweep(
     config = _cfg(n_particles=5, sigma_x=3e28, sigma_y=3e28, horizon=1.1, project=False)
     seeds = list(range(12))
     with pytest.raises(NumericalError, match="-state after step"):
-        for _ in trajectory(config, obj.fresh(), seeds):
+        for _ in trajectory(config, obj, seeds):
             pass
     with np.errstate(over="ignore"):  # the surviving states pass 1e154, whose squared error is inf
         errors = harness._sweep_trials(obj, ref, config, seeds)
         survivors = [seed for seed, error in zip(seeds, errors) if not math.isnan(error)]
-        for ensemble, _, (bx, by, value) in trajectory(config, obj.fresh(), survivors):
+        for ensemble, _, (bx, by, value) in trajectory(config, obj, survivors):
             pass
         for seed, error in zip(seeds, errors):
             try:

@@ -152,6 +152,31 @@ def test_sweep_records_failures_as_nan():
     assert math.isnan(s.median_error)
 
 
+def _bounded(x, y):
+    return np.tanh(x[..., 0]) * np.tanh(y[..., 0])
+
+
+def test_sweep_counts_a_finished_trial_of_infinite_error_and_writes_inf(tmp_path):
+    # at sigma = 3e28 the states grow by about 1e28 per step: of seeds 0-11 the state of seed 7 overflows,
+    # so its trial fails, while the others finish past 1e154, where the squared error is inf
+    box = BoxDomain(np.array([-1.0]), np.array([1.0]))
+    register_benchmark("bounded_tanh", _bounded, box, box,
+                       reference=ReferencePoint(np.array([0.0]), np.array([[0.0]])))
+    base, obj = benchmark_config("bounded_tanh", {"n_particles": 5, "horizon": 1.1, "project": False, "seed": 0})
+    spec = SweepSpec(parameter="sigma", values=[3e28], objective=obj, base=base, trials=12)
+    summaries = run_sweep(spec)
+    s = summaries[0]
+    assert [repr(e) for e in s.errors] == ["inf"] * 7 + ["nan"] + ["inf"] * 4
+    assert s.median_error == s.q20 == s.q80 == math.inf
+    write_sweep_csv(tmp_path / "s.csv", tmp_path / "t.csv", spec, summaries)
+    with open(tmp_path / "s.csv", newline="") as fh:
+        [row] = list(csv.DictReader(fh))
+    summary = (row["median_error"], row["q20"], row["q80"], row["n_ok"], row["trials"])
+    assert summary == ("inf", "inf", "inf", "11", "12")
+    with open(tmp_path / "t.csv", newline="") as fh:
+        assert [r["error"] for r in csv.DictReader(fh)] == ["inf"] * 7 + ["nan"] + ["inf"] * 4
+
+
 def test_sweep_parallel_jobs_match_serial():
     spec = _tiny_spec(values=[1.0, 2.0], trials=2)
     serial = run_sweep(spec)
@@ -261,9 +286,9 @@ def test_sweep_csv_schema(tmp_path):
 def _assert_batch_equals_runs_alone(obj, ref, config, n_trials):
     """Each trial of the batch of seeds config.seed + t equals its run alone: final ensemble and best-pair error."""
     seeds = [config.seed + t for t in range(n_trials)]
-    for ensemble, _, _ in dynamics.trajectory(config, obj.fresh(), seeds):
+    for ensemble, _, _ in dynamics.trajectory(config, obj, seeds):
         pass
-    assert ensemble.step_index == config.n_steps and ensemble.seed == tuple(seeds)
+    assert ensemble.step_index == config.n_steps and ensemble.xs.shape[0] == len(seeds)
     errors = harness._sweep_trials(obj, ref, config, seeds)
     for t, seed in enumerate(seeds):
         alone = run(replace(config, seed=seed), obj, reference=ref)

@@ -90,18 +90,6 @@ def test_dimension_mismatch_raises():
         obj.value([1.0], [3.0, 4.0])
 
 
-def test_eval_counter_and_fresh():
-    obj = make_benchmark("forsaken")
-    assert obj.eval_count == 0
-    obj.value([0.1], [0.2])
-    assert obj.eval_count == 1
-    obj.pair_matrix(np.zeros((4, 1)), np.zeros((6, 1)))
-    assert obj.eval_count == 1 + 24
-    clone = obj.fresh()
-    assert clone.eval_count == 0
-    assert obj.eval_count == 25  # original untouched
-
-
 def test_box_override():
     obj = make_benchmark("bilinear", box_x=(-1.0, 1.0), box_y=(-2.0, 2.0))
     assert obj.domain_x.lower[0] == -1.0

@@ -99,11 +99,8 @@ def test_grid_halving_stability():
         assert np.all(np.abs(coarse.y_star - fine.y_star) < cell_y), name
 
 
-def test_envelope_samples_and_resolution():
+def test_resolution():
     sol = solve_minmax(make_benchmark("sixth_order"), GridSpec(points_per_dim=129, refine_rounds=2))
-    assert sol.envelope_samples.shape == (129, 2)
-    xs = sol.envelope_samples[:, 0]
-    assert xs[0] == -2.0 and xs[-1] == 2.0
     assert sol.resolution == pytest.approx(4.0 * 0.25**2 / 128)
 
 

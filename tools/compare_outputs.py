@@ -16,7 +16,10 @@ its own ``src/`` first on the path and one BLAS thread:
   trial (all 7, or 4 and 3 on two jobs), at N = 160 every trial runs alone;
 - ``sweep`` of ``bilinear`` over sigma in {1.5, 3.16e5}, unprojected, 7
   trials, horizon 3, at ``--jobs 1`` and ``--jobs 2``: at sigma = 3.16e5
-  some trials turn non-finite, so their rows read ``nan``.
+  some trials turn non-finite, so their rows read ``nan``;
+- ``oracle`` of ``forsaken`` (two inner maximizers) and ``sixth_order`` on a
+  257-point grid with 2 refinement rounds, and one ``gda`` run of
+  ``bilinearly_coupled``: these take a file path as ``--out``.
 
 Each output file is hashed with sha256.  The JSON summaries are hashed
 without their ``wall_time_s``, the one field that varies between calls.
@@ -49,6 +52,13 @@ SWEEPS = [
        "-T", "3", "--trials", "7", "--seed", "9", "--jobs", jobs, "--prefix", f"sweep_failing_jobs{jobs}"]
       for jobs in ("1", "2")),
 ]
+# (argv, output file name): oracle and gda write the one file named by --out.
+FILE_OUTPUTS = [
+    *((["oracle", "--benchmark", name, "--points", "257", "--rounds", "2"], f"oracle_{name}.json")
+      for name in ("forsaken", "sixth_order")),
+    (["gda", "--benchmark", "bilinearly_coupled", "--mode", "alternating", "--eta", "0.01", "--iters", "200",
+      "--start=0.5,-0.5"], "gda_bilinearly_coupled.csv"),
+]
 CHILD = """
 import json, sys
 from minmaxcbo.cli import main
@@ -59,19 +69,19 @@ for argv in json.loads(sys.argv[1]):
 ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
-def commands(benchmarks: list[str]) -> list[list[str]]:
-    """The CLI calls both sides make; each writes under the directory given as --out."""
+def commands(benchmarks: list[str]) -> list[tuple[list[str], str | None]]:
+    """The CLI calls both sides make, each with the file it writes, or None for one that writes into --out."""
     calls = [
         ["solve", "--benchmark", name, "--init", mode, "--seed", str(seed), "-T", HORIZON,
          "--prefix", f"{name}_{mode}_seed{seed}"]
         for name in benchmarks for mode in INIT_MODES for seed in SEEDS
     ]
-    return calls + SWEEPS
+    return [(call, None) for call in calls + SWEEPS] + FILE_OUTPUTS
 
 
-def run_side(root: Path, calls: list[list[str]], out: Path) -> None:
+def run_side(root: Path, calls: list[tuple[list[str], str | None]], out: Path) -> None:
     out.mkdir(parents=True)
-    argvs = [call + ["--out", str(out)] for call in calls]
+    argvs = [call + ["--out", str(out / name if name else out)] for call, name in calls]
     env = {**os.environ, **ONE_BLAS_THREAD, "PYTHONPATH": str(root / "src")}
     proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argvs)], cwd=root, env=env,
                           capture_output=True, text=True, check=False)
