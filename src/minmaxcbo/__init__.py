@@ -10,7 +10,7 @@ harness for seeded runs and parameter sweeps.
 from .baselines import GdaConfig, GdaRun, gda_run
 from .consensus import ConsensusPoint, laplace_gap
 from .diagnostics import RunRecord, error_to_reference, fit_decay_rate, spread, variance
-from .dynamics import Ensemble, InitSpec, SolverConfig, initialize, run, trajectory
+from .dynamics import Ensemble, SolverConfig, initialize, run, trajectory
 from .errors import ConfigError, InputError, NumericalError
 from .harness import SweepSpec, TrialSummary, run_benchmark, run_sweep
 from .objectives import (
@@ -35,7 +35,6 @@ __all__ = [
     "GdaConfig",
     "GdaRun",
     "GridSpec",
-    "InitSpec",
     "InputError",
     "NumericalError",
     "ObjectiveFunction",

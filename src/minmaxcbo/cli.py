@@ -37,7 +37,7 @@ from .harness import (
     write_run_summary,
     write_sweep_csv,
 )
-from .objectives import BENCHMARK_IDS, make_benchmark
+from .objectives import lookup_benchmark, make_benchmark
 from .oracle import GridSpec, solve_minmax
 
 __all__ = ["main"]
@@ -57,11 +57,11 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
             parser.add_argument(*spec.flags, dest=key, action="store_const", const="true")
             parser.add_argument(f"--no-{spec.flags[0][2:]}", dest=key, action="store_const", const="false")
         else:
-            parser.add_argument(*spec.flags, dest=key, choices=spec.choices, help=spec.help)
+            parser.add_argument(*spec.flags, dest=key, help=spec.help)
 
 
 def _collect_overrides(args: argparse.Namespace) -> tuple[str, dict]:
-    """Merge defaults < config file < flags; returns (benchmark, overrides)."""
+    """Merge defaults < config file < flags; returns (the benchmark's registry id, overrides)."""
     overrides = parse_config_file(args.config) if args.config else {}
     for key in CONFIG_KEYS:
         text = getattr(args, key)
@@ -70,7 +70,7 @@ def _collect_overrides(args: argparse.Namespace) -> tuple[str, dict]:
     benchmark = overrides.pop("benchmark", None)
     if not benchmark:
         raise ConfigError("no benchmark specified (use --benchmark or a config file)")
-    return benchmark, overrides
+    return lookup_benchmark(benchmark).name, overrides
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -115,8 +115,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    if not args.benchmark:
-        raise ConfigError("no benchmark specified")
     obj = make_benchmark(args.benchmark)
     grid = GridSpec(points_per_dim=args.points, refine_rounds=args.rounds)
     start = time.perf_counter()
@@ -139,8 +137,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_gda(args: argparse.Namespace) -> int:
-    if not args.benchmark:
-        raise ConfigError("no benchmark specified")
     obj = make_benchmark(args.benchmark)
     start_vals = parse_floats(args.start)
     if len(start_vals) != obj.dim_x + obj.dim_y:
@@ -212,14 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_oracle = sub.add_parser("oracle", help="grid-certified global min-max point")
-    p_oracle.add_argument("--benchmark", choices=BENCHMARK_IDS, required=True)
+    p_oracle.add_argument("--benchmark", required=True, help="benchmark objective id")
     p_oracle.add_argument("--points", type=int, default=2049)
     p_oracle.add_argument("--rounds", type=int, default=3)
     p_oracle.add_argument("--out", help="write the JSON solution here as well")
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_gda = sub.add_parser("gda", help="gradient descent-ascent baseline")
-    p_gda.add_argument("--benchmark", choices=BENCHMARK_IDS, required=True)
+    p_gda.add_argument("--benchmark", required=True, help="benchmark objective id")
     p_gda.add_argument("--mode", choices=("simultaneous", "alternating"), default="simultaneous")
     p_gda.add_argument("--eta", type=float, default=0.1)
     p_gda.add_argument("--iters", type=int, default=100)
@@ -267,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, InputError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -7,7 +7,7 @@ quantities whose exponential decay the theory predicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -32,10 +32,6 @@ _FIT_FLOOR_REL = 1e-3
 _FIT_FLOOR_ABS = 1e-12
 
 
-def _no_rows() -> np.ndarray:
-    return np.empty(0)
-
-
 @dataclass
 class RunRecord:
     """Diagnostics time series of one solver run, one row per state (n_steps + 1 rows).
@@ -47,17 +43,17 @@ class RunRecord:
     (rows, d2).
     """
 
-    times: np.ndarray = field(default_factory=_no_rows)
-    variance_x: np.ndarray = field(default_factory=_no_rows)
-    variance_y: np.ndarray = field(default_factory=_no_rows)
-    spread_x: np.ndarray = field(default_factory=_no_rows)
-    spread_y: np.ndarray = field(default_factory=_no_rows)
-    mean_x: np.ndarray = field(default_factory=_no_rows)
-    mean_y: np.ndarray = field(default_factory=_no_rows)
-    best_x: np.ndarray = field(default_factory=_no_rows)
-    best_y: np.ndarray = field(default_factory=_no_rows)
-    best_value_trace: np.ndarray = field(default_factory=_no_rows)
-    best_error_trace: np.ndarray = field(default_factory=_no_rows)
+    times: np.ndarray
+    variance_x: np.ndarray
+    variance_y: np.ndarray
+    spread_x: np.ndarray
+    spread_y: np.ndarray
+    mean_x: np.ndarray
+    mean_y: np.ndarray
+    best_x: np.ndarray
+    best_y: np.ndarray
+    best_value_trace: np.ndarray
+    best_error_trace: np.ndarray
     final_ensemble: "Ensemble | None" = None
     eval_count: int = 0
 
@@ -80,7 +76,7 @@ class RunRecord:
 
     @property
     def variance_total(self) -> np.ndarray:
-        return np.asarray(self.variance_x) + np.asarray(self.variance_y)
+        return self.variance_x + self.variance_y
 
     def __len__(self) -> int:
         return len(self.times)
@@ -134,14 +130,14 @@ def error_to_reference(pair: tuple[np.ndarray, np.ndarray], ref: ReferencePoint)
     return _float_or_array(np.sum((x - ref.x_star) ** 2, axis=-1) + _nearest_y_sq(y, ref))
 
 
-def fit_decay_rate(record: RunRecord) -> float:
+def fit_decay_rate(times, v) -> float:
     """Least-squares slope of log V(t) over the window before the noise floor.
 
-    The window is the initial stretch where V exceeds
-    max(1e-12, 1e-3 * V(0)); a negative slope means decay.
+    ``times`` and ``v`` are the series t and V(t), such as a record's
+    ``times`` and ``variance_total``.  The window is the initial stretch
+    where V exceeds max(1e-12, 1e-3 * V(0)); a negative slope means decay.
     """
-    v = record.variance_total
-    t = np.asarray(record.times, dtype=float)
+    t, v = np.asarray(times, dtype=float), np.asarray(v, dtype=float)
     if v.size < 10 or np.count_nonzero(v > 0) < 10:
         raise NumericalError("decay fit needs at least 10 steps with positive variance")
     if v[0] <= 0:

@@ -9,7 +9,7 @@ drift scaled accordingly and noise by the square root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -20,7 +20,7 @@ from .diagnostics import RunRecord, error_to_reference, spread, variance
 from .errors import ConfigError, NumericalError
 from .objectives import ObjectiveFunction, ReferencePoint
 
-__all__ = ["InitSpec", "SolverConfig", "Ensemble", "initialize", "trajectory", "run"]
+__all__ = ["SolverConfig", "Ensemble", "initialize", "trajectory", "run"]
 
 INIT_MODES = ("uniform_box", "border", "gaussian")
 DIFFUSION_MODES = ("anisotropic", "isotropic")
@@ -153,36 +153,17 @@ class _KeyedStreams:
         return self._gen
 
 
-@dataclass
-class InitSpec:
-    """How the initial particle positions are drawn.
-
-    border mode puts each joint particle (X^i, Y^i) on the boundary of the
-    product search box: one coordinate sits at a face chosen uniformly
-    among the 2*(d1+d2) faces, the rest are uniform.
-    """
-
-    mode: str = "uniform_box"
-    mean: float = 0.0
-    std: float = 1.0
-
-    def __post_init__(self):
-        if self.mode not in INIT_MODES:
-            raise ConfigError(f"init mode must be one of {INIT_MODES}, got {self.mode!r}")
-        if not (math.isfinite(self.mean) and math.isfinite(self.std)):
-            raise ConfigError(f"init mean and std must be finite, got {self.mean!r} and {self.std!r}")
-        if self.mode == "gaussian" and not self.std > 0:
-            raise ConfigError("gaussian init requires std > 0")
-
-
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """Parameters of the particle dynamics.
+    """Parameters of the particle dynamics, validated on construction.
 
     dt_y is the master step size; the x-population uses dt_x =
-    epsilon_scale * dt_y.  When check_decay_regime is set, the config
-    enforces the contraction condition 2*lambda > sigma^2 for both
-    populations.
+    epsilon_scale * dt_y.  init names how the initial particle positions
+    are drawn: uniformly in the box, on its border, or from a gaussian of
+    init_mean and init_std.  border mode puts each joint particle
+    (X^i, Y^i) on the boundary of the product search box: one coordinate
+    sits at a face chosen uniformly among the 2*(d1+d2) faces, the rest are
+    uniform.
     """
 
     n_particles: int = 20
@@ -197,9 +178,10 @@ class SolverConfig:
     horizon: float = 15.0
     diffusion: str = "anisotropic"
     seed: int = 0
-    init: InitSpec = field(default_factory=InitSpec)
+    init: str = "uniform_box"
+    init_mean: float = 0.0
+    init_std: float = 1.0
     project: bool = True
-    check_decay_regime: bool = False
 
     @property
     def dt_x(self) -> float:
@@ -209,8 +191,9 @@ class SolverConfig:
     def n_steps(self) -> int:
         return int(math.ceil(self.horizon / self.dt_y - 1e-9))
 
-    def validate(self) -> "SolverConfig":
-        for name in ("lambda_x", "lambda_y", "sigma_x", "sigma_y", "alpha", "beta", "horizon"):
+    def __post_init__(self):
+        finite = ("lambda_x", "lambda_y", "sigma_x", "sigma_y", "alpha", "beta", "horizon", "init_mean", "init_std")
+        for name in finite:
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.n_particles < 1:
@@ -228,14 +211,13 @@ class SolverConfig:
         if self.horizon <= 0:
             raise ConfigError("horizon must be > 0")
         if self.diffusion not in DIFFUSION_MODES:
-            raise ConfigError(f"diffusion must be one of {DIFFUSION_MODES}")
+            raise ConfigError(f"diffusion must be one of {DIFFUSION_MODES}, got {self.diffusion!r}")
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
-        if self.check_decay_regime:
-            for lam, sig, name in ((self.lambda_x, self.sigma_x, "x"), (self.lambda_y, self.sigma_y, "y")):
-                if not 2 * lam - sig**2 > 0:
-                    raise ConfigError(f"decay regime requires 2*lambda > sigma^2 in {name}")
-        return self
+        if self.init not in INIT_MODES:
+            raise ConfigError(f"init mode must be one of {INIT_MODES}, got {self.init!r}")
+        if self.init == "gaussian" and not self.init_std > 0:
+            raise ConfigError("gaussian init requires init_std > 0")
 
 
 @dataclass
@@ -252,17 +234,16 @@ class Ensemble:
 
 
 def initialize(config: SolverConfig, obj: ObjectiveFunction) -> Ensemble:
-    """Draw the initial ensemble from the seeded generator per the init spec."""
-    config.validate()
-    n, mode = config.n_particles, config.init.mode
+    """Draw the initial ensemble from the seeded generator per the config's init mode."""
+    n, mode = config.n_particles, config.init
     box_x, box_y = obj.domain_x, obj.domain_y
     if mode in ("uniform_box", "border") and not (box_x.is_bounded and box_y.is_bounded):
         raise ConfigError(f"{mode} initialization requires bounded domains")
     gen_x = _rng(config.seed, _TAG_INIT_X, 0)
     gen_y = _rng(config.seed, _TAG_INIT_Y, 0)
     if mode == "gaussian":
-        xs = gen_x.normal(config.init.mean, config.init.std, (n, box_x.dim))
-        ys = gen_y.normal(config.init.mean, config.init.std, (n, box_y.dim))
+        xs = gen_x.normal(config.init_mean, config.init_std, (n, box_x.dim))
+        ys = gen_y.normal(config.init_mean, config.init_std, (n, box_y.dim))
     else:
         xs = gen_x.uniform(box_x.lower, box_x.upper, (n, box_x.dim))
         ys = gen_y.uniform(box_y.lower, box_y.upper, (n, box_y.dim))
@@ -368,27 +349,30 @@ def run(config: SolverConfig, obj: ObjectiveFunction, reference: ReferencePoint 
     about _STAGE_FLOATS floats, and each full buffer, then the last partial
     one, fills its rows in one vectorized pass.  ``eval_count`` is the
     run's budget by construction: each state evaluates E once per (X^i, Y^j)
-    pair and once per outer point (X^i, yhat(X^i)).
+    pair and once per outer point (X^i, yhat(X^i)).  numpy's floating-point
+    warnings are silenced, as in a sweep: a non-finite state raises
+    NumericalError, and a finite state's overflowing metric reads inf.
     """
     n, rows = config.n_particles, config.n_steps + 1
     record = RunRecord.allocate(rows, obj.dim_x, obj.dim_y)
     record.times[:] = np.arange(rows) * config.dt_y
     chunk = max(1, _STAGE_FLOATS // (n * (obj.dim_x + obj.dim_y)))
     stage_x, stage_y = np.empty((chunk, n, obj.dim_x)), np.empty((chunk, n, obj.dim_y))
-    for ensemble, _, (bx, by, bval) in trajectory(config, obj):
-        k = ensemble.step_index
-        i = k % chunk
-        stage_x[i], stage_y[i] = ensemble.xs, ensemble.ys
-        record.best_x[k], record.best_y[k], record.best_value_trace[k] = bx, by, bval
-        if i == chunk - 1 or k == rows - 1:
-            filled = slice(k - i, k + 1)
-            states = Ensemble(xs=stage_x[: i + 1], ys=stage_y[: i + 1])
-            if reference is not None:
-                record.variance_x[filled], record.variance_y[filled] = variance(states, reference)
-            record.spread_x[filled], record.spread_y[filled] = spread(states)
-            record.mean_x[filled], record.mean_y[filled] = states.xs.mean(axis=-2), states.ys.mean(axis=-2)
-    if reference is not None:
-        record.best_error_trace[:] = error_to_reference((record.best_x, record.best_y), reference)
+    with np.errstate(all="ignore"):
+        for ensemble, _, (bx, by, bval) in trajectory(config, obj):
+            k = ensemble.step_index
+            i = k % chunk
+            stage_x[i], stage_y[i] = ensemble.xs, ensemble.ys
+            record.best_x[k], record.best_y[k], record.best_value_trace[k] = bx, by, bval
+            if i == chunk - 1 or k == rows - 1:
+                filled = slice(k - i, k + 1)
+                states = Ensemble(xs=stage_x[: i + 1], ys=stage_y[: i + 1])
+                if reference is not None:
+                    record.variance_x[filled], record.variance_y[filled] = variance(states, reference)
+                record.spread_x[filled], record.spread_y[filled] = spread(states)
+                record.mean_x[filled], record.mean_y[filled] = states.xs.mean(axis=-2), states.ys.mean(axis=-2)
+        if reference is not None:
+            record.best_error_trace[:] = error_to_reference((record.best_x, record.best_y), reference)
     record.final_ensemble = ensemble
     record.eval_count = rows * n * (n + 1)
     return record

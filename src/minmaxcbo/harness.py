@@ -22,10 +22,9 @@ import numpy as np
 
 from . import dynamics
 from .diagnostics import RunRecord, error_to_reference
-from .dynamics import DIFFUSION_MODES, INIT_MODES, SolverConfig, run
+from .dynamics import SolverConfig, run
 from .errors import ConfigError, InputError, NumericalError
 from .objectives import (
-    BENCHMARK_IDS,
     ObjectiveFunction,
     ReferencePoint,
     benchmark_reference,
@@ -106,22 +105,23 @@ def _parse_pair(text: str) -> tuple[float, float]:
 class ConfigKey:
     """One configuration key: its text parser, the fields it sets and its CLI flags.
 
-    ``sets`` names SolverConfig fields, or InitSpec fields as ``init.<name>``;
-    the benchmark and box keys set none because they select the objective.
-    A key parsed by parse_bool also gets a ``--no-`` flag.
+    ``sets`` names SolverConfig fields; the benchmark and box keys set
+    none because they select the objective.  A key parsed by parse_bool
+    also gets a ``--no-`` flag.  Values are checked where they are used:
+    benchmark ids by the registry, boxes by BoxDomain, every other value
+    by SolverConfig.
     """
 
     parse: Callable[[str], object]
     sets: tuple[str, ...]
     flags: tuple[str, ...]
     help: str | None = None
-    choices: tuple[str, ...] | None = None
 
 
 # The one table of configuration keys: config files, the solve/sweep flags,
 # apply_overrides and the sweep parameters all read it.
 CONFIG_KEYS = {
-    "benchmark": ConfigKey(str, (), ("--benchmark",), "benchmark objective id", BENCHMARK_IDS),
+    "benchmark": ConfigKey(str, (), ("--benchmark",), "benchmark objective id"),
     "n_particles": ConfigKey(int, ("n_particles",), ("-N", "--n-particles")),
     "lambda": ConfigKey(float, ("lambda_x", "lambda_y"), ("--lam",), "drift rate for both populations"),
     "lambda_x": ConfigKey(float, ("lambda_x",), ("--lambda-x",)),
@@ -134,11 +134,11 @@ CONFIG_KEYS = {
     "dt": ConfigKey(float, ("dt_y",), ("--dt",), "y-population step size"),
     "epsilon": ConfigKey(float, ("epsilon_scale",), ("--epsilon",), "time-scale ratio dt_x / dt_y"),
     "horizon": ConfigKey(float, ("horizon",), ("-T", "--horizon")),
-    "diffusion": ConfigKey(str, ("diffusion",), ("--diffusion",), choices=DIFFUSION_MODES),
+    "diffusion": ConfigKey(str, ("diffusion",), ("--diffusion",), "anisotropic or isotropic"),
     "seed": ConfigKey(int, ("seed",), ("--seed",)),
-    "init": ConfigKey(str, ("init.mode",), ("--init",), choices=INIT_MODES),
-    "init_mean": ConfigKey(float, ("init.mean",), ("--init-mean",)),
-    "init_std": ConfigKey(float, ("init.std",), ("--init-std",)),
+    "init": ConfigKey(str, ("init",), ("--init",), "uniform_box, border or gaussian"),
+    "init_mean": ConfigKey(float, ("init_mean",), ("--init-mean",)),
+    "init_std": ConfigKey(float, ("init_std",), ("--init-std",)),
     "project": ConfigKey(parse_bool, ("project",), ("--project",)),
     "box_x": ConfigKey(_parse_pair, (), ("--box-x",), "override x-domain, e.g. --box-x=-4,4"),
     "box_y": ConfigKey(_parse_pair, (), ("--box-y",), "override y-domain, e.g. --box-y=-4,4"),
@@ -185,14 +185,12 @@ def parse_config_file(path: str) -> dict:
 
 def apply_overrides(config: SolverConfig, overrides: dict) -> SolverConfig:
     """Set the fields each key names, in the order given; later keys win."""
-    solver, init = {}, {}
+    fields = {}
     for key, value in overrides.items():
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown configuration key {key!r}")
-        for target in CONFIG_KEYS[key].sets:
-            owner, _, name = target.rpartition(".")
-            (init if owner else solver)[name] = value
-    return replace(config, init=replace(config.init, **init), **solver)
+        fields.update(dict.fromkeys(CONFIG_KEYS[key].sets, value))
+    return replace(config, **fields)
 
 
 def benchmark_config(benchmark: str, overrides: dict | None = None) -> tuple[SolverConfig, ObjectiveFunction]:
@@ -205,7 +203,7 @@ def benchmark_config(benchmark: str, overrides: dict | None = None) -> tuple[Sol
     overrides = overrides or {}
     obj = make_benchmark(benchmark, box_x=overrides.get("box_x"), box_y=overrides.get("box_y"))
     config = SolverConfig(horizon=lookup_benchmark(benchmark).horizon)
-    return apply_overrides(config, overrides).validate(), obj
+    return apply_overrides(config, overrides), obj
 
 
 def run_benchmark(benchmark: str, overrides: dict | None = None) -> tuple[RunRecord, SolverConfig]:
@@ -271,7 +269,7 @@ def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
 
 def _configured(spec: SweepSpec, value) -> SolverConfig:
     overrides = {key: value for key in SWEEP_PARAMETERS[spec.parameter]}
-    return apply_overrides(spec.base, overrides).validate()
+    return apply_overrides(spec.base, overrides)
 
 
 def _sweep_trials(obj: ObjectiveFunction, ref: ReferencePoint, config: SolverConfig, seeds: list[int]) -> list[float]:

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from minmaxcbo import benchmark_reference, make_benchmark
+from minmaxcbo import ReferencePoint, benchmark_reference, make_benchmark, register_benchmark
 from minmaxcbo.cli import _collect_overrides, build_parser, main
 from minmaxcbo.harness import _sweep_trials, benchmark_config, run_benchmark, write_run_csv
 
@@ -265,6 +265,93 @@ def test_cached_parser_carries_no_flags_into_the_next_call(tmp_path):
     write_run_csv(tmp_path / "fresh.csv", record)
     assert (tmp_path / "b" / "run.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
     assert (tmp_path / "a" / "run.csv").read_bytes() != (tmp_path / "fresh.csv").read_bytes()
+
+
+def test_solve_reports_overflow_only_through_its_exit_code(tmp_path, capsys):
+    # unprojected at sigma = 3.16e5, seed 9 overflows to a non-finite pair value and seed 10 only inside the weights
+    argv = ["solve", "--benchmark", "bilinear", "--sigma", "3.16e5", "--no-project", "-T", "3", "--out", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--seed", "9"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert main(argv + ["--seed", "10"]) == 0
+        assert capsys.readouterr().err == ""
+
+
+def _outputs(out):
+    """Every file under out by name, a JSON file without its wall_time_s."""
+    files = {}
+    for path in out.iterdir():
+        data = path.read_bytes()
+        if path.suffix == ".json":
+            payload = json.loads(data)
+            payload.pop("wall_time_s")
+            data = json.dumps(payload, sort_keys=True).encode()
+        files[path.name] = data
+    return files
+
+
+_EVERY_SUBCOMMAND = [
+    ["solve", "-T", "0.5", "--seed", "4"],
+    ["sweep", "--parameter", "sigma", "--values", "1.0", "--trials", "2", "-T", "0.5"],
+    ["oracle", "--points", "65", "--rounds", "1"],
+    ["gda", "--iters", "5"],
+]
+
+
+def _out_arg(argv, out):
+    """The --out value of a call: oracle and gda write the one file it names, solve and sweep into it."""
+    name = {"oracle": "oracle.json", "gda": "gda.csv"}.get(argv[0])
+    return str(out / name if name else out)
+
+
+@pytest.mark.parametrize("spelled, canonical", [("Forsaken", "forsaken"), ("bilinearly-coupled", "bilinearly_coupled")])
+def test_any_id_spelling_writes_the_canonical_file_names_and_bytes(tmp_path, capsys, spelled, canonical):
+    outputs = {}
+    for benchmark in (spelled, canonical):
+        out = tmp_path / benchmark
+        for argv in _EVERY_SUBCOMMAND:
+            assert main([*argv, "--benchmark", benchmark, "--out", _out_arg(argv, out)]) == 0, argv
+        outputs[benchmark] = _outputs(out)
+        outputs[benchmark]["gda stdout"] = capsys.readouterr().out.splitlines()[-1]
+    assert sorted(outputs[canonical]) == sorted([
+        f"run_{canonical}_seed4.csv", f"run_{canonical}_seed4.json", f"sweep_{canonical}_sigma.csv",
+        f"sweep_{canonical}_sigma_trials.csv", "oracle.json", "gda.csv", "gda stdout",
+    ])
+    assert outputs[spelled] == outputs[canonical]
+
+
+def _registered_saddle(x, y):
+    return x[..., 0] * y[..., 0] + 0.5 * x[..., 0] ** 2
+
+
+def test_benchmark_registered_after_import_is_selected_by_the_flag(tmp_path):
+    register_benchmark("CLI Registered", _registered_saddle, (-2.0, 2.0), (-2.0, 2.0),
+                       reference=ReferencePoint([0.0], [[0.0]]))
+    for argv in _EVERY_SUBCOMMAND:
+        assert main([*argv, "--benchmark", "cli-registered", "--out", _out_arg(argv, tmp_path)]) == 0, argv
+    assert (tmp_path / "run_cli_registered_seed4.csv").exists()
+    assert (tmp_path / "sweep_cli_registered_sigma.csv").exists()
+
+
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
+def test_unknown_benchmark_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--benchmark", "nope", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown benchmark 'nope'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--init", "everywhere"], ["--diffusion", "banana"]])
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND[:2], ids=lambda argv: argv[0])
+def test_bad_mode_exits_2_with_one_error_line(tmp_path, capsys, argv, flags):
+    out = tmp_path / "out"
+    assert main([*argv, "--benchmark", "bilinear", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flags[0][2:] in err and flags[1] in err
+    assert not out.exists()
 
 
 _FAULTS_PER_STEP = """

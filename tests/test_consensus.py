@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minmaxcbo import (
-    InitSpec,
     InputError,
     NumericalError,
     SolverConfig,
@@ -330,7 +329,7 @@ def test_exp_underflows_to_exact_zero_below_the_cut():
 
 def test_runs_bitwise_equal_with_reference_weights(monkeypatch):
     # the pair matrix drops below half dead entries after about 150 steps
-    cfg = SolverConfig(n_particles=200, dt_y=0.01, horizon=2.0, seed=4, init=InitSpec("uniform_box"))
+    cfg = SolverConfig(n_particles=200, dt_y=0.01, horizon=2.0, seed=4, init="uniform_box")
     ref = benchmark_reference("bilinear")
     branches = set()  # of the pair-matrix calls; the outer weights of 200 entries never skip
 

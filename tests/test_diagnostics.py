@@ -15,7 +15,6 @@ from minmaxcbo import (
     variance,
 )
 from minmaxcbo.consensus import consensus_points
-from minmaxcbo.diagnostics import RunRecord
 from minmaxcbo.dynamics import Ensemble
 
 COUPLED = make_benchmark("bilinearly_coupled")
@@ -119,14 +118,12 @@ def test_error_to_reference_symmetric_in_y_star_order():
 
 def test_fit_decay_rate_exact_exponential():
     t = np.arange(0, 101) * 0.1
-    record = RunRecord(times=list(t), variance_x=list(np.exp(-0.5 * t)), variance_y=[0.0] * 101)
-    assert fit_decay_rate(record) == pytest.approx(-0.5, abs=1e-9)
+    assert fit_decay_rate(t, np.exp(-0.5 * t)) == pytest.approx(-0.5, abs=1e-9)
 
 
 def test_fit_decay_rate_constant_is_zero():
     t = np.arange(0, 50) * 0.1
-    record = RunRecord(times=list(t), variance_x=[2.0] * 50, variance_y=[1.0] * 50)
-    assert fit_decay_rate(record) == pytest.approx(0.0, abs=1e-12)
+    assert fit_decay_rate(t, [3.0] * 50) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fit_decay_rate_ignores_noise_floor():
@@ -135,16 +132,15 @@ def test_fit_decay_rate_ignores_noise_floor():
     t = np.arange(0, 101) * 0.1
     v = np.exp(-2.0 * t)
     v[t > 5.0] = v[t <= 5.0][-1]
-    record = RunRecord(times=list(t), variance_x=list(v), variance_y=[0.0] * 101)
-    slope = fit_decay_rate(record)
+    slope = fit_decay_rate(t, v)
     assert slope == pytest.approx(-2.0, rel=1e-6)
 
 
 def test_fit_decay_rate_undefined_cases():
     with pytest.raises(NumericalError):
-        fit_decay_rate(RunRecord(times=[0.0] * 20, variance_x=[0.0] * 20, variance_y=[0.0] * 20))
+        fit_decay_rate([0.0] * 20, [0.0] * 20)
     with pytest.raises(NumericalError):
-        fit_decay_rate(RunRecord(times=[0.0, 0.1], variance_x=[1.0, 0.5], variance_y=[0.0, 0.0]))
+        fit_decay_rate([0.0, 0.1], [1.0, 0.5])
 
 
 def test_bilinear_run_variance_drops_tenfold():

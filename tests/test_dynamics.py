@@ -1,7 +1,7 @@
 import gc
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from numpy.random import SeedSequence, default_rng
 
 from minmaxcbo import (
     ConfigError,
-    InitSpec,
     NumericalError,
     ReferencePoint,
     SolverConfig,
@@ -54,7 +53,7 @@ def test_uniform_init_moments():
 
 
 def test_border_init_puts_joint_particle_on_boundary():
-    config = _cfg(n_particles=500, init=InitSpec(mode="border"), seed=1)
+    config = _cfg(n_particles=500, init="border", seed=1)
     ens = initialize(config, FORSAKEN)
     joint_max = np.maximum(np.abs(ens.xs[:, 0]), np.abs(ens.ys[:, 0]))
     assert np.all(joint_max == 1.5)
@@ -75,11 +74,11 @@ def test_unbounded_box_rejected_for_uniform_and_border():
     obj = ObjectiveFunction("free", 1, 1, box, box, lambda x, y: x[..., 0] * y[..., 0])
     for mode in ("uniform_box", "border"):
         with pytest.raises(ConfigError):
-            initialize(_cfg(init=InitSpec(mode=mode)), obj)
+            initialize(_cfg(init=mode), obj)
 
 
 def test_gaussian_mean_outside_box_projected_on_first_step():
-    config = _cfg(init=InitSpec(mode="gaussian", mean=10.0, std=0.1), sigma_x=0.5, sigma_y=0.5)
+    config = _cfg(init="gaussian", init_mean=10.0, init_std=0.1, sigma_x=0.5, sigma_y=0.5)
     ens = initialize(config, BILINEAR)
     assert np.any(ens.xs > 4.0)  # allowed before the first step
     cp, _ = consensus_points(BILINEAR, ens.xs, ens.ys, config.alpha, config.beta)
@@ -228,7 +227,7 @@ def test_eval_count_equals_the_evaluations_made():
 def test_no_pair_matrix_held_at_n1000(consumer):
     # one 1000 x 1000 pair matrix is 7.6 MiB; a peak below half of it rules out any whole matrix built or
     # kept, and leaves room for a row block of pair values and its weights (measured peaks 1.1-2.0 MiB)
-    config = _cfg(n_particles=1000, dt_y=0.01, horizon=0.05, seed=3, init=InitSpec("uniform_box"))
+    config = _cfg(n_particles=1000, dt_y=0.01, horizon=0.05, seed=3, init="uniform_box")
     ref = benchmark_reference("forsaken")
     if consumer == "run":
         call = lambda: run(config, FORSAKEN, reference=ref)
@@ -321,6 +320,7 @@ def test_bilinear_reference_run_reaches_consensus_on_solution_set():
 
 
 def test_decay_regime_variance_slope():
+    # lambda = sigma = 1 satisfies the contraction condition 2 * lambda > sigma^2
     config = SolverConfig(
         n_particles=200,
         sigma_x=1.0,
@@ -328,38 +328,37 @@ def test_decay_regime_variance_slope():
         dt_y=0.01,
         horizon=5.0,
         seed=0,
-        check_decay_regime=True,
     )
     record = run(config, BILINEAR, reference=benchmark_reference("bilinear"))
-    assert fit_decay_rate(record) <= -0.25
-
-
-def test_decay_regime_flag_enforced():
-    with pytest.raises(ConfigError):
-        _cfg(sigma_x=1.5, sigma_y=1.5, check_decay_regime=True).validate()
+    assert fit_decay_rate(record.times, record.variance_total) <= -0.25
 
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        _cfg(dt_y=1.5).validate()
+        _cfg(dt_y=1.5)
     with pytest.raises(ConfigError):
-        _cfg(dt_y=0.3, epsilon_scale=5.0).validate()  # dt_x = 1.5
+        _cfg(dt_y=0.3, epsilon_scale=5.0)  # dt_x = 1.5
     with pytest.raises(ConfigError):
-        _cfg(n_particles=0).validate()
+        _cfg(n_particles=0)
     with pytest.raises(ConfigError):
-        _cfg(horizon=-1.0).validate()
+        _cfg(horizon=-1.0)
     with pytest.raises(ConfigError):
-        SolverConfig(diffusion="banana").validate()
+        SolverConfig(diffusion="banana")
     with pytest.raises(ConfigError):
-        InitSpec(mode="everywhere")
+        SolverConfig(init="everywhere")
     for bad in (math.nan, math.inf, -math.inf):
         for name in ("lambda_x", "lambda_y", "sigma_x", "sigma_y", "alpha", "beta", "horizon"):
             with pytest.raises(ConfigError, match=f"{name} must be finite"):
-                _cfg(**{name: bad}).validate()
+                _cfg(**{name: bad})
         with pytest.raises(ConfigError, match="finite"):
-            InitSpec(mode="gaussian", mean=bad)
+            SolverConfig(init="gaussian", init_mean=bad)
         with pytest.raises(ConfigError, match="finite"):
-            InitSpec(std=bad)
+            SolverConfig(init_std=bad)
+    # replace builds a new config, so no change of a field escapes validation
+    with pytest.raises(ConfigError):
+        replace(_cfg(), dt_y=1.5)
+    with pytest.raises(FrozenInstanceError):
+        _cfg().dt_y = 1.5
 
 
 def test_non_finite_state_raises_numerical_error():
@@ -411,7 +410,7 @@ def test_keyed_streams_match_numpy(seed, keys):
 
 def test_run_at_a_wide_seed_equals_the_run_with_numpy_keyed_generators(monkeypatch):
     # 150 steps cross the chunk edges at 64 and 128; the seed takes two 32-bit words
-    config = _cfg(n_particles=12, horizon=15.0, seed=2**32 + 11, init=InitSpec("border"))
+    config = _cfg(n_particles=12, horizon=15.0, seed=2**32 + 11, init="border")
     ref = benchmark_reference("forsaken")
     fast = run(config, FORSAKEN, reference=ref)
     monkeypatch.setattr(_KeyedStreams, "generator", lambda self, tag, step: _rng(self.seed, tag, step))
@@ -477,7 +476,7 @@ def test_run_series_equal_per_state_reference_bitwise(name, n, horizon, with_ref
     obj = _TWO_DIM if name == "two_dim" else make_benchmark(name)
     ref = (_TWO_DIM_REF if name == "two_dim" else benchmark_reference(name)) if with_reference else None
     dt = 0.01 if n >= 1000 else 0.1
-    config = _cfg(n_particles=n, horizon=horizon, dt_y=dt, seed=5, init=InitSpec("uniform_box"))
+    config = _cfg(n_particles=n, horizon=horizon, dt_y=dt, seed=5, init="uniform_box")
     record = run(config, obj, reference=ref)
     expected = _reference_record(config, obj, ref)
     assert len(record) == config.n_steps + 1

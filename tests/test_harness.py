@@ -13,7 +13,6 @@ import pytest
 
 from minmaxcbo import (
     ConfigError,
-    InitSpec,
     NumericalError,
     ReferencePoint,
     SolverConfig,
@@ -220,7 +219,7 @@ def test_sweep_fails_fast_without_reference_or_picklable_objective():
 def test_sweep_trial_equals_final_error_of_a_recorded_run():
     obj, ref = make_benchmark("forsaken"), benchmark_reference("forsaken")
     for seed in range(6):
-        cfg = SolverConfig(n_particles=12, horizon=3.0, seed=seed, init=InitSpec("border"))
+        cfg = SolverConfig(n_particles=12, horizon=3.0, seed=seed, init="border")
         record = run(cfg, obj, reference=ref)
         expected = error_to_reference((record.best_x[-1], record.best_y[-1]), ref)
         assert harness._sweep_trials(obj, ref, cfg, [seed])[0].hex() == expected.hex()
@@ -306,7 +305,7 @@ _BATCH_CASES = [
 
 @pytest.mark.parametrize("name, n_trials, n", _BATCH_CASES)
 def test_batch_trials_equal_their_runs_alone_bitwise(name, n_trials, n):
-    config = SolverConfig(n_particles=n, horizon=2.0, seed=11, init=InitSpec("border"))
+    config = SolverConfig(n_particles=n, horizon=2.0, seed=11, init="border")
     _assert_batch_equals_runs_alone(make_benchmark(name), benchmark_reference(name), config, n_trials)
 
 
@@ -322,7 +321,7 @@ def test_two_dimensional_batch_equals_runs_alone_bitwise(diffusion, epsilon, pro
     obj = ObjectiveFunction("two_dim", 2, 2, square, square, _two_dim_saddle)
     ref = ReferencePoint(np.array([0.1, -0.2]), np.array([[0.5, 0.0], [-0.5, 1.0]]))
     config = SolverConfig(n_particles=12, horizon=3.0, seed=4, diffusion=diffusion, epsilon_scale=epsilon,
-                          project=project, init=InitSpec("uniform_box"))
+                          project=project, init="uniform_box")
     _assert_batch_equals_runs_alone(obj, ref, config, 7)
 
 
@@ -409,7 +408,7 @@ def test_sweep_batch_blocks_hold_at_most_the_batch_entries():
     box = BoxDomain(np.array([-1.0]), np.array([1.0]))
     obj = ObjectiveFunction("counted", 1, 1, box, box, counted)
     ref = ReferencePoint(np.array([0.0]), np.array([[0.0]]))
-    base = SolverConfig(horizon=0.2, init=InitSpec("border"))
+    base = SolverConfig(horizon=0.2, init="border")
     # 200 trials at N=10 (163 fit) run as two batches of 100, 41 at N=20 (40 fit) as 21 and 20, N=160 alone
     for n, trials, largest in ((10, 200, 100 * 10 * 10), (20, 41, 21 * 20 * 20), (160, 2, 160 * 160)):
         entries.clear()

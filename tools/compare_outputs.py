@@ -17,6 +17,12 @@ its own ``src/`` first on the path and one BLAS thread:
 - ``sweep`` of ``bilinear`` over sigma in {1.5, 3.16e5}, unprojected, 7
   trials, horizon 3, at ``--jobs 1`` and ``--jobs 2``: at sigma = 3.16e5
   some trials turn non-finite, so their rows read ``nan``;
+- ``solve`` and ``sweep`` of ``forsaken`` with a ``--config`` file that sets
+  ``init = gaussian``, ``init_mean``, ``init_std`` and
+  ``diffusion = isotropic``;
+- ``solve`` of ``bilinearly_coupled`` with ``--init gaussian --init-mean 0.5
+  --init-std 0.3``, and with the ``--lam`` and ``--sigma`` aliases and
+  ``--epsilon 0.5``;
 - ``oracle`` of ``forsaken`` (two inner maximizers) and ``sixth_order`` on a
   257-point grid with 2 refinement rounds, and one ``gda`` run of
   ``bilinearly_coupled``: these take a file path as ``--out``.
@@ -52,6 +58,18 @@ SWEEPS = [
        "-T", "3", "--trials", "7", "--seed", "9", "--jobs", jobs, "--prefix", f"sweep_failing_jobs{jobs}"]
       for jobs in ("1", "2")),
 ]
+# The config file of CONFIG_CALLS, written once for both sides; {config} in an argv is its path.
+CONFIG_FILE = "init = gaussian\ninit_mean = 0.25\ninit_std = 0.5\ndiffusion = isotropic\n"
+CONFIG_CALLS = [
+    ["solve", "--benchmark", "forsaken", "--config", "{config}", "--seed", "3", "-T", HORIZON,
+     "--prefix", "config_file"],
+    ["sweep", "--benchmark", "forsaken", "--config", "{config}", "--parameter", "sigma", "--values", "0.5,1.5",
+     "--trials", "3", "-T", "3", "--prefix", "sweep_config_file"],
+    ["solve", "--benchmark", "bilinearly_coupled", "--init", "gaussian", "--init-mean", "0.5", "--init-std", "0.3",
+     "--seed", "3", "-T", HORIZON, "--prefix", "init_flags"],
+    ["solve", "--benchmark", "bilinearly_coupled", "--lam", "0.8", "--sigma", "1.2", "--epsilon", "0.5",
+     "--seed", "3", "-T", HORIZON, "--prefix", "aliases"],
+]
 # (argv, output file name): oracle and gda write the one file named by --out.
 FILE_OUTPUTS = [
     *((["oracle", "--benchmark", name, "--points", "257", "--rounds", "2"], f"oracle_{name}.json")
@@ -69,13 +87,14 @@ for argv in json.loads(sys.argv[1]):
 ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
-def commands(benchmarks: list[str]) -> list[tuple[list[str], str | None]]:
+def commands(benchmarks: list[str], config: Path) -> list[tuple[list[str], str | None]]:
     """The CLI calls both sides make, each with the file it writes, or None for one that writes into --out."""
     calls = [
         ["solve", "--benchmark", name, "--init", mode, "--seed", str(seed), "-T", HORIZON,
          "--prefix", f"{name}_{mode}_seed{seed}"]
         for name in benchmarks for mode in INIT_MODES for seed in SEEDS
     ]
+    calls += [[arg.format(config=config) for arg in call] for call in CONFIG_CALLS]
     return [(call, None) for call in calls + SWEEPS] + FILE_OUTPUTS
 
 
@@ -105,8 +124,10 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     from minmaxcbo.objectives import BENCHMARK_IDS
 
-    calls = commands(list(BENCHMARK_IDS))
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
+        config = Path(tmp) / "gaussian_isotropic.conf"
+        config.write_text(CONFIG_FILE, encoding="utf-8")
+        calls = commands(list(BENCHMARK_IDS), config)
         sha = export_revision(args.parent, Path(tmp))
         outs = {"parent": Path(tmp) / "out_parent", "change": Path(tmp) / "out_change"}
         run_side(Path(tmp) / "parent", calls, outs["parent"])
