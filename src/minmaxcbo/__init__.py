@@ -8,13 +8,12 @@ harness for seeded runs and parameter sweeps.
 """
 
 from .baselines import GdaConfig, GdaRun, gda_run
-from .consensus import ConsensusPoint, laplace_gap
+from .consensus import ConsensusPoint
 from .diagnostics import RunRecord, error_to_reference, fit_decay_rate, spread, variance
 from .dynamics import Ensemble, SolverConfig, initialize, run, trajectory
 from .errors import ConfigError, InputError, NumericalError
 from .harness import SweepSpec, TrialSummary, run_benchmark, run_sweep
 from .objectives import (
-    BENCHMARK_IDS,
     BoxDomain,
     ObjectiveFunction,
     ReferencePoint,
@@ -27,7 +26,6 @@ from .oracle import GridSpec, OracleSolution, envelope, solve_minmax
 __version__ = "0.1.0"
 
 __all__ = [
-    "BENCHMARK_IDS",
     "BoxDomain",
     "ConfigError",
     "ConsensusPoint",
@@ -50,7 +48,6 @@ __all__ = [
     "fit_decay_rate",
     "gda_run",
     "initialize",
-    "laplace_gap",
     "make_benchmark",
     "register_benchmark",
     "run",

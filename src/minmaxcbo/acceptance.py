@@ -7,7 +7,9 @@ PASS/FAIL line each through run_all.
 
 from __future__ import annotations
 
+import contextlib
 import filecmp
+import io
 import math
 import tempfile
 import time
@@ -278,9 +280,10 @@ def criterion_7() -> CriterionResult:
     with tempfile.TemporaryDirectory() as tmp:
         out_a, out_b = Path(tmp) / "a", Path(tmp) / "b"
         for out in (out_a, out_b):
-            code = cli_main(
-                ["solve", "--benchmark", "bilinear", "--seed", "7", "-T", "5", "--out", str(out)]
-            )
+            with contextlib.redirect_stdout(io.StringIO()):  # the run_all lines are the suite's output
+                code = cli_main(
+                    ["solve", "--benchmark", "bilinear", "--seed", "7", "-T", "5", "--out", str(out)]
+                )
             if code != 0:
                 return CriterionResult(7, "determinism", False, f"solve exited {code}", time.perf_counter() - start)
         csv_equal = filecmp.cmp(out_a / "run_bilinear_seed7.csv", out_b / "run_bilinear_seed7.csv", shallow=False)

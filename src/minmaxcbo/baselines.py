@@ -15,7 +15,7 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .objectives import ObjectiveFunction
 
-__all__ = ["GdaConfig", "GdaRun", "fd_grad_x", "fd_grad_y", "gda_run"]
+__all__ = ["GdaConfig", "GdaRun", "gda_run"]
 
 _FD_SCALE = 1e-6
 _DIVERGENCE_LIMIT = 1e6
@@ -61,20 +61,6 @@ def _central_diff(f, z: np.ndarray) -> np.ndarray:
     return grad
 
 
-def fd_grad_x(obj: ObjectiveFunction, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Finite-difference gradient of E in x at fixed y."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    return _central_diff(lambda z: obj.value(z, y), x)
-
-
-def fd_grad_y(obj: ObjectiveFunction, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Finite-difference gradient of E in y at fixed x."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    return _central_diff(lambda z: obj.value(x, z), y)
-
-
 def gda_run(obj: ObjectiveFunction, config: GdaConfig) -> GdaRun:
     """Run descent in x, ascent in y, from config.start.
 
@@ -92,14 +78,10 @@ def gda_run(obj: ObjectiveFunction, config: GdaConfig) -> GdaRun:
     xs, ys = [x.copy()], [y.copy()]
     diverged = False
     for k in range(config.iterations):
-        if config.mode == "simultaneous":
-            gx = fd_grad_x(obj, x, y)
-            gy = fd_grad_y(obj, x, y)
-            x = x - eta * gx
-            y = y + eta * gy
-        else:
-            x = x - eta * fd_grad_x(obj, x, y)
-            y = y + eta * fd_grad_y(obj, x, y)
+        x_next = x - eta * _central_diff(lambda z: obj.value(z, y), x)
+        x_for_y = x_next if config.mode == "alternating" else x
+        y = y + eta * _central_diff(lambda z: obj.value(x_for_y, z), y)
+        x = x_next
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise NumericalError(f"non-finite GDA iterate at iteration {k + 1}")
         xs.append(x.copy())

@@ -1,9 +1,10 @@
 """Command-line interface: solve, sweep, oracle, gda, bench subcommands.
 
 Exit codes: 0 success, 2 bad configuration or usage, 3 numerical failure.
-Flag values override config-file values, which override defaults.  The
-default output directory comes from $MINMAXCBO_OUT (falling back to the
-working directory).
+An unreadable config file or an unwritable output also exits 2; output
+locations are checked before any work.  Flag values override config-file
+values, which override defaults.  The default output directory comes from
+$MINMAXCBO_OUT (falling back to the working directory).
 """
 
 from __future__ import annotations
@@ -44,8 +45,19 @@ __all__ = ["main"]
 
 
 def _out_dir(arg: str | None) -> Path:
+    """The output directory, checked before any work; the command makes it when it writes its files."""
     path = Path(arg or os.environ.get("MINMAXCBO_OUT", "."))
-    path.mkdir(parents=True, exist_ok=True)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output directory {str(path)!r}: {str(existing)!r} is not a directory")
+    return path
+
+
+def _out_file(arg: str | None) -> Path | None:
+    """The file an --out flag names, if any, checked before any work."""
+    path = Path(arg) if arg else None
+    if path is not None and (path.is_dir() or not path.parent.is_dir()):
+        raise ConfigError(f"--out {arg!r} must name a file in an existing directory")
     return path
 
 
@@ -75,10 +87,11 @@ def _collect_overrides(args: argparse.Namespace) -> tuple[str, dict]:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     benchmark, overrides = _collect_overrides(args)
+    out = _out_dir(args.out)
     start = time.perf_counter()
     record, config = run_benchmark(benchmark, overrides)
     wall = time.perf_counter() - start
-    out = _out_dir(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     prefix = args.prefix or f"run_{benchmark}_seed{config.seed}"
     csv_path = out / f"{prefix}.csv"
     json_path = out / f"{prefix}.json"
@@ -102,8 +115,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         trials=args.trials,
         jobs=args.jobs,
     )
-    summaries = run_sweep(spec)
     out = _out_dir(args.out)
+    summaries = run_sweep(spec)
+    out.mkdir(parents=True, exist_ok=True)
     prefix = args.prefix or f"sweep_{benchmark}_{args.parameter}"
     write_sweep_csv(out / f"{prefix}.csv", out / f"{prefix}_trials.csv", spec, summaries)
     for s in summaries:
@@ -115,7 +129,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    obj = make_benchmark(args.benchmark)
+    obj, out = make_benchmark(args.benchmark), _out_file(args.out)
     grid = GridSpec(points_per_dim=args.points, refine_rounds=args.rounds)
     start = time.perf_counter()
     sol = solve_minmax(obj, grid)
@@ -130,14 +144,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         "wall_time_s": time.perf_counter() - start,
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+    if out:
+        out.write_text(text + "\n", encoding="utf-8")
     print(text)
     return 0
 
 
 def _cmd_gda(args: argparse.Namespace) -> int:
-    obj = make_benchmark(args.benchmark)
+    obj, out = make_benchmark(args.benchmark), _out_file(args.out)
     start_vals = parse_floats(args.start)
     if len(start_vals) != obj.dim_x + obj.dim_y:
         raise ConfigError(f"--start needs {obj.dim_x + obj.dim_y} comma-separated numbers")
@@ -148,8 +162,8 @@ def _cmd_gda(args: argparse.Namespace) -> int:
         mode=args.mode,
     )
     result = gda_run(obj, config)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write("schema,iter," + ",".join(
                 [f"x_{k}" for k in range(obj.dim_x)] + [f"y_{k}" for k in range(obj.dim_y)]
             ) + "\n")
@@ -263,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

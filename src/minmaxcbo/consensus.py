@@ -21,7 +21,6 @@ __all__ = [
     "ConsensusPoint",
     "exp_weights",
     "consensus_points",
-    "laplace_gap",
 ]
 
 
@@ -187,27 +186,3 @@ def consensus_points(
         best_value.reshape(lead) if lead else best_value.item(),
     )
 
-
-def laplace_gap(obj: ObjectiveFunction, ensemble, fixed_point, param: float, mode: str) -> float:
-    """Gap between the soft and hard extremum of E over an ensemble.
-
-    mode="min": ensemble plays the x-role against a fixed y, and the gap is
-    |softmin - min| with softmin = -(1/param) log mean exp(-param E).
-    mode="max": ensemble plays the y-role at a fixed x, soft and hard max.
-    Diagnostic of weight concentration; decreases as param grows.
-    """
-    if param <= 0:
-        raise InputError("param must be > 0")
-    fixed = np.atleast_1d(np.asarray(fixed_point, dtype=float))
-    if mode == "min":
-        zs = _as_ensemble(ensemble, obj.dim_x, "ensemble")
-        vals = obj.batch(zs, np.broadcast_to(fixed, (zs.shape[0], obj.dim_y)))
-    elif mode == "max":
-        zs = _as_ensemble(ensemble, obj.dim_y, "ensemble")
-        vals = obj.batch(np.broadcast_to(fixed, (zs.shape[0], obj.dim_x)), zs)
-    else:
-        raise InputError("mode must be 'min' or 'max'")
-    _check_finite(vals, "laplace_gap")
-    d = vals - vals.min() if mode == "min" else vals.max() - vals
-    # |softext - ext| reduces to (log N - log sum exp(-param d)) / param, d >= 0
-    return float((np.log(d.size) - np.log(np.sum(np.exp(-param * d)))) / param)

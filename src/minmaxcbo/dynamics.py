@@ -9,6 +9,7 @@ drift scaled accordingly and noise by the square root.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
@@ -48,28 +49,18 @@ _NOISE_CHUNK = 64
 
 
 def _hashmix(value, h, mult=_MULT_A):
-    """seed_seq_fe's hash of ``value`` with constant ``h``: (hashed value, next constant).
+    """seed_seq_fe's hash of ``value`` with constant ``h``.
 
     Works on ints and on uint64 arrays alike: every product of two 32-bit
     words fits in 64 bits, and masking gives the uint32 result.
     """
-    h_next = (h * mult) & _MASK32
-    value = ((value ^ h) * h_next) & _MASK32
-    return value ^ (value >> 16), h_next
+    value = ((value ^ h) * ((h * mult) & _MASK32)) & _MASK32
+    return value ^ (value >> 16)
 
 
 def _mix(x, y):
     r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
     return r ^ (r >> 16)
-
-
-def _words32(n: int) -> list[int]:
-    """n as little-endian 32-bit words, the way SeedSequence splits an integer (0 is one word)."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
 
 
 def _schedule(h: int, mult: int, n: int) -> np.ndarray:
@@ -91,8 +82,9 @@ class _KeyedStreams:
     The entropy of a key is the seed's words padded to the pool size of 4,
     then the tag, then the step, and SeedSequence's hash constants advance
     on a schedule that does not depend on the data.  So the pool after the
-    tag is formed once per tag; a chunk of _NOISE_CHUNK steps then mixes
-    its step words and runs generate_state's output hashes in one pass of
+    tag is read once per tag from numpy's ``SeedSequence(seed,
+    spawn_key=(tag,))``; a chunk of _NOISE_CHUNK steps then mixes its step
+    words into it and runs generate_state's output hashes in one pass of
     uint64 arithmetic.  Per key, the PCG64 (state, inc) follows from the
     four output words by the setseq rule and is set on the one generator
     this object reuses.  A step of more than one 32-bit word falls back to
@@ -107,30 +99,18 @@ class _KeyedStreams:
         self._gen = Generator(self._bitgen)
 
     def _pool_after_tag(self, tag: int):
-        entropy = _words32(self.seed)
-        entropy += [0] * (4 - len(entropy)) + _words32(tag)
-        pool, h = [], _INIT_A
-        for word in entropy[:4]:
-            value, h = _hashmix(word, h)
-            pool.append(value)
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    value, h = _hashmix(pool[src], h)
-                    pool[dst] = _mix(pool[dst], value)
-        for word in entropy[4:]:
-            for dst in range(4):
-                value, h = _hashmix(word, h)
-                pool[dst] = _mix(pool[dst], value)
-        return np.array(pool, dtype=np.uint64)[:, None], _schedule(h, _MULT_A, 4)
+        pool = np.array(SeedSequence(self.seed, spawn_key=(tag,)).pool, dtype=np.uint64)[:, None]
+        # mixing the pool hashed each of its max(4, seed words) + 1 entropy words 4 times
+        hashed = 4 * (max(4, (int(self.seed).bit_length() + 31) // 32) + 1)
+        return pool, _schedule(_INIT_A * pow(_MULT_A, hashed, 1 << 32) & _MASK32, _MULT_A, 4)
 
     def _chunk(self, tag: int, first: int) -> tuple[int, list[list[int]]]:
         if tag not in self._pools:
             self._pools[tag] = self._pool_after_tag(tag)
         pool, consts = self._pools[tag]
         steps = np.arange(first, first + _NOISE_CHUNK, dtype=np.uint64)
-        pool = _mix(pool, _hashmix(steps, consts)[0])
-        out = _hashmix(pool[_STATE_SOURCES], _STATE_CONSTS, _MULT_B)[0]
+        pool = _mix(pool, _hashmix(steps, consts))
+        out = _hashmix(pool[_STATE_SOURCES], _STATE_CONSTS, _MULT_B)
         # one row per step: seed high, seed low, inc high, inc low
         return first, (out[0::2] | (out[1::2] << 32)).T.tolist()
 
@@ -192,10 +172,16 @@ class SolverConfig:
         return int(math.ceil(self.horizon / self.dt_y - 1e-9))
 
     def __post_init__(self):
+        for name in ("n_particles", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         finite = ("lambda_x", "lambda_y", "sigma_x", "sigma_y", "alpha", "beta", "horizon", "init_mean", "init_std")
-        for name in finite:
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name in (*finite, "dt_y", "epsilon_scale"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+            if name in finite and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.n_particles < 1:
             raise ConfigError("n_particles must be >= 1")
         if self.lambda_x <= 0 or self.lambda_y <= 0:

@@ -21,7 +21,6 @@ __all__ = [
     "ReferencePoint",
     "ObjectiveFunction",
     "Benchmark",
-    "BENCHMARK_IDS",
     "canonical_id",
     "lookup_benchmark",
     "benchmark_reference",
@@ -53,7 +52,9 @@ class BoxDomain:
 
     @property
     def is_bounded(self) -> bool:
-        return bool(np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper)))
+        """A finite width in every coordinate; a width that overflows a float counts as unbounded."""
+        with np.errstate(over="ignore"):
+            return bool(np.all(np.isfinite(self.width)))
 
     @property
     def width(self) -> np.ndarray:
@@ -62,9 +63,6 @@ class BoxDomain:
     def clamp(self, points: np.ndarray) -> np.ndarray:
         """Coordinate-wise projection onto the box (last axis indexes coordinates)."""
         return points.clip(self.lower, self.upper)
-
-    def contains(self, points: np.ndarray) -> bool:
-        return bool(np.all(points >= self.lower) and np.all(points <= self.upper))
 
 
 @dataclass
@@ -276,5 +274,3 @@ register_benchmark(
 )
 register_benchmark("sixth_order", _sixth_order, (-2.0, 2.0), (-2.0, 2.0), ReferencePoint([0.0], [[0.0]]), 30.0)
 register_benchmark("remark_function", _remark_function, (-4.0, 4.0), (-4.0, 4.0), ReferencePoint([0.0], [[0.0]]))
-
-BENCHMARK_IDS = tuple(_REGISTRY)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from minmaxcbo import GdaConfig, InputError, gda_run, make_benchmark
-from minmaxcbo.baselines import fd_grad_x, fd_grad_y
 
 BILINEAR = make_benchmark("bilinear")
 COUPLED = make_benchmark("bilinearly_coupled")
@@ -18,8 +17,9 @@ def test_fd_gradient_matches_analytic_on_bilinear():
     rng = np.random.default_rng(0)
     for _ in range(50):
         x, y = rng.uniform(-4, 4, 2)
-        gx = fd_grad_x(BILINEAR, [x], [y])
-        gy = fd_grad_y(BILINEAR, [x], [y])
+        # one unit step: x1 = x0 - gx and y1 = y0 + gy
+        step = gda_run(BILINEAR, GdaConfig(step_size=1.0, iterations=1, start=_start(x, y)))
+        gx, gy = step.xs[0] - step.xs[1], step.ys[1] - step.ys[0]
         assert abs(gx[0] - y) < 1e-5
         assert abs(gy[0] - x) < 1e-5
 

@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
 import math
 import os
 import platform
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minmaxcbo import ReferencePoint, benchmark_reference, make_benchmark, register_benchmark
 from minmaxcbo.cli import _collect_overrides, build_parser, main
@@ -375,3 +382,139 @@ def test_cli_steps_reuse_freed_memory_instead_of_faulting_it_in_again():
                            timeout=300)
     assert child.returncode == 0, child.stderr
     assert float(child.stdout) < 10
+
+
+def _refuse_work(*args, **kwargs):
+    raise AssertionError("the command started its work before checking its paths")
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--benchmark", "forsaken", "--points", "65", "--rounds", "1", "--out", "{tmp}/missing_dir/x.json"],
+    ["oracle", "--benchmark", "forsaken", "--points", "65", "--rounds", "1", "--out", "{tmp}"],
+    ["gda", "--benchmark", "bilinear", "--iters", "3", "--out", "{tmp}/missing_dir/x.csv"],
+    ["solve", "--benchmark", "bilinear", "-T", "0.2", "--out", "{tmp}/occupied"],
+    ["solve", "--benchmark", "bilinear", "-T", "0.2", "--out", "{tmp}/occupied/sub"],
+    ["sweep", "--benchmark", "bilinear", "--parameter", "sigma", "--values", "1", "--trials", "1", "-T", "0.2",
+     "--out", "{tmp}/occupied"],
+    ["solve", "--config", "{tmp}/nope.conf"],
+    ["solve", "--config", "{tmp}"],
+    ["solve", "--config", "{tmp}/latin1.conf"],
+], ids=["oracle-missing-dir", "oracle-a-dir", "gda-missing-dir", "solve-occupied", "solve-under-a-file",
+        "sweep-occupied", "missing-config", "config-a-dir", "config-not-utf8"])
+def test_bad_path_exits_2_with_one_error_line_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    (tmp_path / "occupied").write_text("a file\n")
+    (tmp_path / "latin1.conf").write_bytes("benchmark = forsak\xe9n\n".encode("latin-1"))
+    for work in ("run_benchmark", "run_sweep", "solve_minmax", "gda_run"):
+        monkeypatch.setattr(f"minmaxcbo.cli.{work}", _refuse_work)
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (tmp_path / "occupied").read_text() == "a file\n"
+
+
+def test_bench_prints_one_line_per_criterion(capsys):
+    from minmaxcbo import acceptance
+
+    (result,) = acceptance.run_all(only=[7])
+    assert capsys.readouterr().out.splitlines() == [result.line()]
+
+
+# Values for the argv property test, each flag's as (accepted, rejected).  Runs stay tiny: a horizon of at
+# most 0.3 with dt >= 0.05, N <= 64, at most 3 trials, oracle grids of at most 65 points and 1 round, at
+# most 50 GDA iterations, bench only for criterion 7, and --jobs in {-1, 0, 1}, so no process pool
+# starts.  Horizons and step sizes whose step count cannot be allocated are left out: such a run still
+# ends in a numpy allocation traceback.
+_BAD = ["nan", "inf", "-inf", "-1", "x", ""]
+_SPELLINGS = (["forsaken", "Bilinearly-Coupled", " SIXTH_ORDER ", "remark function", "bivariate"], ["nope", ""])
+_BOXES = (["-1,1", "0.5,3"], ["-1e308,1e308", "-inf,inf", "1,-1", "nan,1", "1", "x"])
+_SOLVER_FLAGS = {
+    "--benchmark": _SPELLINGS,
+    "-T": (["0.1", "0.3"], ["0", "-1", "nan", "inf", "x"]),
+    "-N": (["1", "5", "64"], ["0", "-3", "1.5", "nan", "x"]),
+    "--dt": (["0.05", "0.1", "0.5"], ["0", "1", "-1", "nan", "inf", "x"]),
+    "--epsilon": (["0.5", "1"], ["0", "-1", "1e308", "nan", "x"]),
+    "--seed": (["0", "3", str(2**70)], ["-1", "1.5", "x"]),
+    "--init": (["uniform_box", "border", "gaussian"], ["everywhere"]),
+    "--diffusion": (["anisotropic", "isotropic"], ["banana"]),
+    "--box-x": _BOXES,
+    "--box-y": _BOXES,
+    "--project": None,
+    "--no-project": None,
+    "--lam": (["1", "2.5", "1e308"], _BAD),
+    "--lambda-x": (["1", "2.5", "1e308"], _BAD),
+    "--sigma": (["0", "1.5", "1e308"], _BAD),
+    "--sigma-y": (["0", "1.5", "1e308"], _BAD),
+    "--alpha": (["0", "30", "1e308"], _BAD),
+    "--beta": (["0", "30", "1e308"], _BAD),
+    "--init-mean": (["0", "-1", "1e308"], _BAD),
+    "--init-std": (["0.5", "1e308"], ["0", *_BAD]),
+    "--config": (["{conf}"], ["{missing}", "{tmp}", "{latin1}"]),
+    "--out": (["{tmp}/new_dir", "{tmp}"], ["{occupied}", "{occupied}/sub"]),
+}
+_FILE_OUT = (["{tmp}/new.out", "{occupied}"], ["{tmp}/missing_dir/x.out", "{tmp}"])
+_FLAGS = {
+    "solve": _SOLVER_FLAGS,
+    "sweep": {
+        **_SOLVER_FLAGS,
+        "--parameter": (["n_particles", "sigma", "alpha_beta", "epsilon_scale"], ["bogus"]),
+        "--values": (["5,12", "64", "1"], ["0", "-1", "1.5", "nan", "1e308", "x", ""]),
+        "--trials": (["1", "3"], ["0", "-1", "x"]),
+        "--jobs": (["1"], ["-1", "0"]),
+    },
+    "oracle": {"--benchmark": _SPELLINGS, "--points": (["3", "17", "65"], ["2", "-1", "x"]),
+               "--rounds": (["0", "1"], ["-1", "x"]), "--out": _FILE_OUT},
+    "gda": {"--benchmark": _SPELLINGS, "--mode": (["simultaneous", "alternating"], ["leapfrog"]),
+            "--eta": (["0.1", "2.5", "1e308"], ["0", *_BAD]), "--iters": (["0", "7", "50"], ["-1", "x"]),
+            "--start": (["1,0", "-0.5,2", "1e308,1e308"], ["nan,0", "1", "x"]), "--out": _FILE_OUT},
+    "bench": {"--only": (["7"], ["0", "9", "x", "1,9", "1,"])},
+}
+# Flags every draw carries: no run takes its default horizon, trial count or oracle grid, and bench runs
+# one cheap criterion at most.
+_ALWAYS = {
+    "solve": ["--benchmark", "-T"],
+    "sweep": ["--benchmark", "-T", "--parameter", "--values", "--trials"],
+    "oracle": ["--benchmark", "--points", "--rounds"],
+    "gda": ["--benchmark"],
+    "bench": ["--only"],
+}
+_CONF_LINES = (["benchmark = bilinear", "horizon = 0.2", "# a comment"],
+               ["n_particles = 10.5", "alpha = nan", "bogus = 1", "no equals sign"])
+
+
+@st.composite
+def _argv(draw):
+    """(argv, lines of the config file): half the draws take only accepted values, so that runs happen."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags, accepted_only = _FLAGS[command], draw(st.booleans())
+    names = draw(st.lists(st.sampled_from(sorted(flags)), max_size=6, unique=True))
+    argv = [command]
+    for name in names + [name for name in _ALWAYS[command] if name not in names]:
+        if flags[name] is None:
+            argv.append(name)
+        else:
+            accepted, rejected = flags[name]
+            argv += [name, draw(st.sampled_from(accepted if accepted_only else accepted + rejected))]
+    lines = _CONF_LINES[0] if accepted_only else _CONF_LINES[0] + _CONF_LINES[1]
+    return argv, draw(st.lists(st.sampled_from(lines), max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_any_argv_exits_0_2_or_3_and_exit_2_prints_one_error_line(drawn):
+    argv, conf_lines = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"tmp": tmp, "missing": f"{tmp}/nope.conf", "conf": f"{tmp}/run.conf", "occupied": f"{tmp}/occupied",
+                 "latin1": f"{tmp}/latin1.conf"}
+        Path(paths["conf"]).write_text("".join(f"{line}\n" for line in conf_lines))
+        Path(paths["latin1"]).write_bytes("benchmark = forsak\xe9n\n".encode("latin-1"))
+        Path(paths["occupied"]).write_text("a file\n")
+        err = io.StringIO()
+        with mock.patch.dict(os.environ, {"MINMAXCBO_OUT": tmp}), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the property is exit codes and error lines, not numpy's warnings
+            code = main([arg.format(**paths) for arg in argv])
+    err = err.getvalue()
+    assert code in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)

@@ -15,15 +15,15 @@ from minmaxcbo import (
     NumericalError,
     SolverConfig,
     benchmark_reference,
-    laplace_gap,
     make_benchmark,
     run,
 )
 from minmaxcbo import consensus
 from minmaxcbo.consensus import _BLOCK_ENTRIES, _EXP_ZERO_CUT, _SKIP_MIN_ENTRIES, consensus_points, exp_weights
-from minmaxcbo.objectives import BENCHMARK_IDS, BoxDomain, ObjectiveFunction
+from minmaxcbo.objectives import BoxDomain, ObjectiveFunction
 
 BILINEAR = make_benchmark("bilinear")
+BUILT_IN_IDS = ("bilinear", "bivariate", "bilinearly_coupled", "forsaken", "sixth_order", "remark_function")
 
 
 def _y_consensus(obj, ys, x, beta):
@@ -164,38 +164,6 @@ def test_stable_weights_normalized_rows():
     w = exp_weights(scores, 1.0, axis=1)
     assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(w >= 0)
-
-
-def test_laplace_gap_constant_values_is_zero():
-    box = BoxDomain(np.array([-1.0]), np.array([1.0]))
-    obj = ObjectiveFunction("const", 1, 1, box, box, lambda x, y: np.full(np.broadcast(x[..., 0], y[..., 0]).shape, 3.7))
-    ens = np.linspace(-1, 1, 5)[:, None]
-    assert laplace_gap(obj, ens, np.array([0.0]), param=10.0, mode="min") == pytest.approx(0.0, abs=1e-12)
-    assert laplace_gap(obj, ens, np.array([0.0]), param=10.0, mode="max") == pytest.approx(0.0, abs=1e-12)
-
-
-def test_laplace_gap_hand_computed_value():
-    # ensemble values {0, 1} at param ln 2 in min mode: gap = log2(4/3)
-    box = BoxDomain(np.array([-1.0]), np.array([1.0]))
-    obj = ObjectiveFunction("lin", 1, 1, box, box, lambda x, y: x[..., 0])
-    ens = np.array([[0.0], [1.0]])
-    gap = laplace_gap(obj, ens, np.array([0.0]), param=math.log(2.0), mode="min")
-    assert gap == pytest.approx(math.log(4.0 / 3.0) / math.log(2.0), rel=1e-12)
-
-
-def test_laplace_gap_decreases_with_param():
-    rng = np.random.default_rng(13)
-    for _ in range(25):
-        ens = rng.uniform(-4, 4, (rng.integers(2, 30), 1))
-        for mode in ("min", "max"):
-            big = laplace_gap(BILINEAR, ens, np.array([1.0]), param=1e3, mode=mode)
-            small = laplace_gap(BILINEAR, ens, np.array([1.0]), param=1.0, mode=mode)
-            assert big <= small + 1e-12
-
-
-def test_laplace_gap_param_zero_rejected():
-    with pytest.raises(InputError):
-        laplace_gap(BILINEAR, np.array([[1.0]]), np.array([0.0]), param=0.0, mode="min")
 
 
 # --- exp_weights against the plain formula, bit for bit ---------------------
@@ -364,7 +332,7 @@ def _reference_consensus(obj, xs, ys, alpha, beta):
 
 def _blocked_mismatches():
     """(benchmark, n_x, n_y, alpha=beta) of every case where consensus_points differs in a bit from the reference."""
-    cases = [(name, n, n) for name in BENCHMARK_IDS for n in (1, 7, 513, 997, 1000, 1031)]
+    cases = [(name, n, n) for name in BUILT_IN_IDS for n in (1, 7, 513, 997, 1000, 1031)]
     cases += [("forsaken", 1000, 1500), ("bilinearly_coupled", 997, 130), ("sixth_order", 40, 2000)]
     mismatches = []
     for name, n_x, n_y in cases:

@@ -25,10 +25,11 @@ from minmaxcbo import (
 from minmaxcbo import harness
 from minmaxcbo.consensus import ConsensusPoint, consensus_points
 from minmaxcbo.dynamics import _TAG_STEP_X, _TAG_STEP_Y, Ensemble, _KeyedStreams, _advance, _rng
-from minmaxcbo.objectives import BENCHMARK_IDS, BoxDomain, ObjectiveFunction
+from minmaxcbo.objectives import BoxDomain, ObjectiveFunction
 
 FORSAKEN = make_benchmark("forsaken")
 BILINEAR = make_benchmark("bilinear")
+BUILT_IN_IDS = ("bilinear", "bivariate", "bilinearly_coupled", "forsaken", "sixth_order", "remark_function")
 
 
 def _cfg(**kw):
@@ -77,14 +78,23 @@ def test_unbounded_box_rejected_for_uniform_and_border():
             initialize(_cfg(init=mode), obj)
 
 
+def test_box_whose_width_overflows_is_rejected_for_uniform_and_border():
+    # finite bounds 2e308 apart: numpy's uniform() cannot draw from such a range
+    box = BoxDomain(np.array([-1e308]), np.array([1e308]))
+    obj = ObjectiveFunction("wide", 1, 1, box, box, lambda x, y: x[..., 0] * y[..., 0])
+    for mode in ("uniform_box", "border"):
+        with pytest.raises(ConfigError, match="bounded"):
+            initialize(_cfg(init=mode), obj)
+
+
 def test_gaussian_mean_outside_box_projected_on_first_step():
     config = _cfg(init="gaussian", init_mean=10.0, init_std=0.1, sigma_x=0.5, sigma_y=0.5)
     ens = initialize(config, BILINEAR)
     assert np.any(ens.xs > 4.0)  # allowed before the first step
     cp, _ = consensus_points(BILINEAR, ens.xs, ens.ys, config.alpha, config.beta)
     stepped = _advance(ens, config, BILINEAR, cp, _streams(config.seed))
-    assert BILINEAR.domain_x.contains(stepped.xs)
-    assert BILINEAR.domain_y.contains(stepped.ys)
+    assert np.all((stepped.xs >= -4.0) & (stepped.xs <= 4.0))
+    assert np.all((stepped.ys >= -4.0) & (stepped.ys <= 4.0))
 
 
 def test_single_particle_zero_noise_is_fixed_point():
@@ -180,8 +190,8 @@ def test_run_determinism_bitwise():
 def test_projection_keeps_every_step_inside_box():
     config = _cfg(sigma_x=4.0, sigma_y=4.0, horizon=3.0, seed=2)
     for ensemble, _, _ in trajectory(config, FORSAKEN):
-        assert FORSAKEN.domain_x.contains(ensemble.xs)
-        assert FORSAKEN.domain_y.contains(ensemble.ys)
+        assert np.all((ensemble.xs >= -1.5) & (ensemble.xs <= 1.5))
+        assert np.all((ensemble.ys >= -1.5) & (ensemble.ys <= 1.5))
 
 
 def test_trajectory_yields_every_state_and_counts_like_run():
@@ -223,7 +233,7 @@ def test_eval_count_equals_the_evaluations_made():
     assert sum(sizes) == len(seeds) * (config.n_steps + 1) * 7 * 8
 
 
-@pytest.mark.parametrize("consumer", ["run", "sweep_trial"] + [f"consensus_points-{n}" for n in BENCHMARK_IDS])
+@pytest.mark.parametrize("consumer", ["run", "sweep_trial"] + [f"consensus_points-{n}" for n in BUILT_IN_IDS])
 def test_no_pair_matrix_held_at_n1000(consumer):
     # one 1000 x 1000 pair matrix is 7.6 MiB; a peak below half of it rules out any whole matrix built or
     # kept, and leaves room for a row block of pair values and its weights (measured peaks 1.1-2.0 MiB)
@@ -354,6 +364,12 @@ def test_config_validation():
             SolverConfig(init="gaussian", init_mean=bad)
         with pytest.raises(ConfigError, match="finite"):
             SolverConfig(init_std=bad)
+    # n_particles and seed must be integers, the other numbers reals
+    for name, bad in (("n_particles", 10.5), ("seed", 1.5), ("seed", "3"), ("alpha", "1"), ("dt_y", None),
+                      ("epsilon_scale", "1"), ("init_std", 1j)):
+        with pytest.raises(ConfigError, match=name):
+            _cfg(**{name: bad})
+    assert _cfg(n_particles=np.int64(5), seed=np.uint32(3), alpha=np.float32(2.0), horizon=1).n_particles == 5
     # replace builds a new config, so no change of a field escapes validation
     with pytest.raises(ConfigError):
         replace(_cfg(), dt_y=1.5)
@@ -463,7 +479,7 @@ _TWO_DIM_REF = ReferencePoint(np.array([0.1, -0.2]), np.array([[0.5, 0.0], [-0.5
 
 @pytest.mark.parametrize(
     "name, n, horizon, with_reference",
-    [(name, 20, 15.0, True) for name in BENCHMARK_IDS]  # 151 rows: a chunk of 102, then a partial one of 49
+    [(name, 20, 15.0, True) for name in BUILT_IN_IDS]  # 151 rows: a chunk of 102, then a partial one of 49
     + [
         ("bilinearly_coupled", 20, 15.0, False),
         ("forsaken", 1, 3.0, True),  # 31 rows in one partial chunk of 2048
@@ -492,7 +508,7 @@ def _random_ensembles(obj, n_trials, n, seed):
     return xs, ys
 
 
-@pytest.mark.parametrize("name", list(BENCHMARK_IDS) + ["two_dim"])
+@pytest.mark.parametrize("name", list(BUILT_IN_IDS) + ["two_dim"])
 @pytest.mark.parametrize("n_trials, n", [(1, 7), (3, 10), (5, 160), (2, 1000)])  # N=1000: 16 row blocks
 def test_batched_kernel_equals_each_trial_alone_bitwise(name, n_trials, n):
     obj = _TWO_DIM if name == "two_dim" else make_benchmark(name)

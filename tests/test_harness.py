@@ -36,7 +36,9 @@ from minmaxcbo.harness import (
 )
 from minmaxcbo.diagnostics import error_to_reference
 from minmaxcbo.cli import main
-from minmaxcbo.objectives import BENCHMARK_IDS, BoxDomain, ObjectiveFunction, make_benchmark, register_benchmark
+from minmaxcbo.objectives import BoxDomain, ObjectiveFunction, make_benchmark, register_benchmark
+
+BUILT_IN_IDS = ("bilinear", "bivariate", "bilinearly_coupled", "forsaken", "sixth_order", "remark_function")
 
 
 def test_nearest_rank_quantile_rules():
@@ -298,7 +300,7 @@ def _assert_batch_equals_runs_alone(obj, ref, config, n_trials):
 
 # Every trial count with every N, the built-ins in turn; N=300 takes two row blocks.
 _BATCH_CASES = [
-    (BENCHMARK_IDS[k % len(BENCHMARK_IDS)], n_trials, n)
+    (BUILT_IN_IDS[k % len(BUILT_IN_IDS)], n_trials, n)
     for k, (n_trials, n) in enumerate(itertools.product((1, 2, 7, 40), (1, 7, 10, 25, 128, 160)))
 ] + [("forsaken", 3, 300)]
 

@@ -46,6 +46,7 @@ from pathlib import Path
 
 from bench_pairs import ROOT, export_revision
 
+BENCHMARKS = ("bilinear", "bivariate", "bilinearly_coupled", "forsaken", "sixth_order", "remark_function")
 SEEDS = (3, 2**32 + 7)
 INIT_MODES = ("uniform_box", "border", "gaussian")
 HORIZON = "2"
@@ -87,12 +88,12 @@ for argv in json.loads(sys.argv[1]):
 ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
-def commands(benchmarks: list[str], config: Path) -> list[tuple[list[str], str | None]]:
+def commands(config: Path) -> list[tuple[list[str], str | None]]:
     """The CLI calls both sides make, each with the file it writes, or None for one that writes into --out."""
     calls = [
         ["solve", "--benchmark", name, "--init", mode, "--seed", str(seed), "-T", HORIZON,
          "--prefix", f"{name}_{mode}_seed{seed}"]
-        for name in benchmarks for mode in INIT_MODES for seed in SEEDS
+        for name in BENCHMARKS for mode in INIT_MODES for seed in SEEDS
     ]
     calls += [[arg.format(config=config) for arg in call] for call in CONFIG_CALLS]
     return [(call, None) for call in calls + SWEEPS] + FILE_OUTPUTS
@@ -121,13 +122,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", default="HEAD", help="revision to compare the working tree against")
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(ROOT / "src"))
-    from minmaxcbo.objectives import BENCHMARK_IDS
-
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
         config = Path(tmp) / "gaussian_isotropic.conf"
         config.write_text(CONFIG_FILE, encoding="utf-8")
-        calls = commands(list(BENCHMARK_IDS), config)
+        calls = commands(config)
         sha = export_revision(args.parent, Path(tmp))
         outs = {"parent": Path(tmp) / "out_parent", "change": Path(tmp) / "out_change"}
         run_side(Path(tmp) / "parent", calls, outs["parent"])
