@@ -161,7 +161,10 @@ def _cmd_gda(args: argparse.Namespace) -> int:
         start=(np.array(start_vals[: obj.dim_x]), np.array(start_vals[obj.dim_x :])),
         mode=args.mode,
     )
-    result = gda_run(obj, config)
+    with np.errstate(all="ignore"):  # a blown-up iterate reads as diverged or as a numerical failure
+        result = gda_run(obj, config)
+        final_x, final_y = result.xs[-1], result.ys[-1]
+        final_norm = float(np.sqrt(np.sum(final_x**2) + np.sum(final_y**2)))
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write("schema,iter," + ",".join(
@@ -170,7 +173,6 @@ def _cmd_gda(args: argparse.Namespace) -> int:
             for k in range(len(result)):
                 cells = [repr(float(v)) for v in (*result.xs[k], *result.ys[k])]
                 fh.write(f"minmaxcbo/gda/v1,{k}," + ",".join(cells) + "\n")
-    final_x, final_y = result.xs[-1], result.ys[-1]
     payload = {
         "schema": "minmaxcbo/gda/v1",
         "benchmark": obj.name,
@@ -178,7 +180,7 @@ def _cmd_gda(args: argparse.Namespace) -> int:
         "iterations": len(result) - 1,
         "final_x": [float(v) for v in final_x],
         "final_y": [float(v) for v in final_y],
-        "final_norm": float(np.sqrt(np.sum(final_x**2) + np.sum(final_y**2))),
+        "final_norm": final_norm,
         "diverged": result.diverged,
     }
     print(json.dumps(payload, sort_keys=True))

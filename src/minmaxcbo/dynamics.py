@@ -196,6 +196,8 @@ class SolverConfig:
             raise ConfigError("dt_x = epsilon_scale * dt_y must lie in (0, 1)")
         if self.horizon <= 0:
             raise ConfigError("horizon must be > 0")
+        if not self.horizon / self.dt_y - 1e-9 <= _MASK32:  # the keyed streams key a step by one 32-bit word
+            raise ConfigError(f"horizon / dt_y must not exceed {_MASK32} steps, got {self.horizon / self.dt_y:g}")
         if self.diffusion not in DIFFUSION_MODES:
             raise ConfigError(f"diffusion must be one of {DIFFUSION_MODES}, got {self.diffusion!r}")
         if self.seed < 0:

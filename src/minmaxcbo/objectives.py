@@ -90,7 +90,10 @@ class ReferencePoint:
 class ObjectiveFunction:
     """Evaluatable E(x, y) with its dimensions and box domains.
 
-    ``fn`` must be deterministic and finite on domain_x x domain_y.
+    ``fn`` must be deterministic and finite on domain_x x domain_y.  From
+    N = 257 particles on, consensus_points may call it from two threads at
+    once: numpy expressions of its arguments are safe, an ``fn`` that keeps
+    Python-side state between calls is not.
     """
 
     name: str
@@ -219,7 +222,8 @@ def register_benchmark(
 
     Boxes are BoxDomain instances or (lower, upper) pairs.  Sweeps in worker
     processes receive the objective itself, so fn must be a module-level
-    function there.
+    function there.  fn may be called from two threads at once (see
+    ObjectiveFunction), so it must keep no Python-side state between calls.
     """
     key = canonical_id(name)
     if key in _REGISTRY:

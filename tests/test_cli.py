@@ -161,6 +161,24 @@ def test_non_finite_parameters_exit_2(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--horizon", "1e12", "--dt", "0.5"], ["-T", "0.3", "--dt", "1e-300"]])
+def test_step_counts_beyond_one_word_exit_2_before_any_work(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    assert main(["solve", "--benchmark", "forsaken", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: horizon / dt_y must not exceed 4294967295 steps") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_gda_reports_overflow_only_through_its_exit_code(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gda", "--benchmark", "forsaken", "--eta", "1e308", "--iters", "5"]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["gda", "--benchmark", "forsaken", "--start=1e308,1e308"]) == 3
+        assert capsys.readouterr().err == "numerical failure: non-finite GDA iterate at iteration 1\n"
+
+
 def test_flag_precedence_tied_then_specific():
     # within one source the specific key wins over the tied one, in either order
     for flags in (["--lam", "2", "--lambda-x", "3"], ["--lambda-x", "3", "--lam", "2"]):
@@ -422,16 +440,15 @@ def test_bench_prints_one_line_per_criterion(capsys):
 # Values for the argv property test, each flag's as (accepted, rejected).  Runs stay tiny: a horizon of at
 # most 0.3 with dt >= 0.05, N <= 64, at most 3 trials, oracle grids of at most 65 points and 1 round, at
 # most 50 GDA iterations, bench only for criterion 7, and --jobs in {-1, 0, 1}, so no process pool
-# starts.  Horizons and step sizes whose step count cannot be allocated are left out: such a run still
-# ends in a numpy allocation traceback.
+# starts.  A horizon of 1e12 and a dt of 1e-300 ask for more steps than a run may take.
 _BAD = ["nan", "inf", "-inf", "-1", "x", ""]
 _SPELLINGS = (["forsaken", "Bilinearly-Coupled", " SIXTH_ORDER ", "remark function", "bivariate"], ["nope", ""])
 _BOXES = (["-1,1", "0.5,3"], ["-1e308,1e308", "-inf,inf", "1,-1", "nan,1", "1", "x"])
 _SOLVER_FLAGS = {
     "--benchmark": _SPELLINGS,
-    "-T": (["0.1", "0.3"], ["0", "-1", "nan", "inf", "x"]),
+    "-T": (["0.1", "0.3"], ["0", "-1", "nan", "inf", "x", "1e12"]),
     "-N": (["1", "5", "64"], ["0", "-3", "1.5", "nan", "x"]),
-    "--dt": (["0.05", "0.1", "0.5"], ["0", "1", "-1", "nan", "inf", "x"]),
+    "--dt": (["0.05", "0.1", "0.5"], ["0", "1", "-1", "nan", "inf", "x", "1e-300"]),
     "--epsilon": (["0.5", "1"], ["0", "-1", "1e308", "nan", "x"]),
     "--seed": (["0", "3", str(2**70)], ["-1", "1.5", "x"]),
     "--init": (["uniform_box", "border", "gaussian"], ["everywhere"]),

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -186,19 +187,26 @@ def _gathers(values, scale, axis=-1):
 
 
 def _assert_matches_reference(values, scale, axis):
+    """exp_weights matches the formula in bits and warnings, into a new array and then over ``values`` itself."""
     before = values.copy()
     with warnings.catch_warnings(record=True) as expected_warnings:
         warnings.simplefilter("always")
         expected = _reference_weights(values, scale, axis)
+    expected_messages = [(w.category, str(w.message)) for w in expected_warnings]
     with warnings.catch_warnings(record=True) as got_warnings:
         warnings.simplefilter("always")
         got = exp_weights(values, scale, axis)
     assert got.shape == expected.shape and got.strides == expected.strides
     assert got.tobytes() == expected.tobytes()
     assert values.tobytes() == before.tobytes()
-    assert [(w.category, str(w.message)) for w in got_warnings] == [
-        (w.category, str(w.message)) for w in expected_warnings
-    ]
+    assert [(w.category, str(w.message)) for w in got_warnings] == expected_messages
+    # out=values keeps the layout of values, which may differ from the formula's
+    with warnings.catch_warnings(record=True) as got_warnings:
+        warnings.simplefilter("always")
+        got = exp_weights(values, scale, axis, out=values)
+    assert got is values
+    assert got.tobytes() == expected.tobytes()
+    assert [(w.category, str(w.message)) for w in got_warnings] == expected_messages
 
 
 # Exponent bands: dead (exp is 0.0 and the entry is skipped), just above the
@@ -301,15 +309,15 @@ def test_runs_bitwise_equal_with_reference_weights(monkeypatch):
     ref = benchmark_reference("bilinear")
     branches = set()  # of the pair-matrix calls; the outer weights of 200 entries never skip
 
-    def spy(values, scale, axis=-1, pivot=None):
+    def spy(values, scale, axis=-1, pivot=None, out=None):
         if values.ndim == 2:
             branches.add(_gathers(values, scale, axis))
-        return exp_weights(values, scale, axis, pivot=pivot)
+        return exp_weights(values, scale, axis, pivot=pivot, out=out)
 
     monkeypatch.setattr(consensus, "exp_weights", spy)
     fast = run(cfg, BILINEAR, reference=ref)
-    monkeypatch.setattr(consensus, "exp_weights", lambda values, scale, axis=-1, pivot=None: _reference_weights(
-        values, scale, axis))
+    monkeypatch.setattr(consensus, "exp_weights", lambda values, scale, axis=-1, pivot=None, out=None: (
+        _reference_weights(values, scale, axis)))
     slow = run(cfg, BILINEAR, reference=ref)
     assert branches == {True, False}
     assert len(fast) == cfg.n_steps + 1 == 201
@@ -423,17 +431,19 @@ def test_non_finite_messages_print_plain_integer_indices():
     assert str(info.value) == "non-finite objective value in x-consensus outer weights at particle index (0,)"
 
 
+def _saddle2(x, y):
+    return x[..., 0] * (y[..., 0] - 2.0 * y[..., 1]) - (y[..., 0] - 1.5) ** 2 - 0.5 * (y[..., 1] - 1.0) ** 2
+
+
+_SADDLE2 = ObjectiveFunction("saddle2", 1, 2, BoxDomain(np.array([-2.0]), np.array([2.0])),
+                             BoxDomain(np.array([0.5, 0.5]), np.array([3.0, 3.0])), _saddle2)
+
+
 def test_two_dimensional_y_agrees_with_whole_matrix_reference():
     # gemm sums the blocked and the whole product in different orders, so
     # the bits may differ; y lies in a positive box, so every entry of yhat
     # is well away from zero and a relative bound is meaningful
-    box_x = BoxDomain(np.array([-2.0]), np.array([2.0]))
-    box_y = BoxDomain(np.array([0.5, 0.5]), np.array([3.0, 3.0]))
-
-    def saddle(x, y):
-        return x[..., 0] * (y[..., 0] - 2.0 * y[..., 1]) - (y[..., 0] - 1.5) ** 2 - 0.5 * (y[..., 1] - 1.0) ** 2
-
-    obj = ObjectiveFunction("saddle2", 1, 2, box_x, box_y, saddle)
+    obj = _SADDLE2
     rng = np.random.default_rng(6)
     for n in (513, 1000, 1031):
         xs = rng.uniform(-2.0, 2.0, (n, 1))
@@ -443,3 +453,174 @@ def test_two_dimensional_y_agrees_with_whole_matrix_reference():
         np.testing.assert_allclose(cp.y_cons_per_particle, yhat, rtol=1e-14, atol=0)
         np.testing.assert_allclose(cp.x_cons, x_cons, rtol=1e-14, atol=0)
         assert (bx.tobytes(), by.tobytes(), value) == (rx.tobytes(), ry.tobytes(), rvalue)
+
+
+# --- row blocks on two workers ------------------------------------------------
+
+
+def _consensus_on(workers, obj, xs, ys, weight):
+    """consensus_points with the given worker count: its results and the threads that evaluated pairs."""
+    threads = set()
+
+    def fn(x, y):
+        threads.add(threading.get_ident())
+        return obj.fn(x, y)
+
+    traced = ObjectiveFunction(obj.name, obj.dim_x, obj.dim_y, obj.domain_x, obj.domain_y, fn)
+    saved = consensus._worker_count
+    consensus._worker_count = lambda: workers
+    try:
+        cp, (bx, by, value) = consensus_points(traced, xs, ys, weight, weight)
+    finally:
+        consensus._worker_count = saved
+    return (cp.x_cons, cp.y_cons_per_particle, bx, by, np.float64(value)), len(threads)
+
+
+def _worker_mismatches():
+    """Every case where two workers differ in a bit from one worker, or a 1-d y from the whole-matrix reference."""
+    mismatches = []
+    for obj in [*(make_benchmark(name) for name in ("bilinear", "forsaken", "remark_function")), _SADDLE2]:
+        for n in (300, 1000):
+            for lead in ((), (2,)):
+                rng = np.random.default_rng([n, len(lead)])
+                xs = rng.uniform(obj.domain_x.lower, obj.domain_x.upper, (*lead, n, obj.dim_x))
+                ys = rng.uniform(obj.domain_y.lower, obj.domain_y.upper, (*lead, n, obj.dim_y))
+                for weight in (1e4, 30.0):
+                    one, one_threads = _consensus_on(1, obj, xs, ys, weight)
+                    two, two_threads = _consensus_on(2, obj, xs, ys, weight)
+                    wants = [one]
+                    if obj.dim_y == 1:  # gemm may sum a 2-d y's blocks and whole product differently
+                        refs = [_reference_consensus(obj, x, y, weight, weight)
+                                for x, y in (zip(xs, ys) if lead else [(xs, ys)])]
+                        flat = [(x_cons, yhat, bx, by, np.float64(v)) for x_cons, yhat, (bx, by, v) in refs]
+                        wants.append(tuple(np.stack(parts) if lead else parts[0] for parts in zip(*flat)))
+                    if (one_threads, two_threads) != (1, 2) or any(
+                        g.tobytes() != w.tobytes() for want in wants for g, w in zip(two, want)
+                    ):
+                        mismatches.append((obj.name, n, lead, weight))
+    return mismatches
+
+
+def test_two_workers_bitwise_equal_one_worker_and_whole_matrix_reference():
+    code = f"import runpy; print(runpy.run_path({__file__!r})['_worker_mismatches']())"
+    env = {**os.environ, **_ONE_BLAS_THREAD, "PYTHONPATH": os.pathsep.join(sys.path)}
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
+
+
+def test_one_usable_cpu_keeps_one_worker_and_the_full_blocks(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    rng = np.random.default_rng(8)
+    xs, ys = rng.uniform(-4, 4, (1000, 1)), rng.uniform(-4, 4, (1000, 1))
+    calls = []
+    counted = ObjectiveFunction("counted", 1, 1, BILINEAR.domain_x, BILINEAR.domain_y,
+                                lambda x, y: calls.append(threading.get_ident()) or BILINEAR.fn(x, y))
+    consensus_points(counted, xs, ys, 1e4, 1e4)
+    assert consensus._worker_count() == 1
+    assert calls[:-1] == [threading.get_ident()] * 16  # 16 row blocks of 64 rows, then the outer values
+
+
+def _planted(bad_rows):
+    """An objective that is NaN on the x-particles at bad_rows of a fixed N=1000 ensemble, and the ensemble."""
+    rng = np.random.default_rng(5)
+    xs, ys = rng.uniform(-1, 1, (1000, 1)), rng.uniform(-1, 1, (1000, 1))
+    marks = [2.0 + k for k in range(len(bad_rows))]
+    xs[bad_rows, 0] = marks
+    box = BoxDomain(np.array([-1.0]), np.array([1.0 + len(bad_rows)]))
+    obj = ObjectiveFunction("planted", 1, 1, box, box,
+                            lambda x, y: np.where(x[..., 0] >= 2.0, np.nan, x[..., 0] * y[..., 0]))
+    return obj, xs, ys
+
+
+@pytest.mark.parametrize("bad_rows", [[100, 200], [70, 170]])
+def test_failures_on_both_workers_report_the_lowest_block(monkeypatch, bad_rows):
+    # 32-row blocks: rows 100 and 200 lie in blocks 3 (helper) and 6 (caller), rows 70 and 170 in 2 (caller) and 5
+    monkeypatch.setattr(consensus, "_worker_count", lambda: 2)
+    obj, xs, ys = _planted(bad_rows)
+    low = min(bad_rows)
+    with pytest.raises(NumericalError, match=re.escape(f"at particle index ({low}, 0)")):
+        consensus_points(obj, xs, ys, 1e4, 1e4)
+
+
+def test_an_exception_raised_on_the_helper_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(consensus, "_worker_count", lambda: 2)
+    main = threading.get_ident()
+
+    def fails_off_main(x, y):
+        if threading.get_ident() != main:
+            raise ValueError("raised on the helper")
+        return x[..., 0] * y[..., 0]
+
+    obj = ObjectiveFunction("off_main", 1, 1, BILINEAR.domain_x, BILINEAR.domain_y, fails_off_main)
+    rng = np.random.default_rng(3)
+    with pytest.raises(ValueError, match="^raised on the helper$"):
+        consensus_points(obj, rng.uniform(-4, 4, (1000, 1)), rng.uniform(-4, 4, (1000, 1)), 1e4, 1e4)
+
+
+def _overflows_in_block_1():
+    """exp overflows, to a finite result, only in the pair rows 32-63: block 1 of two workers, on the helper."""
+    xs = np.linspace(-1.0, 1.0, 1000)[:, None]
+    xs[32:64, 0] = 3.0
+
+    def overflow(x, y):
+        scale = 400.0 if x.ndim == 3 else 1.0  # the pair calls broadcast x to (rows, 1, 1); the outer call does not
+        return np.minimum(np.exp(scale * x[..., 0]), 2.0) * y[..., 0]
+
+    box = BoxDomain(np.array([-1.0]), np.array([3.0]))
+    return ObjectiveFunction("overflow", 1, 1, box, box, overflow), xs, np.linspace(-1.0, 1.0, 1000)[:, None]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_helper_keeps_the_callers_numpy_error_state(monkeypatch, workers):
+    monkeypatch.setattr(consensus, "_worker_count", lambda: workers)
+    obj, xs, ys = _overflows_in_block_1()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(all="ignore"):
+            consensus_points(obj, xs, ys, 1e4, 1e4)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError) as info:
+        consensus_points(obj, xs, ys, 1e4, 1e4)
+    assert str(info.value) == "overflow encountered in exp"
+
+
+_FORK_SCRIPT = """
+import multiprocessing
+import numpy as np
+from minmaxcbo import SolverConfig, make_benchmark
+from minmaxcbo.consensus import _worker_count, consensus_points
+from minmaxcbo.harness import SweepSpec, run_sweep
+
+obj = make_benchmark("forsaken")
+rng = np.random.default_rng(1)
+xs, ys = rng.uniform(-1.5, 1.5, (1000, 1)), rng.uniform(-1.5, 1.5, (1000, 1))
+
+def call():
+    cp, best = consensus_points(obj, xs, ys, 1e4, 1e4)
+    return cp.y_cons_per_particle.tobytes() + np.asarray(best[:2]).tobytes()
+
+def in_child(pipe):
+    pipe.send(call())
+
+first = call()  # the helper thread now exists in this process
+parent_end, child_end = multiprocessing.Pipe()
+child = multiprocessing.get_context("fork").Process(target=in_child, args=(child_end,))
+child.start()
+if not parent_end.poll(60):
+    child.kill()
+    raise SystemExit("the forked child hung")
+assert parent_end.recv() == first  # the forked child made and used a helper thread of its own
+child.join()
+base = SolverConfig(n_particles=300, horizon=0.3, init="border", seed=2)
+rows = {jobs: run_sweep(SweepSpec("sigma", [1.0, 2.0], obj, base, trials=3, jobs=jobs)) for jobs in (2, 1)}
+assert [s.errors for s in rows[2]] == [s.errors for s in rows[1]], rows
+print("ok", _worker_count())
+"""
+
+
+def test_fork_after_a_two_worker_call_neither_hangs_nor_changes_results():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    child = subprocess.run([sys.executable, "-c", _FORK_SCRIPT], env=env, capture_output=True, text=True, timeout=180)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split()[0] == "ok"

@@ -22,7 +22,7 @@ from minmaxcbo import (
     run,
     trajectory,
 )
-from minmaxcbo import harness
+from minmaxcbo import consensus, harness
 from minmaxcbo.consensus import ConsensusPoint, consensus_points
 from minmaxcbo.dynamics import _TAG_STEP_X, _TAG_STEP_Y, Ensemble, _KeyedStreams, _advance, _rng
 from minmaxcbo.objectives import BoxDomain, ObjectiveFunction
@@ -221,11 +221,14 @@ def test_eval_count_equals_the_evaluations_made():
         return x[..., 0] * y[..., 0]
 
     obj = ObjectiveFunction("tallied", 1, 1, BILINEAR.domain_x, BILINEAR.domain_y, tallied)
-    for n, horizon in ((5, 15.0), (1000, 0.2)):  # N=1000: 3 states of 16 row blocks each
+    for n, horizon in ((5, 15.0), (1000, 0.2)):  # N=1000: 3 states of 16 row blocks each, or 32 on two workers
         sizes.clear()
         record = run(_cfg(n_particles=n, horizon=horizon), obj)
         assert sum(sizes) == record.eval_count == len(record) * n * (n + 1), n
-    assert len(sizes) == 3 * (16 + 1)
+    workers = consensus._worker_count()
+    blocks = -(-1000 // consensus._block_rows(consensus._BLOCK_ENTRIES // workers, 1000))
+    assert blocks == 16 * workers
+    assert len(sizes) == 3 * (blocks + 1)
     config, seeds = _cfg(n_particles=7, horizon=2.0), [4, 9, 2]
     sizes.clear()
     for _ in trajectory(config, obj, seeds):
@@ -236,7 +239,7 @@ def test_eval_count_equals_the_evaluations_made():
 @pytest.mark.parametrize("consumer", ["run", "sweep_trial"] + [f"consensus_points-{n}" for n in BUILT_IN_IDS])
 def test_no_pair_matrix_held_at_n1000(consumer):
     # one 1000 x 1000 pair matrix is 7.6 MiB; a peak below half of it rules out any whole matrix built or
-    # kept, and leaves room for a row block of pair values and its weights (measured peaks 1.1-2.0 MiB)
+    # kept, and leaves room for the row blocks in flight (measured peaks 0.7-1.5 MiB)
     config = _cfg(n_particles=1000, dt_y=0.01, horizon=0.05, seed=3, init="uniform_box")
     ref = benchmark_reference("forsaken")
     if consumer == "run":
@@ -352,6 +355,11 @@ def test_config_validation():
         _cfg(n_particles=0)
     with pytest.raises(ConfigError):
         _cfg(horizon=-1.0)
+    # a step is keyed by one 32-bit word: 2**32 - 1 steps are the most a run may take
+    assert SolverConfig(horizon=(2**32 - 1) / 2, dt_y=0.5).n_steps == 2**32 - 1
+    for horizon, dt_y in ((2**32 / 2, 0.5), (1e308, 0.5), (0.3, 1e-300)):
+        with pytest.raises(ConfigError, match="must not exceed 4294967295 steps"):
+            SolverConfig(horizon=horizon, dt_y=dt_y)
     with pytest.raises(ConfigError):
         SolverConfig(diffusion="banana")
     with pytest.raises(ConfigError):

@@ -20,7 +20,8 @@ end-to-end metric of BENCHMARK.json the median and quartiles of each side,
 the change of the medians, the pairs the working tree won (ties count for
 neither), the parent's interquartile range and whether the medians differ by
 more than it, and whether the working tree's median is within the metric's
-regression bound.
+regression bound; ``also_summary`` holds each side's median and quartiles of
+the raw rate and call time and of the speed kernel's time.
 """
 
 from __future__ import annotations
@@ -80,6 +81,24 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, median, q3
+
+
+# Reported metrics summarized beside the gated ones: the raw rate shows a gain
+# without the speed kernel's normalization, and the kernel's own time shows
+# how much that normalization moved between the sides.
+ALSO_SUMMARIZED = ("raw.steps_per_s", "raw.call_ms_p50", "speed.kernel_us_p50")
+
+
+def summarize_also(pairs: list[dict]) -> dict:
+    """Per side, the median and quartiles of each ALSO_SUMMARIZED metric."""
+    summary = {}
+    for name in ALSO_SUMMARIZED:
+        summary[name] = {}
+        for side in ("parent", "change"):
+            values = [p[side]["also_reported"][name] for p in pairs]
+            q1, median, q3 = quartiles(values)
+            summary[name][side] = {"median": median, "q1": q1, "q3": q3, "runs": values}
+    return summary
 
 
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
@@ -165,6 +184,7 @@ def main(argv: list[str] | None = None) -> int:
         "seeds": seeds,
         "pairs": pairs,
         "summary": summarize(pairs, BENCHMARK["end_to_end"]),
+        "also_summary": summarize_also(pairs),
         "all_output_sha256_equal": all(p["output_sha256_equal"] for p in pairs),
         "failed_total": {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")},
     }

@@ -17,6 +17,10 @@ its own ``src/`` first on the path and one BLAS thread:
 - ``sweep`` of ``bilinear`` over sigma in {1.5, 3.16e5}, unprojected, 7
   trials, horizon 3, at ``--jobs 1`` and ``--jobs 2``: at sigma = 3.16e5
   some trials turn non-finite, so their rows read ``nan``;
+- ``solve`` of ``bilinear`` and ``forsaken`` at N = 300 and N = 1000 for 30
+  steps, and ``sweep`` of ``forsaken`` at N = 300, 3 trials, horizon 1, at
+  ``--jobs 1`` and ``--jobs 2``: these split the pair matrix into several
+  row blocks, which two threads step on a machine with two or more CPUs;
 - ``solve`` and ``sweep`` of ``forsaken`` with a ``--config`` file that sets
   ``init = gaussian``, ``init_mean``, ``init_std`` and
   ``diffusion = isotropic``;
@@ -59,6 +63,12 @@ SWEEPS = [
        "-T", "3", "--trials", "7", "--seed", "9", "--jobs", jobs, "--prefix", f"sweep_failing_jobs{jobs}"]
       for jobs in ("1", "2")),
 ]
+LARGE_N = [
+    *(["solve", "--benchmark", name, "-N", n, "--dt", "0.01", "-T", "0.3", "--seed", "3", "--prefix", f"{name}_n{n}"]
+      for name in ("bilinear", "forsaken") for n in ("300", "1000")),
+    *(["sweep", "--benchmark", "forsaken", "--parameter", "n_particles", "--values", "300", "--trials", "3",
+       "-T", "1", "--jobs", jobs, "--prefix", f"sweep_n300_jobs{jobs}"] for jobs in ("1", "2")),
+]
 # The config file of CONFIG_CALLS, written once for both sides; {config} in an argv is its path.
 CONFIG_FILE = "init = gaussian\ninit_mean = 0.25\ninit_std = 0.5\ndiffusion = isotropic\n"
 CONFIG_CALLS = [
@@ -96,7 +106,7 @@ def commands(config: Path) -> list[tuple[list[str], str | None]]:
         for name in BENCHMARKS for mode in INIT_MODES for seed in SEEDS
     ]
     calls += [[arg.format(config=config) for arg in call] for call in CONFIG_CALLS]
-    return [(call, None) for call in calls + SWEEPS] + FILE_OUTPUTS
+    return [(call, None) for call in calls + SWEEPS + LARGE_N] + FILE_OUTPUTS
 
 
 def run_side(root: Path, calls: list[tuple[list[str], str | None]], out: Path) -> None:
