@@ -218,21 +218,11 @@ def _block_rows(entries: int, n_y: int) -> int:
     return max(8, entries // n_y // 8 * 8)
 
 
-# Set in run_sweep's pool workers, whose cores the pool already uses.
-_one_worker = False
 _helper: tuple[int, ThreadPoolExecutor] | None = None  # (pid, executor) of the process that made it
-
-
-def _use_one_worker() -> None:
-    """Keep this process's consensus_points calls on the calling thread."""
-    global _one_worker
-    _one_worker = True
 
 
 def _worker_count() -> int:
     """Threads that step the row blocks of a multi-block call: min(2, CPUs this process may run on)."""
-    if _one_worker:
-        return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
@@ -256,22 +246,18 @@ def _on_two_workers(block, starts: range) -> list:
     """[block(a) for a in starts], the even blocks on this thread and the odd ones on the helper.
 
     The helper runs in a copy of the caller's context, so numpy's errstate
-    holds there too.  A worker stops at its first failing block, and at any
-    block above one that already failed; what the lowest failing block
+    holds there too.  A worker stops at its first failing block, so every
+    block below the lowest failure runs; what the lowest failing block
     raised is raised here once both workers are done.
     """
     shares: list = [None] * len(starts)
-    failed = [len(starts)]  # a failed block's index; lowered as blocks fail
 
     def work(first: int) -> None:
         for b in range(first, len(starts), 2):
-            if b > failed[0]:
-                return
             try:
                 shares[b] = block(starts[b])
             except Exception as exc:
                 shares[b] = exc
-                failed[0] = min(failed[0], b)
                 return
 
     helper = _helper_thread().submit(contextvars.copy_context().run, work, 1)

@@ -87,8 +87,8 @@ class _KeyedStreams:
     words into it and runs generate_state's output hashes in one pass of
     uint64 arithmetic.  Per key, the PCG64 (state, inc) follows from the
     four output words by the setseq rule and is set on the one generator
-    this object reuses.  A step of more than one 32-bit word falls back to
-    ``_rng``.
+    this object reuses.  A step is one 32-bit word, which ``SolverConfig``
+    guarantees by capping the step count.
     """
 
     def __init__(self, seed: int):
@@ -115,8 +115,6 @@ class _KeyedStreams:
         return first, (out[0::2] | (out[1::2] << 32)).T.tolist()
 
     def generator(self, tag: int, step: int) -> Generator:
-        if step > _MASK32:
-            return _rng(self.seed, tag, step)
         chunk = self._chunks.get(tag)
         if chunk is None or not chunk[0] <= step < chunk[0] + _NOISE_CHUNK:
             chunk = self._chunks[tag] = self._chunk(tag, step - step % _NOISE_CHUNK)

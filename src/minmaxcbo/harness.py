@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import consensus, dynamics
+from . import dynamics
 from .diagnostics import RunRecord, error_to_reference
 from .dynamics import SolverConfig, run
 from .errors import ConfigError, InputError, NumericalError
@@ -316,18 +316,17 @@ def run_sweep(spec: SweepSpec) -> list[TrialSummary]:
     Trial t uses seed base.seed + t.  Every value's configuration is
     validated before the first trial starts.  The trials of a value advance
     together in batches (see ``_batches``); with jobs > 1 the batches run on
-    that many processes, each stepping its row blocks on one thread.  Rows
-    are ordered by (value, trial) regardless of execution order, and each
-    is bitwise the error of its trial run alone; failed trials enter the
-    error list as NaN and are excluded from the quantiles, while a finished
-    trial's error of inf counts.
+    that many processes.  Rows are ordered by (value, trial) regardless of
+    execution order, and each is bitwise the error of its trial run alone;
+    failed trials enter the error list as NaN and are excluded from the
+    quantiles, while a finished trial's error of inf counts.
     """
     configs = [_configured(spec, value) for value in spec.values]
     seeds = [spec.base.seed + trial for trial in range(spec.trials)]
     batches = [(config, batch) for config in configs for batch in _batches(seeds, config.n_particles, spec.jobs)]
     obj, ref = spec.objective, spec.reference
     if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs, initializer=consensus._use_one_worker) as pool:
+        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
             done = list(pool.map(_sweep_trials, repeat(obj), repeat(ref), *zip(*batches)))
     else:
         done = [_sweep_trials(obj, ref, config, batch) for config, batch in batches]

@@ -420,9 +420,9 @@ def test_sweep_batch_blocks_hold_at_most_the_batch_entries():
 
 
 class _InlinePool:
-    """A stand-in for ProcessPoolExecutor that maps in this process; a worker process's initializer is not run."""
+    """A stand-in for ProcessPoolExecutor that maps in this process."""
 
-    def __init__(self, max_workers, initializer=None):
+    def __init__(self, max_workers):
         pass
 
     def __enter__(self):
