@@ -10,7 +10,6 @@ $MINMAXCBO_OUT (falling back to the working directory).
 from __future__ import annotations
 
 import argparse
-import ctypes
 import functools
 import json
 import os
@@ -246,32 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# glibc's mallopt parameters (malloc.h)
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-
-
-@functools.cache
-def _keep_freed_memory() -> None:
-    """Have glibc reuse the memory a step frees instead of returning it to the OS, once per process.
-
-    From about N = 128 on, every step allocates and frees arrays of 128 KiB
-    and more: the pair block, its weights and the objective's temporaries.
-    Under glibc's adaptive thresholds these are mapped and unmapped, or
-    trimmed off the heap, at every step, and the next step faults their
-    pages in again: about 70 minor faults per N = 160 step, which took
-    about 30% of a sweep's CPU time (2 cores, Linux VM).  Fixed thresholds
-    keep such arrays in the heap.  Where the C library has no mallopt this
-    does nothing.
-    """
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform.startswith("linux") else None
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-
-
 def main(argv: list[str] | None = None) -> int:
-    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -12,13 +12,16 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InputError, NumericalError
 from .objectives import ObjectiveFunction
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = [
     "ConsensusPoint",
@@ -221,23 +224,31 @@ def _block_rows(entries: int, n_y: int) -> int:
 _helper: tuple[int, ThreadPoolExecutor] | None = None  # (pid, executor) of the process that made it
 
 
-def _worker_count() -> int:
-    """Threads that step the row blocks of a multi-block call: min(2, CPUs this process may run on)."""
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
-        cpus = os.cpu_count() or 1
-    return min(2, cpus)
+        return os.cpu_count() or 1
+
+
+def _worker_count() -> int:
+    """Threads that step the row blocks of a multi-block call: min(2, usable CPUs)."""
+    return min(2, _usable_cpus())
 
 
 def _helper_thread() -> ThreadPoolExecutor:
     """This process's one helper thread, made on first use.
 
     A forked child inherits its parent's executor but not the thread
-    behind it, so the executor is keyed by the process id.
+    behind it, so the executor is keyed by the process id.  The executor
+    module is imported here, so a process that never steps two workers
+    does not load it.
     """
     global _helper
     if _helper is None or _helper[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+
         _helper = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="minmaxcbo-consensus"))
     return _helper[1]
 

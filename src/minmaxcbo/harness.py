@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import Callable
@@ -21,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import dynamics
+from .consensus import _usable_cpus
 from .diagnostics import RunRecord, error_to_reference
 from .dynamics import SolverConfig, run
 from .errors import ConfigError, InputError, NumericalError
@@ -316,7 +316,8 @@ def run_sweep(spec: SweepSpec) -> list[TrialSummary]:
     Trial t uses seed base.seed + t.  Every value's configuration is
     validated before the first trial starts.  The trials of a value advance
     together in batches (see ``_batches``); with jobs > 1 the batches run on
-    that many processes.  Rows are ordered by (value, trial) regardless of
+    min(jobs, batches, usable CPUs) processes, a pool that is imported and
+    started only then.  Rows are ordered by (value, trial) regardless of
     execution order, and each is bitwise the error of its trial run alone;
     failed trials enter the error list as NaN and are excluded from the
     quantiles, while a finished trial's error of inf counts.
@@ -326,7 +327,10 @@ def run_sweep(spec: SweepSpec) -> list[TrialSummary]:
     batches = [(config, batch) for config in configs for batch in _batches(seeds, config.n_particles, spec.jobs)]
     obj, ref = spec.objective, spec.reference
     if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # the pool may start all its workers at the first submit, so ask for no more than can run
+        with ProcessPoolExecutor(max_workers=min(spec.jobs, len(batches), _usable_cpus())) as pool:
             done = list(pool.map(_sweep_trials, repeat(obj), repeat(ref), *zip(*batches)))
     else:
         done = [_sweep_trials(obj, ref, config, batch) for config, batch in batches]

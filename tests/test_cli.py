@@ -380,26 +380,73 @@ def test_bad_mode_exits_2_with_one_error_line(tmp_path, capsys, argv, flags):
 
 
 _FAULTS_PER_STEP = """
-import contextlib, io, resource, sys, tempfile
+import contextlib, io, resource, sys
+from minmaxcbo import run
 from minmaxcbo.cli import main
-argv = ["solve", "--benchmark", "forsaken", "-N", "200", "--out", tempfile.mkdtemp()]
-with contextlib.redirect_stdout(io.StringIO()):
-    main(argv + ["-T", "0.5"])
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    main(argv + ["-T", "3"])
+from minmaxcbo.harness import benchmark_config
+
+def steps(horizon):
+    if sys.argv[1] == "cli":
+        argv = ["solve", "--benchmark", "forsaken", "-N", "200", "-T", str(horizon),
+                "--out", f"{sys.argv[2]}/{horizon}"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(argv)
+    else:
+        run(*benchmark_config("forsaken", {"n_particles": 200, "horizon": horizon}))
+
+steps(0.5)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+steps(3)
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 30)
 """
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds")
-def test_cli_steps_reuse_freed_memory_instead_of_faulting_it_in_again():
-    # an N=200 step frees arrays of 312 KiB; under glibc's default thresholds each step of this run
-    # faulted in about 130 fresh pages; a child process keeps this process's allocator out of it
+def _faults_per_step(caller: str, out: Path) -> float:
+    # a child process keeps this process's allocator out of it
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
-    child = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP], env=env, capture_output=True, text=True,
-                           timeout=300)
+    child = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP, caller, str(out)], env=env, capture_output=True,
+                           text=True, timeout=300)
     assert child.returncode == 0, child.stderr
-    assert float(child.stdout) < 10
+    return float(child.stdout)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds")
+def test_cli_steps_reuse_freed_memory_instead_of_faulting_it_in_again(tmp_path):
+    # an N=200 step frees arrays of 312 KiB; under glibc's default thresholds each step of this run
+    # faulted in about 130 fresh pages
+    assert _faults_per_step("cli", tmp_path) < 10
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds")
+def test_library_steps_reuse_freed_memory_without_the_cli(tmp_path):
+    assert _faults_per_step("library", tmp_path) < 10
+
+
+_POOLS_ON_FIRST_USE = """
+import contextlib, io, sys
+from minmaxcbo import consensus
+from minmaxcbo.cli import main
+
+POOLS = ("multiprocessing", "concurrent.futures.process", "concurrent.futures.thread")
+sweep = ["sweep", "--benchmark", "forsaken", "--parameter", "n_particles", "--values", "10,256", "--trials", "2"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["solve", "--benchmark", "forsaken", "-T", "0.3", "--out", sys.argv[1] + "/solve"]) == 0
+    assert main(sweep + ["-T", "0.3", "--jobs", "1", "--out", sys.argv[1] + "/sweep"]) == 0
+print([m for m in POOLS if m in sys.modules])
+consensus._worker_count = lambda: 2
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["solve", "--benchmark", "forsaken", "-N", "300", "-T", "0.3", "--out", sys.argv[1] + "/n300"]) == 0
+print([m for m in POOLS if m in sys.modules])
+"""
+
+
+def test_commands_load_a_pool_only_when_they_use_it(tmp_path):
+    # N=256 fits one row block, so nothing below N=257 steps on two workers; N=300 splits into two blocks
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    child = subprocess.run([sys.executable, "-c", _POOLS_ON_FIRST_USE, str(tmp_path)], env=env, capture_output=True,
+                           text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == ["[]", "['concurrent.futures.thread']"]
 
 
 def _refuse_work(*args, **kwargs):

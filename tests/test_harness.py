@@ -2,6 +2,7 @@ import csv
 import itertools
 import math
 import multiprocessing
+import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -198,7 +199,7 @@ def test_sweep_custom_benchmark_under_spawn_matches_serial(monkeypatch):
     base, obj = benchmark_config("tilted_saddle", {"horizon": 1.0, "init": "border", "seed": 7})
     serial = run_sweep(SweepSpec(parameter="sigma", values=[0.5, 1.0], objective=obj, base=base, trials=2))
     spawn = multiprocessing.get_context("spawn")
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=spawn))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=spawn))
     parallel = run_sweep(SweepSpec(parameter="sigma", values=[0.5, 1.0], objective=obj, base=base, trials=2, jobs=2))
     assert [s.errors for s in parallel] == [s.errors for s in serial]
     assert all(math.isfinite(e) for s in serial for e in s.errors)
@@ -388,7 +389,7 @@ def test_batches_respect_the_entry_cap_and_keep_every_job_busy(monkeypatch, n, t
     ran = []
     monkeypatch.setattr(harness, "_sweep_trials",
                         lambda obj, ref, config, seeds: ran.append(seeds) or [0.0] * len(seeds))
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)
     spec = _tiny_spec(parameter="n_particles", values=[n], trials=trials, jobs=jobs)
     run_sweep(spec)
     assert [seed for batch in ran for seed in batch] == [spec.base.seed + t for t in range(trials)]
@@ -398,6 +399,20 @@ def test_batches_respect_the_entry_cap_and_keep_every_job_busy(monkeypatch, n, t
     assert len(ran) == max(min(jobs, trials), -(-trials // cap))  # as few batches as the cap and the jobs allow
     if n >= 129:
         assert sizes == [1] * trials
+
+
+@pytest.mark.parametrize("values, trials, cpus, workers", [([10], 2, 64, 2), ([10, 20], 40, 3, 3), ([10], 1, 64, 1)])
+def test_sweep_pool_asks_for_no_more_workers_than_batches_or_cpus(monkeypatch, values, trials, cpus, workers):
+    # a fork pool starts all max_workers processes at the first submit, so jobs=5000 must not reach it;
+    # should a real pool be reached anyway, it fails before starting a process
+    asked = []
+    monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process", _refuse_to_start_a_process)
+    monkeypatch.setattr(harness, "_sweep_trials", lambda obj, ref, config, seeds: [0.0] * len(seeds))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        lambda max_workers: asked.append(max_workers) or _InlinePool(max_workers))
+    run_sweep(_tiny_spec(parameter="n_particles", values=values, trials=trials, jobs=5000))
+    assert asked == [workers]
 
 
 def test_sweep_batch_blocks_hold_at_most_the_batch_entries():
@@ -417,6 +432,10 @@ def test_sweep_batch_blocks_hold_at_most_the_batch_entries():
         for batch in harness._batches(list(range(trials)), n, 1):
             harness._sweep_trials(obj, ref, replace(base, n_particles=n), batch)
         assert max(entries) == largest
+
+
+def _refuse_to_start_a_process(pool):
+    raise AssertionError("the test reached a real process pool")
 
 
 class _InlinePool:
