@@ -87,7 +87,7 @@ def criterion_2() -> CriterionResult:
 
 def _sweep_medians(benchmark: str, parameter: str, values, trials: int = 40, base_seed: int = 1000):
     base, obj = benchmark_config(benchmark, {"horizon": 50.0, "init": "border", "seed": base_seed})
-    spec = SweepSpec(parameter=parameter, values=list(values), objective=obj, base=base, trials=trials)
+    spec = SweepSpec(parameter=parameter, values=list(values), objective=obj, base=base, trials=trials, jobs=2)
     return {s.parameter_value: s.median_error for s in run_sweep(spec)}
 
 

@@ -45,11 +45,17 @@ class ConsensusPoint:
 
 # exp(z) is exactly 0.0 for every z below ln(2**-1075) ~ -745.133: the true
 # value is under half the smallest subnormal and rounds to zero.  The cut
-# sits a little lower, so the entries it skips are zero in any exp.
+# sits a little lower, so the entries below it are zero in any exp.
 _EXP_ZERO_CUT = -746.0
-# Below about this many entries, counting the entries under the cut costs
-# more than skipping them saves.
-_SKIP_MIN_ENTRIES = 1024
+# numpy's SIMD exp is fast only while every lane of an 8-lane vector has a
+# normal result: a vector with a lane whose result is 0 costs about 15x as
+# much, one with a subnormal result 100-150x.  The fast path ends between
+# -707.5 and -707.8 (results are normal down to ln(tiny) ~ -708.40); the cut
+# sits a little above, so exp of the cut itself is a normal float.
+_EXP_FAST_CUT = -707.0
+# Below about this many entries, masking the exponents under the fast cut
+# costs more than it saves.
+_MASK_MIN_ENTRIES = 1024
 # Pair entries per row block of consensus_points: 2**16 float64 values
 # (512 KiB) and their weights stay in a core's L2 cache.  The row count is
 # a multiple of 8 because BLAS gemv groups output rows by 4: with blocks
@@ -79,13 +85,17 @@ def exp_weights(
     The result is bit for bit ``e / e.sum(axis, keepdims=True)`` with
     ``e = np.exp(scale * (values - pivot))``, computed in one buffer that
     keeps the layout of ``e``, so the sums and the division are the same
-    operations on the same bits.  In an input of at least
-    ``_SKIP_MIN_ENTRIES`` entries where more than half of the scaled
-    exponents lie below ``_EXP_ZERO_CUT``, where exp returns exactly 0.0,
-    only the others are exponentiated and the rest of the buffer is
-    zero-filled.  Such inputs arise while the particles are spread out and
-    the weight parameters are large, and exp is slowest on them.  NaN
-    exponents are not below the cut, so they reach exp as before.
+    operations on the same bits.  While the particles are spread out and
+    the weight parameters are large, many scaled exponents lie below
+    ``_EXP_FAST_CUT``, where exp's result is 0.0 or subnormal and numpy's
+    exp leaves its fast path for the whole vector of lanes.  In an input
+    of at least ``_MASK_MIN_ENTRIES`` entries those exponents are raised to
+    the cut before the one exp over the buffer, and their lanes are then
+    set to +0.0; the few of them at or above ``_EXP_ZERO_CUT``, whose
+    result may be subnormal, are exponentiated apart and written back.
+    NaN and infinite exponents give what exp gives them.  The masked lanes
+    raise no floating-point flag, so under an errstate that reports
+    underflow the formula can warn where this does not.
 
     A caller that already holds the pivot (that max or min along ``axis``,
     with the axis kept) passes it as ``pivot`` and saves that pass.  A
@@ -104,17 +114,22 @@ def exp_weights(
 
 
 def _exp_in_place(w: np.ndarray) -> None:
-    if w.size >= _SKIP_MIN_ENTRIES:
-        flat = w.ravel(order="K")  # a view in memory order, unless an out= array has gaps or reversed axes
-        dead = flat < _EXP_ZERO_CUT
-        if not flat.flags.owndata and 2 * np.count_nonzero(dead) > flat.size:
-            live_idx = np.flatnonzero(np.logical_not(dead, out=dead))
-            live = flat[live_idx]
-            np.exp(live, out=live)
-            w.fill(0.0)
-            flat[live_idx] = live
-            return
-    np.exp(w, out=w)
+    """``np.exp(w, out=w)`` bit for bit, keeping a large block's exp on numpy's fast path."""
+    if w.size < _MASK_MIN_ENTRIES:
+        np.exp(w, out=w)
+        return
+    flat = w.ravel(order="K")  # a view in memory order, unless an out= array has gaps or reversed axes
+    low = flat < _EXP_FAST_CUT
+    if flat.flags.owndata or not low.any():
+        np.exp(w, out=w)
+        return
+    band_idx = np.flatnonzero(low & (flat >= _EXP_ZERO_CUT))  # results that may be subnormal, exponentiated apart
+    band_vals = flat[band_idx]
+    np.exp(band_vals, out=band_vals)
+    np.maximum(flat, _EXP_FAST_CUT, out=flat)  # NaN stays NaN
+    np.exp(flat, out=flat)
+    np.multiply(flat, np.logical_not(low, out=low), out=flat)  # each low lane becomes +0.0
+    flat[band_idx] = band_vals
 
 
 def _as_ensemble(arr, dim: int, what: str) -> np.ndarray:

@@ -367,10 +367,18 @@ def run(config: SolverConfig, obj: ObjectiveFunction, reference: ReferencePoint 
     run's budget by construction: each state evaluates E once per (X^i, Y^j)
     pair and once per outer point (X^i, yhat(X^i)).  numpy's floating-point
     warnings are silenced, as in a sweep: a non-finite state raises
-    NumericalError, and a finite state's overflowing metric reads inf.
+    NumericalError, and a finite state's overflowing metric reads inf.  A
+    record that cannot be allocated is a ConfigError.
     """
     n, rows = config.n_particles, config.n_steps + 1
-    record = RunRecord.allocate(rows, obj.dim_x, obj.dim_y)
+    try:
+        record = RunRecord.allocate(rows, obj.dim_x, obj.dim_y)
+    except MemoryError as exc:
+        size = rows * (7 + 2 * (obj.dim_x + obj.dim_y)) * 8  # 7 series of one float per state, 4 of d floats
+        raise ConfigError(
+            f"the record of {rows} states needs {size / 2**30:.1f} GiB, more than can be allocated;"
+            " use a shorter horizon or a larger dt"
+        ) from exc
     record.times[:] = np.arange(rows) * config.dt_y
     chunk = max(1, _STAGE_FLOATS // (n * (obj.dim_x + obj.dim_y)))
     stage_x, stage_y = np.empty((chunk, n, obj.dim_x)), np.empty((chunk, n, obj.dim_y))

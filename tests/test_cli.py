@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from minmaxcbo import ReferencePoint, benchmark_reference, make_benchmark, register_benchmark
 from minmaxcbo.cli import _collect_overrides, build_parser, main
+from minmaxcbo.diagnostics import RunRecord
 from minmaxcbo.harness import _sweep_trials, benchmark_config, run_benchmark, write_run_csv
 
 
@@ -167,6 +168,20 @@ def test_step_counts_beyond_one_word_exit_2_before_any_work(tmp_path, capsys, fl
     assert main(["solve", "--benchmark", "forsaken", *flags, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: horizon / dt_y must not exceed 4294967295 steps") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_record_that_cannot_be_allocated_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch):
+    # 2e9 states pass the step cap; the record's allocation is made to fail
+    # rather than tried, as numpy fails it when the memory is not there
+    def allocate(cls, rows, d1, d2):
+        raise MemoryError(f"Unable to allocate {rows * 8 / 2**30:.1f} GiB for an array with shape ({rows},)")
+
+    monkeypatch.setattr(RunRecord, "allocate", classmethod(allocate))
+    out = tmp_path / "out"
+    assert main(["solve", "--benchmark", "forsaken", "--horizon", "1e9", "--dt", "0.5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the record of 2000000001 states needs 163.9 GiB") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +21,14 @@ from minmaxcbo import (
     run,
 )
 from minmaxcbo import consensus
-from minmaxcbo.consensus import _BLOCK_ENTRIES, _EXP_ZERO_CUT, _SKIP_MIN_ENTRIES, consensus_points, exp_weights
+from minmaxcbo.consensus import (
+    _BLOCK_ENTRIES,
+    _EXP_FAST_CUT,
+    _EXP_ZERO_CUT,
+    _MASK_MIN_ENTRIES,
+    consensus_points,
+    exp_weights,
+)
 from minmaxcbo.objectives import BoxDomain, ObjectiveFunction
 
 BILINEAR = make_benchmark("bilinear")
@@ -177,13 +185,13 @@ def _reference_weights(values, scale, axis=-1):
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def _gathers(values, scale, axis=-1):
-    """Whether exp_weights exponentiates only the live entries of this input."""
+def _masks(values, scale, axis=-1):
+    """Whether exp_weights masks the exponents below the fast cut of this input, or exponentiates them all."""
     values = np.asarray(values, dtype=float)
     pivot = values.max(axis=axis, keepdims=True) if scale >= 0 else values.min(axis=axis, keepdims=True)
     with np.errstate(invalid="ignore"):
-        dead = np.count_nonzero(scale * (values - pivot) < _EXP_ZERO_CUT)
-    return values.size >= _SKIP_MIN_ENTRIES and 2 * dead > values.size
+        low = np.count_nonzero(scale * (values - pivot) < _EXP_FAST_CUT)
+    return values.size >= _MASK_MIN_ENTRIES and low > 0
 
 
 def _assert_matches_reference(values, scale, axis):
@@ -209,10 +217,12 @@ def _assert_matches_reference(values, scale, axis):
     assert [(w.category, str(w.message)) for w in got_warnings] == expected_messages
 
 
-# Exponent bands: dead (exp is 0.0 and the entry is skipped), just above the
-# cut (exp is still 0.0 but the entry is computed), subnormal results, normal.
+# Exponent bands: dead (exp is 0.0 and the lane is only masked), just above
+# the zero cut (exp is still 0.0 but the lane is computed apart), subnormal
+# results, normal results, and "fast": normal results at or above the fast
+# cut, the only lanes a masked block hands to the exp over the whole buffer.
 _BANDS = {"dead": (-5000.0, _EXP_ZERO_CUT), "near_cut": (_EXP_ZERO_CUT, -745.0),
-          "subnormal": (-745.0, -708.0), "normal": (-708.0, 0.0)}
+          "subnormal": (-745.0, -708.0), "normal": (-708.0, 0.0), "fast": (_EXP_FAST_CUT, 0.0)}
 _SMALL_SHAPES_AXES = [((37,), 0), ((1,), -1), ((6, 9), 0), ((6, 9), 1), ((30, 30), -1)]
 _LARGE_SHAPES_AXES = [((1500,), 0), ((1100,), -1), ((40, 30), 0), ((30, 40), 1), ((36, 36), -1),
                       ((2, 600), 1), ((600, 2), 0)]
@@ -226,7 +236,12 @@ def _exponent_input(seed, shape, axis, scale, live_bands, dead_share, layout):
     n = math.prod(shape)
     bands = ["dead"] * round(dead_share * n)
     bands += [live_bands[i % len(live_bands)] for i in range(n - len(bands))]
-    z = np.array([rng.uniform(*_BANDS[b]) for b in bands])[rng.permutation(n)].reshape(shape)
+    z = np.array([rng.uniform(*_BANDS[b]) for b in bands])[rng.permutation(n)]
+    return _values_of_exponents(z.reshape(shape), axis, scale, layout)
+
+
+def _values_of_exponents(z, axis, scale, layout):
+    """Values whose scaled exponents are ``z``, except for a zero exponent in every row."""
     np.moveaxis(z, axis, 0)[0] = 0.0  # one pivot per row
     values = z / scale if scale != 0 else z
     if layout == "F":
@@ -236,7 +251,7 @@ def _exponent_input(seed, shape, axis, scale, live_bands, dead_share, layout):
     return values
 
 
-@pytest.mark.parametrize("branch", ["gather", "dense"])
+@pytest.mark.parametrize("branch", ["mask", "dense"])
 @settings(max_examples=120, deadline=None)
 @given(
     data=st.data(),
@@ -247,14 +262,17 @@ def _exponent_input(seed, shape, axis, scale, live_bands, dead_share, layout):
     layout=st.sampled_from(_LAYOUTS),
 )
 def test_exp_weights_bitwise_equals_reference(branch, data, seed, scale, live_bands, share, layout):
-    if branch == "gather":
+    if branch == "mask":  # at least one dead lane
         shape, axis = data.draw(st.sampled_from(_LARGE_SHAPES_AXES))
-        dead_share = 0.8 + 0.2 * share
-    else:  # small inputs skip nothing whatever their dead share
+        dead_share = 0.001 + 0.999 * share
+    else:  # small inputs mask nothing whatever their dead share; large ones hold only fast lanes
         shape, axis = data.draw(st.sampled_from(_SHAPES_AXES))
-        dead_share = share if (shape, axis) in _SMALL_SHAPES_AXES else 0.3 * share
+        if (shape, axis) in _SMALL_SHAPES_AXES:
+            dead_share = share
+        else:
+            live_bands, dead_share = ["fast"], 0.0
     values = _exponent_input(seed, shape, axis, scale, live_bands, dead_share, layout)
-    assert _gathers(values, scale, axis) == (branch == "gather")
+    assert _masks(values, scale, axis) == (branch == "mask")
     _assert_matches_reference(values, scale, axis)
 
 
@@ -285,17 +303,69 @@ def test_exp_weights_scale_zero_bitwise(seed, shape_axis, width):
 @pytest.mark.parametrize("dead_share", [0.0, 0.95])
 def test_exp_weights_non_finite_inputs_bitwise_and_same_warnings(bad, scale, dead_share):
     for axis in (0, 1):
-        values = _exponent_input(3, (40, 30), axis, scale or 1.0, ["normal"], dead_share, "C")
+        values = _exponent_input(3, (40, 30), axis, scale or 1.0, ["fast"], dead_share, "C")
         values[2, 3] = bad
         values[7, 0] = bad
-        assert _gathers(values, scale, axis) == (dead_share > 0.5 and scale != 0)
+        assert _masks(values, scale, axis) == ((dead_share > 0 or np.isinf(bad)) and scale != 0)
         _assert_matches_reference(values, scale, axis)
     _assert_matches_reference(np.array([0.5, bad, -2.0]), scale, -1)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape_axis=st.sampled_from(_LARGE_SHAPES_AXES),
+    scale=st.sampled_from([1e4, -1e4, 3.0, -0.5]),
+    low_bands=st.lists(st.sampled_from(["dead", "near_cut", "subnormal"]), min_size=1, max_size=3),
+    low_share=st.one_of(st.none(), st.floats(0.05, 0.5)),
+    layout=st.sampled_from(_LAYOUTS),
+)
+def test_exp_weights_sparse_low_lanes_bitwise(seed, shape_axis, scale, low_bands, low_share, layout):
+    # fast lanes with one low lane in every group of 8 in C order (low_share
+    # None), which puts one in each of exp's 8-lane vectors of a C layout,
+    # or with 5-50% low lanes at random places
+    shape, axis = shape_axis
+    rng = np.random.default_rng(seed)
+    n = math.prod(shape)
+    z = rng.uniform(*_BANDS["fast"], n)
+    if low_share is None:
+        low = np.arange(0, n, 8) + rng.integers(0, 8, -(-n // 8))
+        low = low[low < n]
+    else:
+        low = rng.permutation(n)[: round(low_share * n)]
+    z[low] = [rng.uniform(*_BANDS[low_bands[i % len(low_bands)]]) for i in range(len(low))]
+    values = _values_of_exponents(z.reshape(shape), axis, scale, layout)
+    assert _masks(values, scale, axis)
+    _assert_matches_reference(values, scale, axis)
+
+
+@pytest.mark.parametrize("low_share", [0.3, 0.51, 0.8, 0.97])
+def test_exp_of_a_block_allocates_at_most_4_bytes_per_entry(low_share):
+    rng = np.random.default_rng(5)
+    n = 32 * 1000
+    z = rng.uniform(*_BANDS["fast"], n)
+    low = rng.permutation(n)[: round(low_share * n)]
+    z[low] = rng.uniform(*_BANDS["dead"], len(low))
+    z[low[:64]] = rng.uniform(_EXP_ZERO_CUT, _EXP_FAST_CUT, 64)  # a few with subnormal or tiny results
+    w = z.reshape(32, 1000)
+    expected = np.exp(w)
+    tracemalloc.start()
+    try:
+        consensus._exp_in_place(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.tobytes() == expected.tobytes()
+    assert peak <= 4 * n, f"{peak / n:.2f} bytes per entry"
+
+
+def test_exp_of_the_fast_cut_is_a_normal_float():
+    assert np.exp(_EXP_FAST_CUT) >= np.finfo(float).tiny
+
+
 def test_exp_underflows_to_exact_zero_below_the_cut():
-    # exp_weights zero-fills instead of exponentiating below the cut; this
-    # holds only while exp returns +0.0 there
+    # exp_weights sets the lanes below the cut to +0.0 without exponentiating
+    # them; this holds only while exp returns +0.0 there
     z = np.concatenate([np.linspace(-1000.0, _EXP_ZERO_CUT, 2_000_001), [-1e300, -np.inf]])
     z = np.concatenate([z, np.nextafter(_EXP_ZERO_CUT, -np.inf) - np.arange(1000) * 2**-40])
     zeros = np.zeros_like(z)
@@ -304,28 +374,32 @@ def test_exp_underflows_to_exact_zero_below_the_cut():
 
 
 def test_runs_bitwise_equal_with_reference_weights(monkeypatch):
-    # the pair matrix drops below half dead entries after about 150 steps
-    cfg = SolverConfig(n_particles=200, dt_y=0.01, horizon=2.0, seed=4, init="uniform_box")
+    # The uniform start's pair matrix has 98% of its exponents below the fast
+    # cut at first and 30% at the end; the concentrated start's has none in
+    # about half of its steps and at most a few percent in the others.
     ref = benchmark_reference("bilinear")
-    branches = set()  # of the pair-matrix calls; the outer weights of 200 entries never skip
+    for init, init_std, masked in (("uniform_box", 1.0, {True}), ("gaussian", 0.01, {True, False})):
+        cfg = SolverConfig(n_particles=200, dt_y=0.01, horizon=2.0, seed=4, init=init, init_std=init_std)
+        branches = set()  # of the pair-matrix calls; the outer weights of 200 entries are never masked
 
-    def spy(values, scale, axis=-1, pivot=None, out=None):
-        if values.ndim == 2:
-            branches.add(_gathers(values, scale, axis))
-        return exp_weights(values, scale, axis, pivot=pivot, out=out)
+        def spy(values, scale, axis=-1, pivot=None, out=None):
+            if values.ndim == 2:
+                branches.add(_masks(values, scale, axis))
+            return exp_weights(values, scale, axis, pivot=pivot, out=out)
 
-    monkeypatch.setattr(consensus, "exp_weights", spy)
-    fast = run(cfg, BILINEAR, reference=ref)
-    monkeypatch.setattr(consensus, "exp_weights", lambda values, scale, axis=-1, pivot=None, out=None: (
-        _reference_weights(values, scale, axis)))
-    slow = run(cfg, BILINEAR, reference=ref)
-    assert branches == {True, False}
-    assert len(fast) == cfg.n_steps + 1 == 201
-    for name in ("times", "variance_x", "variance_y", "spread_x", "spread_y", "mean_x", "mean_y",
-                 "best_x", "best_y", "best_value_trace", "best_error_trace"):
-        assert np.asarray(getattr(fast, name)).tobytes() == np.asarray(getattr(slow, name)).tobytes(), name
-    assert fast.final_ensemble.xs.tobytes() == slow.final_ensemble.xs.tobytes()
-    assert fast.final_ensemble.ys.tobytes() == slow.final_ensemble.ys.tobytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(consensus, "exp_weights", spy)
+            fast = run(cfg, BILINEAR, reference=ref)
+            patch.setattr(consensus, "exp_weights", lambda values, scale, axis=-1, pivot=None, out=None: (
+                _reference_weights(values, scale, axis)))
+            slow = run(cfg, BILINEAR, reference=ref)
+        assert branches == masked, init
+        assert len(fast) == cfg.n_steps + 1 == 201
+        for name in ("times", "variance_x", "variance_y", "spread_x", "spread_y", "mean_x", "mean_y",
+                     "best_x", "best_y", "best_value_trace", "best_error_trace"):
+            assert np.asarray(getattr(fast, name)).tobytes() == np.asarray(getattr(slow, name)).tobytes(), name
+        assert fast.final_ensemble.xs.tobytes() == slow.final_ensemble.xs.tobytes()
+        assert fast.final_ensemble.ys.tobytes() == slow.final_ensemble.ys.tobytes()
 
 
 def _reference_consensus(obj, xs, ys, alpha, beta):
