@@ -56,6 +56,15 @@ _EXP_FAST_CUT = -707.0
 # Below about this many entries, masking the exponents under the fast cut
 # costs more than it saves.
 _MASK_MIN_ENTRIES = 1024
+# A block is masked only when at least 1/_MASK_MIN_SHARE of a sample of its
+# exponents lies below the fast cut.  The mask makes six more numpy calls
+# than one exp, and on two consensus workers each call hands the GIL to the
+# other worker and back; below this share the few slow lanes of the one exp
+# cost less than those hand-overs.  The sample holds at most _MASK_SAMPLE
+# evenly spaced exponents: numpy keeps the GIL through loops of at most 500
+# entries, so drawing it hands nothing over.
+_MASK_MIN_SHARE = 16
+_MASK_SAMPLE = 500
 # Pair entries per row block of consensus_points: 2**16 float64 values
 # (512 KiB) and their weights stay in a core's L2 cache.  The row count is
 # a multiple of 8 because BLAS gemv groups output rows by 4: with blocks
@@ -89,10 +98,12 @@ def exp_weights(
     the weight parameters are large, many scaled exponents lie below
     ``_EXP_FAST_CUT``, where exp's result is 0.0 or subnormal and numpy's
     exp leaves its fast path for the whole vector of lanes.  In an input
-    of at least ``_MASK_MIN_ENTRIES`` entries those exponents are raised to
-    the cut before the one exp over the buffer, and their lanes are then
-    set to +0.0; the few of them at or above ``_EXP_ZERO_CUT``, whose
-    result may be subnormal, are exponentiated apart and written back.
+    of at least ``_MASK_MIN_ENTRIES`` entries where at least
+    1/``_MASK_MIN_SHARE`` of an evenly spaced sample of the exponents lies
+    below the cut, those exponents are raised to the cut before the one
+    exp over the buffer, and their lanes are then set to +0.0; the few of
+    them at or above ``_EXP_ZERO_CUT``, whose result may be subnormal, are
+    exponentiated apart and written back.  Other inputs go to one exp.
     NaN and infinite exponents give what exp gives them.  The masked lanes
     raise no floating-point flag, so under an errstate that reports
     underflow the formula can warn where this does not.
@@ -119,16 +130,20 @@ def _exp_in_place(w: np.ndarray) -> None:
         np.exp(w, out=w)
         return
     flat = w.ravel(order="K")  # a view in memory order, unless an out= array has gaps or reversed axes
-    low = flat < _EXP_FAST_CUT
-    if flat.flags.owndata or not low.any():
+    sample = flat[:: -(-flat.size // _MASK_SAMPLE)]
+    if flat.flags.owndata or np.count_nonzero(sample < _EXP_FAST_CUT) * _MASK_MIN_SHARE < sample.size:
         np.exp(w, out=w)
         return
-    band_idx = np.flatnonzero(low & (flat >= _EXP_ZERO_CUT))  # results that may be subnormal, exponentiated apart
+    keep = flat >= _EXP_FAST_CUT  # False for NaN, which the clamp, the exp and the product leave NaN
+    band = flat >= _EXP_ZERO_CUT
+    band ^= keep  # from the zero cut up to the fast cut: results that may be subnormal, exponentiated apart
+    band_idx = np.flatnonzero(band)
+    del band  # freed before the product's 64 KiB cast buffer
     band_vals = flat[band_idx]
     np.exp(band_vals, out=band_vals)
-    np.maximum(flat, _EXP_FAST_CUT, out=flat)  # NaN stays NaN
+    np.maximum(flat, _EXP_FAST_CUT, out=flat)
     np.exp(flat, out=flat)
-    np.multiply(flat, np.logical_not(low, out=low), out=flat)  # each low lane becomes +0.0
+    np.multiply(flat, keep, out=flat)  # each lane below the fast cut becomes +0.0
     flat[band_idx] = band_vals
 
 

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from minmaxcbo import (
@@ -26,6 +26,8 @@ from minmaxcbo.consensus import (
     _EXP_FAST_CUT,
     _EXP_ZERO_CUT,
     _MASK_MIN_ENTRIES,
+    _MASK_MIN_SHARE,
+    _MASK_SAMPLE,
     consensus_points,
     exp_weights,
 )
@@ -190,8 +192,9 @@ def _masks(values, scale, axis=-1):
     values = np.asarray(values, dtype=float)
     pivot = values.max(axis=axis, keepdims=True) if scale >= 0 else values.min(axis=axis, keepdims=True)
     with np.errstate(invalid="ignore"):
-        low = np.count_nonzero(scale * (values - pivot) < _EXP_FAST_CUT)
-    return values.size >= _MASK_MIN_ENTRIES and low > 0
+        z = scale * (values - pivot)
+    sample = z.ravel(order="K")[:: -(-z.size // _MASK_SAMPLE)]
+    return values.size >= _MASK_MIN_ENTRIES and np.count_nonzero(sample < _EXP_FAST_CUT) * _MASK_MIN_SHARE >= sample.size
 
 
 def _assert_matches_reference(values, scale, axis):
@@ -262,15 +265,15 @@ def _values_of_exponents(z, axis, scale, layout):
     layout=st.sampled_from(_LAYOUTS),
 )
 def test_exp_weights_bitwise_equals_reference(branch, data, seed, scale, live_bands, share, layout):
-    if branch == "mask":  # at least one dead lane
+    if branch == "mask":  # at least a quarter of the lanes dead, far above the share that masks
         shape, axis = data.draw(st.sampled_from(_LARGE_SHAPES_AXES))
-        dead_share = 0.001 + 0.999 * share
-    else:  # small inputs mask nothing whatever their dead share; large ones hold only fast lanes
+        dead_share = 0.25 + 0.75 * share
+    else:  # small inputs mask nothing whatever their dead share; large ones hold fast lanes and at most 1/64 dead
         shape, axis = data.draw(st.sampled_from(_SHAPES_AXES))
         if (shape, axis) in _SMALL_SHAPES_AXES:
             dead_share = share
         else:
-            live_bands, dead_share = ["fast"], 0.0
+            live_bands, dead_share = ["fast"], share / 64
     values = _exponent_input(seed, shape, axis, scale, live_bands, dead_share, layout)
     assert _masks(values, scale, axis) == (branch == "mask")
     _assert_matches_reference(values, scale, axis)
@@ -306,7 +309,10 @@ def test_exp_weights_non_finite_inputs_bitwise_and_same_warnings(bad, scale, dea
         values = _exponent_input(3, (40, 30), axis, scale or 1.0, ["fast"], dead_share, "C")
         values[2, 3] = bad
         values[7, 0] = bad
-        assert _masks(values, scale, axis) == ((dead_share > 0 or np.isinf(bad)) and scale != 0)
+        # with no dead lanes, an infinite value can make the 30 or 40 lanes of its row low,
+        # and whether that reaches the share that masks depends on how many of them the sample holds
+        if dead_share > 0 or not np.isinf(bad):
+            assert _masks(values, scale, axis) == (dead_share > 0 and scale != 0)
         _assert_matches_reference(values, scale, axis)
     _assert_matches_reference(np.array([0.5, bad, -2.0]), scale, -1)
 
@@ -323,7 +329,9 @@ def test_exp_weights_non_finite_inputs_bitwise_and_same_warnings(bad, scale, dea
 def test_exp_weights_sparse_low_lanes_bitwise(seed, shape_axis, scale, low_bands, low_share, layout):
     # fast lanes with one low lane in every group of 8 in C order (low_share
     # None), which puts one in each of exp's 8-lane vectors of a C layout,
-    # or with 5-50% low lanes at random places
+    # or with 5-50% low lanes at random places; a draw whose sample of
+    # exponents holds fewer than 1/16 low ones takes the one exp and is
+    # skipped (most draws near 5%, about 1e-5 of the one-per-8 draws)
     shape, axis = shape_axis
     rng = np.random.default_rng(seed)
     n = math.prod(shape)
@@ -335,7 +343,7 @@ def test_exp_weights_sparse_low_lanes_bitwise(seed, shape_axis, scale, low_bands
         low = rng.permutation(n)[: round(low_share * n)]
     z[low] = [rng.uniform(*_BANDS[low_bands[i % len(low_bands)]]) for i in range(len(low))]
     values = _values_of_exponents(z.reshape(shape), axis, scale, layout)
-    assert _masks(values, scale, axis)
+    assume(_masks(values, scale, axis))
     _assert_matches_reference(values, scale, axis)
 
 
@@ -375,10 +383,10 @@ def test_exp_underflows_to_exact_zero_below_the_cut():
 
 def test_runs_bitwise_equal_with_reference_weights(monkeypatch):
     # The uniform start's pair matrix has 98% of its exponents below the fast
-    # cut at first and 30% at the end; the concentrated start's has none in
-    # about half of its steps and at most a few percent in the others.
+    # cut at first and 30% at the end; the concentrated start's reaches the
+    # share that masks in about a quarter of its steps.
     ref = benchmark_reference("bilinear")
-    for init, init_std, masked in (("uniform_box", 1.0, {True}), ("gaussian", 0.01, {True, False})):
+    for init, init_std, masked in (("uniform_box", 1.0, {True}), ("gaussian", 0.03, {True, False})):
         cfg = SolverConfig(n_particles=200, dt_y=0.01, horizon=2.0, seed=4, init=init, init_std=init_std)
         branches = set()  # of the pair-matrix calls; the outer weights of 200 entries are never masked
 
