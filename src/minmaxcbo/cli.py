@@ -1,10 +1,11 @@
 """Command-line interface: solve, sweep, oracle, gda, bench subcommands.
 
 Exit codes: 0 success, 2 bad configuration or usage, 3 numerical failure.
-An unreadable config file or an unwritable output also exits 2; output
-locations are checked before any work.  Flag values override config-file
-values, which override defaults.  The default output directory comes from
-$MINMAXCBO_OUT (falling back to the working directory).
+An unreadable config file, an unwritable output or a size that does not
+fit in memory also exits 2; output locations are checked before any work.
+Flag values override config-file values, which override defaults.  The
+default output directory comes from $MINMAXCBO_OUT (falling back to the
+working directory).
 """
 
 from __future__ import annotations
@@ -259,6 +260,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # a size that passed its checks but does not fit in memory
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,16 +12,13 @@ from __future__ import annotations
 import contextvars
 import math
 import os
+import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InputError, NumericalError
 from .objectives import ObjectiveFunction
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = [
     "ConsensusPoint",
@@ -183,12 +180,13 @@ def consensus_points(
     objective returned a writeable array of its own.  When the rows split
     into two or more such blocks and ``_worker_count`` allows two workers,
     blocks of half the size alternate between this thread and a helper
-    thread, so ``obj.fn`` may run on two threads at once; the shares are
-    folded in block order afterwards and the results are bitwise those of
-    one worker.  The best pair is (x, y, value) with value = min over i of
-    max over j of E(X^i, Y^j); ties go to the lowest x-index, then the
-    lowest y-index.  An error is the one of the lowest failing block; in a
-    batch, a NumericalError names the full index (t, i, j).
+    thread started for the call, so ``obj.fn`` may run on two threads at
+    once; the shares are folded in block order afterwards and the results
+    are bitwise those of one worker.  The best pair is (x, y, value) with
+    value = min over i of max over j of E(X^i, Y^j); ties go to the lowest
+    x-index, then the lowest y-index.  An error is the one of the lowest
+    failing block; in a batch, a NumericalError names the full index
+    (t, i, j).
     """
     xs = _as_ensemble(ensemble_x, obj.dim_x, "ensemble_x")
     ys = _as_ensemble(ensemble_y, obj.dim_y, "ensemble_y")
@@ -251,9 +249,6 @@ def _block_rows(entries: int, n_y: int) -> int:
     return max(8, entries // n_y // 8 * 8)
 
 
-_helper: tuple[int, ThreadPoolExecutor] | None = None  # (pid, executor) of the process that made it
-
-
 def _usable_cpus() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -267,29 +262,15 @@ def _worker_count() -> int:
     return min(2, _usable_cpus())
 
 
-def _helper_thread() -> ThreadPoolExecutor:
-    """This process's one helper thread, made on first use.
-
-    A forked child inherits its parent's executor but not the thread
-    behind it, so the executor is keyed by the process id.  The executor
-    module is imported here, so a process that never steps two workers
-    does not load it.
-    """
-    global _helper
-    if _helper is None or _helper[0] != os.getpid():
-        from concurrent.futures import ThreadPoolExecutor
-
-        _helper = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="minmaxcbo-consensus"))
-    return _helper[1]
-
-
 def _on_two_workers(block, starts: range) -> list:
-    """[block(a) for a in starts], the even blocks on this thread and the odd ones on the helper.
+    """[block(a) for a in starts], the even blocks on this thread and the odd ones on a helper thread.
 
-    The helper runs in a copy of the caller's context, so numpy's errstate
-    holds there too.  A worker stops at its first failing block, so every
-    block below the lowest failure runs; what the lowest failing block
-    raised is raised here once both workers are done.
+    The helper is started for this call and joined before it returns, so
+    no thread outlives the call and a forked child inherits none.  It runs
+    in a copy of the caller's context, so numpy's errstate holds there
+    too.  A worker stops at its first failing block, so every block below
+    the lowest failure runs; what the lowest failing block raised is
+    raised here once both workers are done.
     """
     shares: list = [None] * len(starts)
 
@@ -301,11 +282,12 @@ def _on_two_workers(block, starts: range) -> list:
                 shares[b] = exc
                 return
 
-    helper = _helper_thread().submit(contextvars.copy_context().run, work, 1)
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(work, 1))
+    helper.start()
     try:
         work(0)
     finally:
-        helper.result()
+        helper.join()
     for share in shares:
         if isinstance(share, Exception):
             raise share

@@ -185,6 +185,27 @@ def test_a_record_that_cannot_be_allocated_exits_2_with_one_error_line(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--benchmark", "bilinear", "-N", "1000000000", "-T", "0.2", "--out", "{tmp}/out"],
+    ["sweep", "--benchmark", "bilinear", "--parameter", "n_particles", "--values", "1000000000", "--trials", "1",
+     "-T", "0.2", "--out", "{tmp}/out"],
+    ["oracle", "--benchmark", "forsaken", "--points", "20000"],  # within the oracle's own grid check
+], ids=lambda argv: argv[0])
+def test_a_size_that_does_not_fit_in_memory_exits_2_with_one_error_line(tmp_path, argv):
+    resource = pytest.importorskip("resource")
+    limit = 2 * 10**9  # room for the interpreter and numpy, not for 1e9 particles or a 20000^2 grid
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+    child = subprocess.run([sys.executable, "-m", "minmaxcbo.cli", *(a.format(tmp=tmp_path) for a in argv)],
+                           env=env, capture_output=True, text=True, timeout=120, preexec_fn=cap_address_space)
+    assert child.returncode == 2, child.stderr
+    assert child.stderr.startswith("error: Unable to allocate") and child.stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_gda_reports_overflow_only_through_its_exit_code(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -456,12 +477,13 @@ print([m for m in POOLS if m in sys.modules])
 
 
 def test_commands_load_a_pool_only_when_they_use_it(tmp_path):
-    # N=256 fits one row block, so nothing below N=257 steps on two workers; N=300 splits into two blocks
+    # N=256 fits one row block, so nothing below N=257 steps on two workers; N=300 splits into two blocks,
+    # which step on a plain thread
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     child = subprocess.run([sys.executable, "-c", _POOLS_ON_FIRST_USE, str(tmp_path)], env=env, capture_output=True,
                            text=True, timeout=300)
     assert child.returncode == 0, child.stderr
-    assert child.stdout.splitlines() == ["[]", "['concurrent.futures.thread']"]
+    assert child.stdout.splitlines() == ["[]", "[]"]
 
 
 def _refuse_work(*args, **kwargs):

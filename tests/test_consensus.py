@@ -640,6 +640,14 @@ def test_an_exception_raised_on_the_helper_reaches_the_caller(monkeypatch):
         consensus_points(obj, rng.uniform(-4, 4, (1000, 1)), rng.uniform(-4, 4, (1000, 1)), 1e4, 1e4)
 
 
+def test_a_two_worker_call_leaves_no_thread_behind():
+    rng = np.random.default_rng(4)
+    xs, ys = rng.uniform(-4, 4, (1000, 1)), rng.uniform(-4, 4, (1000, 1))
+    before = threading.active_count()
+    _, threads = _consensus_on(2, BILINEAR, xs, ys, 1e4)
+    assert threads == 2 and threading.active_count() == before
+
+
 def _overflows_in_block_1():
     """exp overflows, to a finite result, only in the pair rows 32-63: block 1 of two workers, on the helper."""
     xs = np.linspace(-1.0, 1.0, 1000)[:, None]
