@@ -74,12 +74,11 @@ _BLOCK_ENTRIES = 2**16
 def exp_weights(
     values: np.ndarray,
     scale: float,
-    axis: int = -1,
     *,
     pivot: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Normalized exp(scale * values) along ``axis``, computed max-shifted.
+    """Normalized exp(scale * values) along the last axis, computed max-shifted.
 
     The values are shifted by their extremum BEFORE scaling, i.e.
     w_i ~ exp(scale * (v_i - pivot)) with the pivot chosen so every exponent
@@ -88,7 +87,7 @@ def exp_weights(
     makes the weights exactly invariant under v -> v + c whenever the
     constant adds without rounding.
 
-    The result is bit for bit ``e / e.sum(axis, keepdims=True)`` with
+    The result is bit for bit ``e / e.sum(-1, keepdims=True)`` with
     ``e = np.exp(scale * (values - pivot))``, computed in one buffer that
     keeps the layout of ``e``, so the sums and the division are the same
     operations on the same bits.  While the particles are spread out and
@@ -105,19 +104,19 @@ def exp_weights(
     raise no floating-point flag, so under an errstate that reports
     underflow the formula can warn where this does not.
 
-    A caller that already holds the pivot (that max or min along ``axis``,
-    with the axis kept) passes it as ``pivot`` and saves that pass.  A
+    A caller that already holds the pivot (that max or min along the last
+    axis, with the axis kept) passes it as ``pivot`` and saves that pass.  A
     float64 array of the values' shape passed as ``out``, ``values``
     itself included, receives the weights instead of a new array, with the
     same bits and warnings; the result is ``out``.
     """
     values = np.asarray(values, dtype=float)
     if pivot is None:
-        pivot = values.max(axis=axis, keepdims=True) if scale >= 0 else values.min(axis=axis, keepdims=True)
+        pivot = values.max(axis=-1, keepdims=True) if scale >= 0 else values.min(axis=-1, keepdims=True)
     w = np.subtract(values, pivot, out=out)
     w *= scale
     _exp_in_place(w)
-    w /= w.sum(axis=axis, keepdims=True)
+    w /= w.sum(axis=-1, keepdims=True)
     return w
 
 
@@ -155,10 +154,17 @@ def _as_ensemble(arr, dim: int, what: str) -> np.ndarray:
     return arr
 
 
+def _first_non_finite(values: np.ndarray) -> list[int] | None:
+    """The full index of the first non-finite value, as plain ints; None when every value is finite."""
+    if np.isfinite(values).all():  # the method skips np.all's dispatch, a few us per step
+        return None
+    return np.argwhere(~np.isfinite(np.atleast_1d(values)))[0].tolist()
+
+
 def _check_finite(values: np.ndarray, what: str, row_offset: int = 0) -> None:
     """Raise at the first non-finite value, named by its full index; ``row_offset`` shifts a pair block's rows."""
-    if not np.isfinite(values).all():  # the method skips np.all's dispatch, a few us per step
-        idx = np.argwhere(~np.isfinite(np.atleast_1d(values)))[0].tolist()
+    idx = _first_non_finite(values)
+    if idx is not None:
         if row_offset:
             idx[-2] += row_offset
         raise NumericalError(f"non-finite objective value in {what} at particle index {tuple(idx)}")
@@ -173,20 +179,20 @@ def consensus_points(
     are computed together; every result then gains the leading axis T, and
     a trial's results are bitwise those of its (N, d) call.  Evaluates
     E(X^i, Y^j) exactly once per (i, j) pair of each trial, in blocks of
-    x-rows of about ``_BLOCK_ENTRIES`` pairs per trial.  Each block's share
-    of the best pair, its y-weights and its rows of the y-consensus are
-    taken before the worker evaluates its next block, so no N x N array is
-    built.  The weights overwrite the block's pair values when the
-    objective returned a writeable array of its own.  When the rows split
-    into two or more such blocks and ``_worker_count`` allows two workers,
-    blocks of half the size alternate between this thread and a helper
-    thread started for the call, so ``obj.fn`` may run on two threads at
-    once; the shares are folded in block order afterwards and the results
-    are bitwise those of one worker.  The best pair is (x, y, value) with
-    value = min over i of max over j of E(X^i, Y^j); ties go to the lowest
-    x-index, then the lowest y-index.  An error is the one of the lowest
-    failing block; in a batch, a NumericalError names the full index
-    (t, i, j).
+    x-rows of about ``_BLOCK_ENTRIES`` pairs per trial.  Each block writes
+    its rows' max and first maximizing y-index, its y-weights and its rows
+    of the y-consensus before the worker evaluates its next block, so no
+    N x N array is built.  The weights overwrite the block's pair values
+    when the objective returned a writeable array of its own.  When the
+    rows split into two or more such blocks and ``_worker_count`` allows two
+    workers, blocks of half the size alternate between this thread and a
+    helper thread started for the call, so ``obj.fn`` may run on two
+    threads at once; the results are bitwise those of one worker.  The best
+    pair is (x, y, value): x minimizes the max over j of E(x, Y^j) over the
+    x-ensemble, y attains that max, and value is E(x, y) bit for bit.  Ties
+    go to the lowest x-index, then the lowest y-index.  An error is the one
+    of the lowest failing block; in a batch, a NumericalError names the
+    full index (t, i, j).
     """
     xs = _as_ensemble(ensemble_x, obj.dim_x, "ensemble_x")
     ys = _as_ensemble(ensemble_y, obj.dim_y, "ensemble_y")
@@ -202,44 +208,42 @@ def consensus_points(
     if workers > 1:
         n_rows = _block_rows(_BLOCK_ENTRIES // workers, n_y)
     yhat = np.empty((*lead, n_x, d2))
-    # The best pair is gathered with take() on trial-major flat row indices,
-    # a few times faster than fancy indexing at small N.
-    x_flat, y_flat = xs.reshape(-1, d1), ys.reshape(-1, d2)
-    y_starts = np.arange(0, n_trials * n_y, n_y)
+    # Each row's max and the first y-index that attains it, trial-major.
+    row_max = np.empty((n_trials, n_x))
+    row_arg = np.empty((n_trials, n_x), dtype=np.intp)
 
-    def block(a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows a:a + n_rows of yhat; returns the block's share (i, j, value) of each trial's best pair."""
+    def block(a: int) -> None:
+        """Rows a:a + n_rows of yhat, row_max and row_arg."""
         rows = obj.pair_matrix(xs[..., a : a + n_rows, :], ys)
         _check_finite(rows, "consensus pair matrix", a)
         pair_rows = rows.reshape(-1, n_y)  # trial-major
-        row_max = pair_rows.max(axis=1, keepdims=True)  # the y-weights' pivot
-        # Each trial's lowest row max in this block and the first y-index that
-        # attains it (argmin and argmax return the first extremal entry).
-        n_block = rows.shape[-2]
-        r = row_max.reshape(n_trials, n_block).argmin(axis=1)
-        in_block = r + np.arange(0, n_trials * n_block, n_block)
-        # flat rows of xs, which are the block's own when one block holds all rows
-        i = in_block if n_block == n_x else r + np.arange(a, n_trials * n_x, n_x)
-        j = pair_rows.take(in_block, 0).argmax(axis=1) + y_starts
+        arg = pair_rows.argmax(axis=1)
+        pivot = pair_rows.take(arg + np.arange(0, pair_rows.size, n_y))  # the row max: the y-weights' pivot
+        row_max[:, a : a + n_rows] = pivot.reshape(n_trials, -1)
+        row_arg[:, a : a + n_rows] = arg.reshape(n_trials, -1)
         own = rows.flags.owndata and rows.flags.writeable
-        weights = exp_weights(pair_rows, beta, axis=1, pivot=row_max, out=pair_rows if own else None)
+        weights = exp_weights(pair_rows, beta, pivot=pivot[:, None], out=pair_rows if own else None)
         np.matmul(weights.reshape(rows.shape), ys, out=yhat[..., a : a + n_rows, :])
-        return i, j, row_max.take(in_block)
 
     starts = range(0, n_x, n_rows)
-    shares = [block(a) for a in starts] if workers == 1 else _on_two_workers(block, starts)
-    # a later block replaces a trial's best pair only where strictly lower
-    best_i, best_j, best_value = shares[0]
-    for i, j, value in shares[1:]:
-        lower = value < best_value
-        best_i, best_j = np.where(lower, i, best_i), np.where(lower, j, best_j)
-        best_value = np.minimum(value, best_value)
+    if workers == 1:
+        for a in starts:
+            block(a)
+    else:
+        _on_two_workers(block, starts)
+    # argmin and argmax return the first extremal entry, so ties go to the
+    # lowest x-index, then the lowest y-index.  The best pair is gathered with
+    # take() on trial-major flat indices, a few times faster than fancy
+    # indexing at small N.
+    best_i = row_max.argmin(axis=1) + np.arange(0, n_trials * n_x, n_x)
+    best_j = row_arg.take(best_i) + np.arange(0, n_trials * n_y, n_y)
+    best_value = row_max.take(best_i)
     outer_vals = obj.batch(xs, yhat)
     _check_finite(outer_vals, "x-consensus outer weights")
     x_cons = np.matmul(exp_weights(outer_vals, -alpha)[..., None, :], xs)[..., 0, :]
     return ConsensusPoint(x_cons=x_cons, y_cons_per_particle=yhat), (
-        x_flat.take(best_i, 0).reshape(*lead, d1),
-        y_flat.take(best_j, 0).reshape(*lead, d2),
+        xs.reshape(-1, d1).take(best_i, 0).reshape(*lead, d1),
+        ys.reshape(-1, d2).take(best_j, 0).reshape(*lead, d2),
         best_value.reshape(lead) if lead else best_value.item(),
     )
 
@@ -262,8 +266,8 @@ def _worker_count() -> int:
     return min(2, _usable_cpus())
 
 
-def _on_two_workers(block, starts: range) -> list:
-    """[block(a) for a in starts], the even blocks on this thread and the odd ones on a helper thread.
+def _on_two_workers(block, starts: range) -> None:
+    """block(a) for a in starts, the even blocks on this thread and the odd ones on a helper thread.
 
     The helper is started for this call and joined before it returns, so
     no thread outlives the call and a forked child inherits none.  It runs
@@ -272,14 +276,14 @@ def _on_two_workers(block, starts: range) -> list:
     the lowest failure runs; what the lowest failing block raised is
     raised here once both workers are done.
     """
-    shares: list = [None] * len(starts)
+    errors: list = [None] * len(starts)
 
     def work(first: int) -> None:
         for b in range(first, len(starts), 2):
             try:
-                shares[b] = block(starts[b])
+                block(starts[b])
             except Exception as exc:
-                shares[b] = exc
+                errors[b] = exc
                 return
 
     helper = threading.Thread(target=contextvars.copy_context().run, args=(work, 1))
@@ -288,7 +292,6 @@ def _on_two_workers(block, starts: range) -> list:
         work(0)
     finally:
         helper.join()
-    for share in shares:
-        if isinstance(share, Exception):
-            raise share
-    return shares
+    for exc in errors:
+        if exc is not None:
+            raise exc

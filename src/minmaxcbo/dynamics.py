@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence, default_rng
 
-from .consensus import ConsensusPoint, consensus_points
+from .consensus import ConsensusPoint, _first_non_finite, consensus_points
 from .diagnostics import RunRecord, error_to_reference, spread, variance
 from .errors import ConfigError, NumericalError
 from .objectives import ObjectiveFunction, ReferencePoint
@@ -297,9 +297,10 @@ def _advance(
         xs = obj.domain_x.clamp(xs)
         ys = obj.domain_y.clamp(ys)
     for arr, name in ((xs, "x"), (ys, "y")):
-        if not np.isfinite(arr).all():
-            i = np.argwhere(~np.isfinite(arr))[0].tolist()[-2]
-            raise NumericalError(f"non-finite {name}-state after step {k} at particle {i}")
+        idx = _first_non_finite(arr)
+        if idx is not None:
+            at = idx[0] if len(idx) == 2 else tuple(idx[:-1])  # (t, i) in a batch
+            raise NumericalError(f"non-finite {name}-state after step {k} at particle {at}")
     return Ensemble(xs=xs, ys=ys, step_index=k + 1)
 
 

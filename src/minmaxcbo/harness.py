@@ -359,30 +359,23 @@ def _fmt(value) -> str:
 
 
 def write_run_csv(path, record: RunRecord) -> None:
-    d1, d2 = record.mean_x.shape[1], record.mean_y.shape[1]
-    header = (
-        ["schema", "step", "t", "Vx", "Vy", "V", "spread_x", "spread_y"]
-        + [f"mean_x_{k}" for k in range(d1)]
-        + [f"mean_y_{k}" for k in range(d2)]
-        + ["best_value", "best_err"]
-    )
-    columns = [
-        record.times,
-        record.variance_x,
-        record.variance_y,
-        record.variance_total,
-        record.spread_x,
-        record.spread_y,
-        *record.mean_x.T,
-        *record.mean_y.T,
-        record.best_value_trace,
-        record.best_error_trace,
+    named = [
+        ("t", record.times),
+        ("Vx", record.variance_x),
+        ("Vy", record.variance_y),
+        ("V", record.variance_total),
+        ("spread_x", record.spread_x),
+        ("spread_y", record.spread_y),
+        *((f"mean_x_{k}", column) for k, column in enumerate(record.mean_x.T)),
+        *((f"mean_y_{k}", column) for k, column in enumerate(record.mean_y.T)),
+        ("best_value", record.best_value_trace),
+        ("best_err", record.best_error_trace),
     ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(["schema", "step", *(name for name, _ in named)])
         # tolist() gives Python floats, whose repr is what _fmt writes for a float64
-        for k, values in enumerate(zip(*(column.tolist() for column in columns))):
+        for k, values in enumerate(zip(*(column.tolist() for _, column in named))):
             writer.writerow([RUN_CSV_SCHEMA, k, *map(repr, values)])
 
 

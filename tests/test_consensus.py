@@ -172,7 +172,7 @@ def test_shift_invariance_bitwise_on_dyadic_values():
 def test_stable_weights_normalized_rows():
     rng = np.random.default_rng(5)
     scores = rng.uniform(-1e5, 1e5, (6, 9))
-    w = exp_weights(scores, 1.0, axis=1)
+    w = exp_weights(scores, 1.0)
     assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(w >= 0)
 
@@ -180,33 +180,33 @@ def test_stable_weights_normalized_rows():
 # --- exp_weights against the plain formula, bit for bit ---------------------
 
 
-def _reference_weights(values, scale, axis=-1):
+def _reference_weights(values, scale):
     values = np.asarray(values, dtype=float)
-    pivot = values.max(axis=axis, keepdims=True) if scale >= 0 else values.min(axis=axis, keepdims=True)
+    pivot = values.max(axis=-1, keepdims=True) if scale >= 0 else values.min(axis=-1, keepdims=True)
     e = np.exp(scale * (values - pivot))
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def _masks(values, scale, axis=-1):
+def _masks(values, scale):
     """Whether exp_weights masks the exponents below the fast cut of this input, or exponentiates them all."""
     values = np.asarray(values, dtype=float)
-    pivot = values.max(axis=axis, keepdims=True) if scale >= 0 else values.min(axis=axis, keepdims=True)
+    pivot = values.max(axis=-1, keepdims=True) if scale >= 0 else values.min(axis=-1, keepdims=True)
     with np.errstate(invalid="ignore"):
         z = scale * (values - pivot)
     sample = z.ravel(order="K")[:: -(-z.size // _MASK_SAMPLE)]
     return values.size >= _MASK_MIN_ENTRIES and np.count_nonzero(sample < _EXP_FAST_CUT) * _MASK_MIN_SHARE >= sample.size
 
 
-def _assert_matches_reference(values, scale, axis):
+def _assert_matches_reference(values, scale):
     """exp_weights matches the formula in bits and warnings, into a new array and then over ``values`` itself."""
     before = values.copy()
     with warnings.catch_warnings(record=True) as expected_warnings:
         warnings.simplefilter("always")
-        expected = _reference_weights(values, scale, axis)
+        expected = _reference_weights(values, scale)
     expected_messages = [(w.category, str(w.message)) for w in expected_warnings]
     with warnings.catch_warnings(record=True) as got_warnings:
         warnings.simplefilter("always")
-        got = exp_weights(values, scale, axis)
+        got = exp_weights(values, scale)
     assert got.shape == expected.shape and got.strides == expected.strides
     assert got.tobytes() == expected.tobytes()
     assert values.tobytes() == before.tobytes()
@@ -214,7 +214,7 @@ def _assert_matches_reference(values, scale, axis):
     # out=values keeps the layout of values, which may differ from the formula's
     with warnings.catch_warnings(record=True) as got_warnings:
         warnings.simplefilter("always")
-        got = exp_weights(values, scale, axis, out=values)
+        got = exp_weights(values, scale, out=values)
     assert got is values
     assert got.tobytes() == expected.tobytes()
     assert [(w.category, str(w.message)) for w in got_warnings] == expected_messages
@@ -224,6 +224,9 @@ def _assert_matches_reference(values, scale, axis):
 # the zero cut (exp is still 0.0 but the lane is computed apart), subnormal
 # results, normal results, and "fast": normal results at or above the fast
 # cut, the only lanes a masked block hands to the exp over the whole buffer.
+# Each (shape, axis) case is built along ``axis`` and handed to exp_weights,
+# which reduces over the last axis, as a view with that axis moved last: an
+# axis-0 case of two dimensions is a transposed input.
 _BANDS = {"dead": (-5000.0, _EXP_ZERO_CUT), "near_cut": (_EXP_ZERO_CUT, -745.0),
           "subnormal": (-745.0, -708.0), "normal": (-708.0, 0.0), "fast": (_EXP_FAST_CUT, 0.0)}
 _SMALL_SHAPES_AXES = [((37,), 0), ((1,), -1), ((6, 9), 0), ((6, 9), 1), ((30, 30), -1)]
@@ -234,7 +237,7 @@ _LAYOUTS = ("C", "F", "reversed")
 
 
 def _exponent_input(seed, shape, axis, scale, live_bands, dead_share, layout):
-    """Values whose scaled exponents fall in the given bands, with a zero exponent in every row."""
+    """Values whose scaled exponents fall in the given bands, with a zero exponent in every row, ``axis`` moved last."""
     rng = np.random.default_rng(seed)
     n = math.prod(shape)
     bands = ["dead"] * round(dead_share * n)
@@ -244,14 +247,14 @@ def _exponent_input(seed, shape, axis, scale, live_bands, dead_share, layout):
 
 
 def _values_of_exponents(z, axis, scale, layout):
-    """Values whose scaled exponents are ``z``, except for a zero exponent in every row."""
+    """Values whose scaled exponents are ``z``, except for a zero exponent in every row along ``axis``, moved last."""
     np.moveaxis(z, axis, 0)[0] = 0.0  # one pivot per row
     values = z / scale if scale != 0 else z
     if layout == "F":
         values = np.asfortranarray(values)
     elif layout == "reversed":
         values = values[..., ::-1].copy()[..., ::-1]
-    return values
+    return np.moveaxis(values, axis, -1)
 
 
 @pytest.mark.parametrize("branch", ["mask", "dense"])
@@ -275,8 +278,8 @@ def test_exp_weights_bitwise_equals_reference(branch, data, seed, scale, live_ba
         else:
             live_bands, dead_share = ["fast"], share / 64
     values = _exponent_input(seed, shape, axis, scale, live_bands, dead_share, layout)
-    assert _masks(values, scale, axis) == (branch == "mask")
-    _assert_matches_reference(values, scale, axis)
+    assert _masks(values, scale) == (branch == "mask")
+    _assert_matches_reference(values, scale)
 
 
 @settings(max_examples=100, deadline=None)
@@ -290,15 +293,15 @@ def test_exp_weights_subnormal_band_bitwise(seed, shape_axis, scale, dead_share)
     # every live exponent other than the pivots lies in (-746, -708]
     shape, axis = shape_axis
     values = _exponent_input(seed, shape, axis, scale, ["near_cut", "subnormal"], dead_share, "C")
-    _assert_matches_reference(values, scale, axis)
+    _assert_matches_reference(values, scale)
 
 
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), shape_axis=st.sampled_from(_SHAPES_AXES), width=st.floats(0.0, 1e300))
 def test_exp_weights_scale_zero_bitwise(seed, shape_axis, width):
     shape, axis = shape_axis
-    values = np.random.default_rng(seed).uniform(-1.0, 1.0, shape) * width
-    _assert_matches_reference(values, 0.0, axis)
+    values = np.moveaxis(np.random.default_rng(seed).uniform(-1.0, 1.0, shape) * width, axis, -1)
+    _assert_matches_reference(values, 0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -312,9 +315,9 @@ def test_exp_weights_non_finite_inputs_bitwise_and_same_warnings(bad, scale, dea
         # with no dead lanes, an infinite value can make the 30 or 40 lanes of its row low,
         # and whether that reaches the share that masks depends on how many of them the sample holds
         if dead_share > 0 or not np.isinf(bad):
-            assert _masks(values, scale, axis) == (dead_share > 0 and scale != 0)
-        _assert_matches_reference(values, scale, axis)
-    _assert_matches_reference(np.array([0.5, bad, -2.0]), scale, -1)
+            assert _masks(values, scale) == (dead_share > 0 and scale != 0)
+        _assert_matches_reference(values, scale)
+    _assert_matches_reference(np.array([0.5, bad, -2.0]), scale)
 
 
 @settings(max_examples=100, deadline=None)
@@ -343,8 +346,8 @@ def test_exp_weights_sparse_low_lanes_bitwise(seed, shape_axis, scale, low_bands
         low = rng.permutation(n)[: round(low_share * n)]
     z[low] = [rng.uniform(*_BANDS[low_bands[i % len(low_bands)]]) for i in range(len(low))]
     values = _values_of_exponents(z.reshape(shape), axis, scale, layout)
-    assume(_masks(values, scale, axis))
-    _assert_matches_reference(values, scale, axis)
+    assume(_masks(values, scale))
+    _assert_matches_reference(values, scale)
 
 
 @pytest.mark.parametrize("low_share", [0.3, 0.51, 0.8, 0.97])
@@ -390,16 +393,16 @@ def test_runs_bitwise_equal_with_reference_weights(monkeypatch):
         cfg = SolverConfig(n_particles=200, dt_y=0.01, horizon=2.0, seed=4, init=init, init_std=init_std)
         branches = set()  # of the pair-matrix calls; the outer weights of 200 entries are never masked
 
-        def spy(values, scale, axis=-1, pivot=None, out=None):
+        def spy(values, scale, pivot=None, out=None):
             if values.ndim == 2:
-                branches.add(_masks(values, scale, axis))
-            return exp_weights(values, scale, axis, pivot=pivot, out=out)
+                branches.add(_masks(values, scale))
+            return exp_weights(values, scale, pivot=pivot, out=out)
 
         with monkeypatch.context() as patch:
             patch.setattr(consensus, "exp_weights", spy)
             fast = run(cfg, BILINEAR, reference=ref)
-            patch.setattr(consensus, "exp_weights", lambda values, scale, axis=-1, pivot=None, out=None: (
-                _reference_weights(values, scale, axis)))
+            patch.setattr(consensus, "exp_weights", lambda values, scale, pivot=None, out=None: (
+                _reference_weights(values, scale)))
             slow = run(cfg, BILINEAR, reference=ref)
         assert branches == masked, init
         assert len(fast) == cfg.n_steps + 1 == 201
@@ -413,7 +416,7 @@ def test_runs_bitwise_equal_with_reference_weights(monkeypatch):
 def _reference_consensus(obj, xs, ys, alpha, beta):
     """consensus_points over the whole pair matrix: x_cons, yhat and the best pair (x, y, value)."""
     pair_values = obj.pair_matrix(xs, ys)
-    yhat = _reference_weights(pair_values, beta, axis=1) @ ys
+    yhat = _reference_weights(pair_values, beta) @ ys
     x_cons = _reference_weights(obj.batch(xs, yhat), -alpha) @ xs
     i = int(np.argmin(pair_values.max(axis=1)))
     j = int(np.argmax(pair_values[i]))
@@ -479,6 +482,71 @@ def test_best_pair_tie_across_a_block_boundary_goes_to_the_lowest_indices():
     _, alone = consensus_points(obj, xs[perm], ys[perm], 1e4, 1e4)
     assert (bx[0, 0], by[0, 0], value[0]) == (1.5, 2.0, 1.25)
     assert (bx[1].tobytes(), by[1].tobytes(), value[1]) == (alone[0].tobytes(), alone[1].tobytes(), alone[2])
+
+
+def _assert_value_is_e_at_the_pair(obj, best):
+    """Each trial's best value has the bits of E at its best pair, the sign of a zero included."""
+    bx, by, value = best
+    for x, y, v in zip(np.reshape(bx, (-1, bx.shape[-1])), np.reshape(by, (-1, by.shape[-1])), np.ravel(value)):
+        assert np.float64(v).tobytes() == np.float64(obj.fn(x, y)).tobytes(), (x, y, v)
+
+
+@pytest.mark.parametrize("ys", [[-1.0, 2.0], [2.0, -1.0], [-1.0] * 7 + [2.0], [2.0] + [-1.0] * 40])
+def test_best_value_is_the_objective_at_the_best_pair_bit_for_bit(ys):
+    # the row of x = 0 is the best one; E(0, y) is -0.0 for y < 0 and 0.0 for y > 0
+    xs, ys = np.array([[0.5], [0.0], [-0.7]]), np.array(ys)[:, None]
+    _, best = consensus_points(BILINEAR, xs, ys, 1e4, 1e4)
+    assert (best[0][0], best[1][0]) == (0.0, ys[0, 0])
+    _assert_value_is_e_at_the_pair(BILINEAR, best)
+
+
+def test_best_value_is_the_objective_at_the_best_pair_in_a_batch_and_on_two_workers(monkeypatch):
+    xs = np.array([[0.5], [0.0], [-0.7]])
+    _, best = consensus_points(BILINEAR, np.stack([xs, xs]), np.array([[[-1.0], [2.0]], [[2.0], [-1.0]]]), 1e4, 1e4)
+    _assert_value_is_e_at_the_pair(BILINEAR, best)
+    # N = 300 splits into blocks on two workers; every row but that of x = 0 has a positive max
+    monkeypatch.setattr(consensus, "_worker_count", lambda: 2)
+    rng = np.random.default_rng(9)
+    xs, ys = rng.uniform(-4, 4, (300, 1)), rng.uniform(-4, 4, (300, 1))
+    xs[211, 0] = 0.0
+    for first in (-1.0, 2.0):
+        ys[0, 0] = first
+        _, best = consensus_points(BILINEAR, xs, ys, 1e4, 1e4)
+        assert (best[0][0], best[1][0]) == (0.0, first)
+        _assert_value_is_e_at_the_pair(BILINEAR, best)
+
+
+def _kept_arrays_objective(read_only):
+    """bilinear returning an array it keeps: a view of it, or the array itself made read-only; and the kept arrays."""
+    kept = []
+
+    def fn(x, y):
+        full = x[..., 0] * y[..., 0]
+        kept.append((full, full.copy()))
+        if read_only:
+            full.flags.writeable = False
+            return full
+        return full[...]
+
+    return ObjectiveFunction("kept", 1, 1, BILINEAR.domain_x, BILINEAR.domain_y, fn), kept
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", [20, 1000])
+@pytest.mark.parametrize("read_only", [False, True])
+def test_arrays_the_objective_keeps_stay_intact(monkeypatch, workers, n, read_only):
+    monkeypatch.setattr(consensus, "_worker_count", lambda: workers)
+    rng = np.random.default_rng(n)
+    xs, ys = rng.uniform(-4, 4, (n, 1)), rng.uniform(-4, 4, (n, 1))
+    obj, kept = _kept_arrays_objective(read_only)
+    cp, best = consensus_points(obj, xs, ys, 1e4, 1e4)
+    want_cp, want_best = consensus_points(BILINEAR, xs, ys, 1e4, 1e4)
+    got = (cp.x_cons, cp.y_cons_per_particle, *map(np.float64, best))
+    want = (want_cp.x_cons, want_cp.y_cons_per_particle, *map(np.float64, want_best))
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    n_blocks = 1 if n == 20 else -(-1000 // (64 // workers))  # of 64 rows on one worker, 32 on two
+    assert len(kept) == n_blocks + 1  # the pair blocks, then the outer values
+    assert all(array.tobytes() == copy.tobytes() for array, copy in kept)
 
 
 def test_non_finite_pair_value_in_a_later_block_reports_its_global_index():

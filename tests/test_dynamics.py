@@ -552,8 +552,12 @@ def test_batch_errors_name_the_failing_trial():
     xs, ys = np.zeros((2, 4, 1)), np.zeros((2, 4, 1))
     xs[1, 3, 0] = 1e308
     cp = ConsensusPoint(x_cons=np.array([[0.0], [-1e308]]), y_cons_per_particle=np.zeros((2, 4, 1)))
-    with pytest.raises(NumericalError, match=r"^non-finite x-state after step 0 at particle 3$"):
+    with pytest.raises(NumericalError, match=r"^non-finite x-state after step 0 at particle \(1, 3\)$"):
         _advance(Ensemble(xs, ys, 0), config, BILINEAR, cp, _streams(5, 6))
+    # that trial alone, as a single run, names the particle only
+    alone = ConsensusPoint(x_cons=cp.x_cons[1], y_cons_per_particle=cp.y_cons_per_particle[1])
+    with pytest.raises(NumericalError, match=r"^non-finite x-state after step 0 at particle 3$"):
+        _advance(Ensemble(xs[1], ys[1], 0), config, BILINEAR, alone, _streams(6))
 
 
 def _bounded(x, y):
