@@ -71,30 +71,22 @@ _MASK_SAMPLE = 500
 _BLOCK_ENTRIES = 2**16
 
 
-def exp_weights(
-    values: np.ndarray,
-    scale: float,
-    *,
-    pivot: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Normalized exp(scale * values) along the last axis, computed max-shifted.
+def exp_weights(values: np.ndarray, scale: float, *, pivot: np.ndarray) -> np.ndarray:
+    """Normalized exp(scale * (values - pivot)) along the last axis, written over ``values``.
 
-    The values are shifted by their extremum BEFORE scaling, i.e.
-    w_i ~ exp(scale * (v_i - pivot)) with the pivot chosen so every exponent
-    is <= 0: the max for scale >= 0, the min otherwise.  Shifting first
-    keeps every intermediate finite for |scale * v| far beyond 1e14 and
-    makes the weights exactly invariant under v -> v + c whenever the
-    constant adds without rounding.
+    ``values`` is a writeable C-contiguous float64 array; the result is
+    ``values`` itself.  ``pivot`` is its max along the last axis, with the
+    axis kept, for scale >= 0 and its min otherwise, so every exponent is
+    <= 0.  Shifting before scaling keeps every intermediate finite for
+    |scale * v| far beyond 1e14 and makes the weights exactly invariant
+    under v -> v + c whenever the constant adds without rounding.
 
     The result is bit for bit ``e / e.sum(-1, keepdims=True)`` with
-    ``e = np.exp(scale * (values - pivot))``, computed in one buffer that
-    keeps the layout of ``e``, so the sums and the division are the same
-    operations on the same bits.  While the particles are spread out and
-    the weight parameters are large, many scaled exponents lie below
-    ``_EXP_FAST_CUT``, where exp's result is 0.0 or subnormal and numpy's
-    exp leaves its fast path for the whole vector of lanes.  In an input
-    of at least ``_MASK_MIN_ENTRIES`` entries where at least
+    ``e = np.exp(scale * (values - pivot))``.  While the particles are
+    spread out and the weight parameters are large, many scaled exponents
+    lie below ``_EXP_FAST_CUT``, where exp's result is 0.0 or subnormal and
+    numpy's exp leaves its fast path for the whole vector of lanes.  In an
+    input of at least ``_MASK_MIN_ENTRIES`` entries where at least
     1/``_MASK_MIN_SHARE`` of an evenly spaced sample of the exponents lies
     below the cut, those exponents are raised to the cut before the one
     exp over the buffer, and their lanes are then set to +0.0; the few of
@@ -103,32 +95,25 @@ def exp_weights(
     NaN and infinite exponents give what exp gives them.  The masked lanes
     raise no floating-point flag, so under an errstate that reports
     underflow the formula can warn where this does not.
-
-    A caller that already holds the pivot (that max or min along the last
-    axis, with the axis kept) passes it as ``pivot`` and saves that pass.  A
-    float64 array of the values' shape passed as ``out``, ``values``
-    itself included, receives the weights instead of a new array, with the
-    same bits and warnings; the result is ``out``.
     """
-    values = np.asarray(values, dtype=float)
-    if pivot is None:
-        pivot = values.max(axis=-1, keepdims=True) if scale >= 0 else values.min(axis=-1, keepdims=True)
-    w = np.subtract(values, pivot, out=out)
-    w *= scale
-    _exp_in_place(w)
-    w /= w.sum(axis=-1, keepdims=True)
-    return w
+    if not (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and values.flags.c_contiguous and values.flags.writeable):
+        raise InputError("exp_weights writes over values: pass a writeable C-contiguous float64 array")
+    np.subtract(values, pivot, out=values)
+    values *= scale
+    _exp_in_place(values.reshape(-1))
+    values /= values.sum(axis=-1, keepdims=True)
+    return values
 
 
-def _exp_in_place(w: np.ndarray) -> None:
-    """``np.exp(w, out=w)`` bit for bit, keeping a large block's exp on numpy's fast path."""
-    if w.size < _MASK_MIN_ENTRIES:
-        np.exp(w, out=w)
+def _exp_in_place(flat: np.ndarray) -> None:
+    """``np.exp(flat, out=flat)`` bit for bit on a 1-d array, keeping a large block's exp on numpy's fast path."""
+    if flat.size < _MASK_MIN_ENTRIES:
+        np.exp(flat, out=flat)
         return
-    flat = w.ravel(order="K")  # a view in memory order, unless an out= array has gaps or reversed axes
     sample = flat[:: -(-flat.size // _MASK_SAMPLE)]
-    if flat.flags.owndata or np.count_nonzero(sample < _EXP_FAST_CUT) * _MASK_MIN_SHARE < sample.size:
-        np.exp(w, out=w)
+    if np.count_nonzero(sample < _EXP_FAST_CUT) * _MASK_MIN_SHARE < sample.size:
+        np.exp(flat, out=flat)
         return
     keep = flat >= _EXP_FAST_CUT  # False for NaN, which the clamp, the exp and the product leave NaN
     band = flat >= _EXP_ZERO_CUT
@@ -141,6 +126,18 @@ def _exp_in_place(w: np.ndarray) -> None:
     np.exp(flat, out=flat)
     np.multiply(flat, keep, out=flat)  # each lane below the fast cut becomes +0.0
     flat[band_idx] = band_vals
+
+
+def _owned(values: np.ndarray) -> np.ndarray:
+    """``values`` if it is a writeable C-contiguous float64 array that owns its data, else a C-ordered copy.
+
+    A view may share memory with an array the objective keeps, and C order
+    makes the weights' sums the same operations whatever layout it chose.
+    """
+    flags = values.flags
+    if values.dtype == np.float64 and flags.c_contiguous and flags.writeable and flags.owndata:
+        return values
+    return np.array(values, dtype=np.float64, order="C")
 
 
 def _as_ensemble(arr, dim: int, what: str) -> np.ndarray:
@@ -182,16 +179,17 @@ def consensus_points(
     x-rows of about ``_BLOCK_ENTRIES`` pairs per trial.  Each block writes
     its rows' max and first maximizing y-index, its y-weights and its rows
     of the y-consensus before the worker evaluates its next block, so no
-    N x N array is built.  The weights overwrite the block's pair values
-    when the objective returned a writeable array of its own.  When the
-    rows split into two or more such blocks and ``_worker_count`` allows two
-    workers, blocks of half the size alternate between this thread and a
-    helper thread started for the call, so ``obj.fn`` may run on two
-    threads at once; the results are bitwise those of one worker.  The best
-    pair is (x, y, value): x minimizes the max over j of E(x, Y^j) over the
-    x-ensemble, y attains that max, and value is E(x, y) bit for bit.  Ties
-    go to the lowest x-index, then the lowest y-index.  An error is the one
-    of the lowest failing block; in a batch, a NumericalError names the
+    N x N array is built.  Both weight sets are written over arrays that
+    ``_owned`` returns, so the results do not depend on the layout of the
+    objective's output.  When the rows split into two or more such blocks
+    and ``_worker_count`` allows two workers, blocks of half the size
+    alternate between this thread and a helper thread started for the
+    call, so ``obj.fn`` may run on two threads at once; the results are
+    bitwise those of one worker.  The best pair is (x, y, value): x
+    minimizes the max over j of E(x, Y^j) over the x-ensemble, y attains
+    that max, and value is E(x, y) bit for bit.  Ties go to the lowest
+    x-index, then the lowest y-index.  An error is the one of the lowest
+    failing block; in a batch, a NumericalError names the
     full index (t, i, j).
     """
     xs = _as_ensemble(ensemble_x, obj.dim_x, "ensemble_x")
@@ -214,15 +212,14 @@ def consensus_points(
 
     def block(a: int) -> None:
         """Rows a:a + n_rows of yhat, row_max and row_arg."""
-        rows = obj.pair_matrix(xs[..., a : a + n_rows, :], ys)
+        rows = _owned(obj.pair_matrix(xs[..., a : a + n_rows, :], ys))
         _check_finite(rows, "consensus pair matrix", a)
         pair_rows = rows.reshape(-1, n_y)  # trial-major
         arg = pair_rows.argmax(axis=1)
         pivot = pair_rows.take(arg + np.arange(0, pair_rows.size, n_y))  # the row max: the y-weights' pivot
         row_max[:, a : a + n_rows] = pivot.reshape(n_trials, -1)
         row_arg[:, a : a + n_rows] = arg.reshape(n_trials, -1)
-        own = rows.flags.owndata and rows.flags.writeable
-        weights = exp_weights(pair_rows, beta, pivot=pivot[:, None], out=pair_rows if own else None)
+        weights = exp_weights(pair_rows, beta, pivot=pivot[:, None])
         np.matmul(weights.reshape(rows.shape), ys, out=yhat[..., a : a + n_rows, :])
 
     starts = range(0, n_x, n_rows)
@@ -238,9 +235,10 @@ def consensus_points(
     best_i = row_max.argmin(axis=1) + np.arange(0, n_trials * n_x, n_x)
     best_j = row_arg.take(best_i) + np.arange(0, n_trials * n_y, n_y)
     best_value = row_max.take(best_i)
-    outer_vals = obj.batch(xs, yhat)
+    outer_vals = _owned(obj.batch(xs, yhat))
     _check_finite(outer_vals, "x-consensus outer weights")
-    x_cons = np.matmul(exp_weights(outer_vals, -alpha)[..., None, :], xs)[..., 0, :]
+    weights = exp_weights(outer_vals, -alpha, pivot=outer_vals.min(-1, keepdims=True))
+    x_cons = np.matmul(weights[..., None, :], xs)[..., 0, :]
     return ConsensusPoint(x_cons=x_cons, y_cons_per_particle=yhat), (
         xs.reshape(-1, d1).take(best_i, 0).reshape(*lead, d1),
         ys.reshape(-1, d2).take(best_j, 0).reshape(*lead, d2),

@@ -242,12 +242,10 @@ def initialize(config: SolverConfig, obj: ObjectiveFunction) -> Ensemble:
         coords, sides = faces // 2, faces % 2
         lo = np.concatenate([box_x.lower, box_y.lower])
         hi = np.concatenate([box_x.upper, box_y.upper])
-        for i in range(n):
-            k, value = coords[i], (hi if sides[i] else lo)[coords[i]]
-            if k < d1:
-                xs[i, k] = value
-            else:
-                ys[i, k - d1] = value
+        values = np.where(sides, hi[coords], lo[coords])
+        on_x = coords < d1
+        xs[on_x, coords[on_x]] = values[on_x]
+        ys[~on_x, coords[~on_x] - d1] = values[~on_x]
     return Ensemble(xs=xs, ys=ys)
 
 

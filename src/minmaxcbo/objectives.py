@@ -93,7 +93,10 @@ class ObjectiveFunction:
     ``fn`` must be deterministic and finite on domain_x x domain_y.  From
     N = 257 particles on, consensus_points may call it from two threads at
     once: numpy expressions of its arguments are safe, an ``fn`` that keeps
-    Python-side state between calls is not.
+    Python-side state between calls is not.  consensus_points writes its
+    weights over a returned writeable C-contiguous float64 array that owns
+    its data, which ``fn`` must therefore not keep, and over a C-ordered
+    copy of any other array, so the layout ``fn`` returns does not matter.
     """
 
     name: str

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import re
@@ -34,6 +35,7 @@ from minmaxcbo.consensus import (
 from minmaxcbo.objectives import BoxDomain, ObjectiveFunction
 
 BILINEAR = make_benchmark("bilinear")
+FORSAKEN = make_benchmark("forsaken")
 BUILT_IN_IDS = ("bilinear", "bivariate", "bilinearly_coupled", "forsaken", "sixth_order", "remark_function")
 
 
@@ -172,7 +174,7 @@ def test_shift_invariance_bitwise_on_dyadic_values():
 def test_stable_weights_normalized_rows():
     rng = np.random.default_rng(5)
     scores = rng.uniform(-1e5, 1e5, (6, 9))
-    w = exp_weights(scores, 1.0)
+    w = exp_weights(scores, 1.0, pivot=scores.max(axis=1, keepdims=True))
     assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(w >= 0)
 
@@ -180,44 +182,55 @@ def test_stable_weights_normalized_rows():
 # --- exp_weights against the plain formula, bit for bit ---------------------
 
 
+def _pivot(values, scale):
+    """The max along the last axis for scale >= 0, the min otherwise, with the axis kept."""
+    return values.max(axis=-1, keepdims=True) if scale >= 0 else values.min(axis=-1, keepdims=True)
+
+
 def _reference_weights(values, scale):
-    values = np.asarray(values, dtype=float)
-    pivot = values.max(axis=-1, keepdims=True) if scale >= 0 else values.min(axis=-1, keepdims=True)
-    e = np.exp(scale * (values - pivot))
+    e = np.exp(scale * (values - _pivot(values, scale)))
     return e / e.sum(axis=-1, keepdims=True)
 
 
 def _masks(values, scale):
-    """Whether exp_weights masks the exponents below the fast cut of this input, or exponentiates them all."""
-    values = np.asarray(values, dtype=float)
-    pivot = values.max(axis=-1, keepdims=True) if scale >= 0 else values.min(axis=-1, keepdims=True)
+    """Whether exp_weights masks the exponents below the fast cut of a C-ordered copy of this input."""
+    values = np.array(values, dtype=float, order="C")
     with np.errstate(invalid="ignore"):
-        z = scale * (values - pivot)
-    sample = z.ravel(order="K")[:: -(-z.size // _MASK_SAMPLE)]
+        z = scale * (values - _pivot(values, scale))
+    sample = z.reshape(-1)[:: -(-z.size // _MASK_SAMPLE)]
     return values.size >= _MASK_MIN_ENTRIES and np.count_nonzero(sample < _EXP_FAST_CUT) * _MASK_MIN_SHARE >= sample.size
 
 
 def _assert_matches_reference(values, scale):
-    """exp_weights matches the formula in bits and warnings, into a new array and then over ``values`` itself."""
-    before = values.copy()
+    """exp_weights over a C-ordered copy of ``values`` is that copy, holding the formula's bits and warnings."""
+    values = np.array(values, dtype=float, order="C")
     with warnings.catch_warnings(record=True) as expected_warnings:
         warnings.simplefilter("always")
         expected = _reference_weights(values, scale)
     expected_messages = [(w.category, str(w.message)) for w in expected_warnings]
     with warnings.catch_warnings(record=True) as got_warnings:
         warnings.simplefilter("always")
-        got = exp_weights(values, scale)
-    assert got.shape == expected.shape and got.strides == expected.strides
-    assert got.tobytes() == expected.tobytes()
-    assert values.tobytes() == before.tobytes()
-    assert [(w.category, str(w.message)) for w in got_warnings] == expected_messages
-    # out=values keeps the layout of values, which may differ from the formula's
-    with warnings.catch_warnings(record=True) as got_warnings:
-        warnings.simplefilter("always")
-        got = exp_weights(values, scale, out=values)
+        got = exp_weights(values, scale, pivot=_pivot(values, scale))
     assert got is values
     assert got.tobytes() == expected.tobytes()
     assert [(w.category, str(w.message)) for w in got_warnings] == expected_messages
+
+
+@pytest.mark.parametrize("layout", ["F", "reversed", "read_only", "int"])
+def test_exp_weights_rejects_values_it_cannot_write_over(layout):
+    values = np.arange(12.0).reshape(3, 4)
+    if layout == "F":
+        values = np.asfortranarray(values)
+    elif layout == "reversed":
+        values = values[:, ::-1]
+    elif layout == "read_only":
+        values.flags.writeable = False
+    else:
+        values = values.astype(int)
+    before = values.copy()
+    with pytest.raises(InputError, match="writeable C-contiguous float64"):
+        exp_weights(values, 1.0, pivot=values.max(axis=-1, keepdims=True))
+    assert values.tobytes() == before.tobytes()
 
 
 # Exponent bands: dead (exp is 0.0 and the lane is only masked), just above
@@ -225,36 +238,30 @@ def _assert_matches_reference(values, scale):
 # results, normal results, and "fast": normal results at or above the fast
 # cut, the only lanes a masked block hands to the exp over the whole buffer.
 # Each (shape, axis) case is built along ``axis`` and handed to exp_weights,
-# which reduces over the last axis, as a view with that axis moved last: an
-# axis-0 case of two dimensions is a transposed input.
+# which reduces over the last axis, with that axis moved last.
 _BANDS = {"dead": (-5000.0, _EXP_ZERO_CUT), "near_cut": (_EXP_ZERO_CUT, -745.0),
           "subnormal": (-745.0, -708.0), "normal": (-708.0, 0.0), "fast": (_EXP_FAST_CUT, 0.0)}
 _SMALL_SHAPES_AXES = [((37,), 0), ((1,), -1), ((6, 9), 0), ((6, 9), 1), ((30, 30), -1)]
 _LARGE_SHAPES_AXES = [((1500,), 0), ((1100,), -1), ((40, 30), 0), ((30, 40), 1), ((36, 36), -1),
                       ((2, 600), 1), ((600, 2), 0)]
 _SHAPES_AXES = _SMALL_SHAPES_AXES + _LARGE_SHAPES_AXES
-_LAYOUTS = ("C", "F", "reversed")
 
 
-def _exponent_input(seed, shape, axis, scale, live_bands, dead_share, layout):
+def _exponent_input(seed, shape, axis, scale, live_bands, dead_share):
     """Values whose scaled exponents fall in the given bands, with a zero exponent in every row, ``axis`` moved last."""
     rng = np.random.default_rng(seed)
     n = math.prod(shape)
     bands = ["dead"] * round(dead_share * n)
     bands += [live_bands[i % len(live_bands)] for i in range(n - len(bands))]
     z = np.array([rng.uniform(*_BANDS[b]) for b in bands])[rng.permutation(n)]
-    return _values_of_exponents(z.reshape(shape), axis, scale, layout)
+    return _values_of_exponents(z.reshape(shape), axis, scale)
 
 
-def _values_of_exponents(z, axis, scale, layout):
+def _values_of_exponents(z, axis, scale):
     """Values whose scaled exponents are ``z``, except for a zero exponent in every row along ``axis``, moved last."""
     np.moveaxis(z, axis, 0)[0] = 0.0  # one pivot per row
     values = z / scale if scale != 0 else z
-    if layout == "F":
-        values = np.asfortranarray(values)
-    elif layout == "reversed":
-        values = values[..., ::-1].copy()[..., ::-1]
-    return np.moveaxis(values, axis, -1)
+    return np.ascontiguousarray(np.moveaxis(values, axis, -1))
 
 
 @pytest.mark.parametrize("branch", ["mask", "dense"])
@@ -265,9 +272,8 @@ def _values_of_exponents(z, axis, scale, layout):
     scale=st.one_of(st.sampled_from([1.0, -1.0, 1e4, -1e4, 1e8]), st.floats(-1e6, 1e6).filter(lambda s: abs(s) > 1e-3)),
     live_bands=st.lists(st.sampled_from(["near_cut", "subnormal", "normal"]), min_size=1, max_size=3),
     share=st.floats(0.0, 1.0),
-    layout=st.sampled_from(_LAYOUTS),
 )
-def test_exp_weights_bitwise_equals_reference(branch, data, seed, scale, live_bands, share, layout):
+def test_exp_weights_bitwise_equals_reference(branch, data, seed, scale, live_bands, share):
     if branch == "mask":  # at least a quarter of the lanes dead, far above the share that masks
         shape, axis = data.draw(st.sampled_from(_LARGE_SHAPES_AXES))
         dead_share = 0.25 + 0.75 * share
@@ -277,7 +283,7 @@ def test_exp_weights_bitwise_equals_reference(branch, data, seed, scale, live_ba
             dead_share = share
         else:
             live_bands, dead_share = ["fast"], share / 64
-    values = _exponent_input(seed, shape, axis, scale, live_bands, dead_share, layout)
+    values = _exponent_input(seed, shape, axis, scale, live_bands, dead_share)
     assert _masks(values, scale) == (branch == "mask")
     _assert_matches_reference(values, scale)
 
@@ -292,7 +298,7 @@ def test_exp_weights_bitwise_equals_reference(branch, data, seed, scale, live_ba
 def test_exp_weights_subnormal_band_bitwise(seed, shape_axis, scale, dead_share):
     # every live exponent other than the pivots lies in (-746, -708]
     shape, axis = shape_axis
-    values = _exponent_input(seed, shape, axis, scale, ["near_cut", "subnormal"], dead_share, "C")
+    values = _exponent_input(seed, shape, axis, scale, ["near_cut", "subnormal"], dead_share)
     _assert_matches_reference(values, scale)
 
 
@@ -309,7 +315,7 @@ def test_exp_weights_scale_zero_bitwise(seed, shape_axis, width):
 @pytest.mark.parametrize("dead_share", [0.0, 0.95])
 def test_exp_weights_non_finite_inputs_bitwise_and_same_warnings(bad, scale, dead_share):
     for axis in (0, 1):
-        values = _exponent_input(3, (40, 30), axis, scale or 1.0, ["fast"], dead_share, "C")
+        values = _exponent_input(3, (40, 30), axis, scale or 1.0, ["fast"], dead_share)
         values[2, 3] = bad
         values[7, 0] = bad
         # with no dead lanes, an infinite value can make the 30 or 40 lanes of its row low,
@@ -327,15 +333,15 @@ def test_exp_weights_non_finite_inputs_bitwise_and_same_warnings(bad, scale, dea
     scale=st.sampled_from([1e4, -1e4, 3.0, -0.5]),
     low_bands=st.lists(st.sampled_from(["dead", "near_cut", "subnormal"]), min_size=1, max_size=3),
     low_share=st.one_of(st.none(), st.floats(0.05, 0.5)),
-    layout=st.sampled_from(_LAYOUTS),
 )
-def test_exp_weights_sparse_low_lanes_bitwise(seed, shape_axis, scale, low_bands, low_share, layout):
+def test_exp_weights_sparse_low_lanes_bitwise(seed, shape_axis, scale, low_bands, low_share):
     # fast lanes with one low lane in every group of 8 in C order (low_share
     # None), which puts one in each of exp's 8-lane vectors of a C layout,
     # or with 5-50% low lanes at random places; a draw whose sample of
     # exponents holds fewer than 1/16 low ones takes the one exp and is
     # skipped (most draws near 5%, about 1e-5 of the one-per-8 draws)
     shape, axis = shape_axis
+    shape = np.moveaxis(np.empty(shape), axis, -1).shape  # the lanes are placed in the C order exp_weights gets
     rng = np.random.default_rng(seed)
     n = math.prod(shape)
     z = rng.uniform(*_BANDS["fast"], n)
@@ -345,7 +351,7 @@ def test_exp_weights_sparse_low_lanes_bitwise(seed, shape_axis, scale, low_bands
     else:
         low = rng.permutation(n)[: round(low_share * n)]
     z[low] = [rng.uniform(*_BANDS[low_bands[i % len(low_bands)]]) for i in range(len(low))]
-    values = _values_of_exponents(z.reshape(shape), axis, scale, layout)
+    values = _values_of_exponents(z.reshape(shape), -1, scale)
     assume(_masks(values, scale))
     _assert_matches_reference(values, scale)
 
@@ -362,7 +368,7 @@ def test_exp_of_a_block_allocates_at_most_4_bytes_per_entry(low_share):
     expected = np.exp(w)
     tracemalloc.start()
     try:
-        consensus._exp_in_place(w)
+        consensus._exp_in_place(w.reshape(-1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -393,16 +399,15 @@ def test_runs_bitwise_equal_with_reference_weights(monkeypatch):
         cfg = SolverConfig(n_particles=200, dt_y=0.01, horizon=2.0, seed=4, init=init, init_std=init_std)
         branches = set()  # of the pair-matrix calls; the outer weights of 200 entries are never masked
 
-        def spy(values, scale, pivot=None, out=None):
+        def spy(values, scale, *, pivot):
             if values.ndim == 2:
                 branches.add(_masks(values, scale))
-            return exp_weights(values, scale, pivot=pivot, out=out)
+            return exp_weights(values, scale, pivot=pivot)
 
         with monkeypatch.context() as patch:
             patch.setattr(consensus, "exp_weights", spy)
             fast = run(cfg, BILINEAR, reference=ref)
-            patch.setattr(consensus, "exp_weights", lambda values, scale, pivot=None, out=None: (
-                _reference_weights(values, scale)))
+            patch.setattr(consensus, "exp_weights", lambda values, scale, *, pivot: _reference_weights(values, scale))
             slow = run(cfg, BILINEAR, reference=ref)
         assert branches == masked, init
         assert len(fast) == cfg.n_steps + 1 == 201
@@ -516,37 +521,51 @@ def test_best_value_is_the_objective_at_the_best_pair_in_a_batch_and_on_two_work
         _assert_value_is_e_at_the_pair(BILINEAR, best)
 
 
-def _kept_arrays_objective(read_only):
-    """bilinear returning an array it keeps: a view of it, or the array itself made read-only; and the kept arrays."""
+def _kept_arrays_objective(kind):
+    """forsaken returning its values as ``kind`` says, and the arrays it keeps, with a copy of each.
+
+    "view" returns a view of an array it keeps, "read_only" that array made
+    read-only, "fortran" an F-ordered copy of it, and "transposed" the
+    transposed view of a C-ordered array of the transposed values.
+    """
     kept = []
 
     def fn(x, y):
-        full = x[..., 0] * y[..., 0]
+        full = FORSAKEN.fn(x, y)
+        if kind == "transposed":
+            full = np.ascontiguousarray(full.T)
         kept.append((full, full.copy()))
-        if read_only:
+        if kind == "read_only":
             full.flags.writeable = False
             return full
-        return full[...]
+        if kind == "fortran":
+            return np.array(full, order="F")
+        return full.T if kind == "transposed" else full[...]
 
-    return ObjectiveFunction("kept", 1, 1, BILINEAR.domain_x, BILINEAR.domain_y, fn), kept
+    return ObjectiveFunction("kept", 1, 1, FORSAKEN.domain_x, FORSAKEN.domain_y, fn), kept
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("n", [20, 1000])
-@pytest.mark.parametrize("read_only", [False, True])
-def test_arrays_the_objective_keeps_stay_intact(monkeypatch, workers, n, read_only):
+@pytest.mark.parametrize("n", [20, 300, 1000])
+# the ids of the first two cases say whether the kept array itself is returned read-only
+@pytest.mark.parametrize("kind", ["view", "read_only", "fortran", "transposed"],
+                         ids=["False", "True", "fortran", "transposed"])
+def test_arrays_the_objective_keeps_stay_intact(monkeypatch, workers, n, kind):
+    # the results are bitwise those of the C-ordered objective whatever layout
+    # its values come in, and no array the objective keeps is written over
     monkeypatch.setattr(consensus, "_worker_count", lambda: workers)
     rng = np.random.default_rng(n)
-    xs, ys = rng.uniform(-4, 4, (n, 1)), rng.uniform(-4, 4, (n, 1))
-    obj, kept = _kept_arrays_objective(read_only)
-    cp, best = consensus_points(obj, xs, ys, 1e4, 1e4)
-    want_cp, want_best = consensus_points(BILINEAR, xs, ys, 1e4, 1e4)
-    got = (cp.x_cons, cp.y_cons_per_particle, *map(np.float64, best))
-    want = (want_cp.x_cons, want_cp.y_cons_per_particle, *map(np.float64, want_best))
-    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-    n_blocks = 1 if n == 20 else -(-1000 // (64 // workers))  # of 64 rows on one worker, 32 on two
-    assert len(kept) == n_blocks + 1  # the pair blocks, then the outer values
-    assert all(array.tobytes() == copy.tobytes() for array, copy in kept)
+    n_blocks = {20: 1, 300: workers + 1, 1000: 16 * workers}[n]  # 216 or 104 rows at N = 300, 64 or 32 at 1000
+    for lead, weight in itertools.product(((), (2,)), (30.0, 1e4)):  # 1e4 masks most blocks' exp
+        xs, ys = rng.uniform(-1.5, 1.5, (*lead, n, 1)), rng.uniform(-1.5, 1.5, (*lead, n, 1))
+        obj, kept = _kept_arrays_objective(kind)
+        cp, best = consensus_points(obj, xs, ys, weight, weight)
+        want_cp, want_best = consensus_points(FORSAKEN, xs, ys, weight, weight)
+        got = (cp.x_cons, cp.y_cons_per_particle, *map(np.asarray, best))
+        want = (want_cp.x_cons, want_cp.y_cons_per_particle, *map(np.asarray, want_best))
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert len(kept) == n_blocks + 1  # the pair blocks, then the outer values
+        assert all(array.tobytes() == copy.tobytes() for array, copy in kept)
 
 
 def test_non_finite_pair_value_in_a_later_block_reports_its_global_index():

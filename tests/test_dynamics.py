@@ -24,7 +24,17 @@ from minmaxcbo import (
 )
 from minmaxcbo import consensus, harness
 from minmaxcbo.consensus import ConsensusPoint, consensus_points
-from minmaxcbo.dynamics import _TAG_STEP_X, _TAG_STEP_Y, Ensemble, _KeyedStreams, _advance, _rng
+from minmaxcbo.dynamics import (
+    _TAG_INIT_AUX,
+    _TAG_INIT_X,
+    _TAG_INIT_Y,
+    _TAG_STEP_X,
+    _TAG_STEP_Y,
+    Ensemble,
+    _KeyedStreams,
+    _advance,
+    _rng,
+)
 from minmaxcbo.objectives import BoxDomain, ObjectiveFunction
 
 FORSAKEN = make_benchmark("forsaken")
@@ -60,6 +70,43 @@ def test_border_init_puts_joint_particle_on_boundary():
     assert np.all(joint_max == 1.5)
     assert np.all(np.abs(ens.xs) <= 1.5)
     assert np.all(np.abs(ens.ys) <= 1.5)
+
+
+def _border_init_reference(config, obj):
+    """The border start placed one particle at a time: each particle's drawn face coordinate set to its bound."""
+    n, box_x, box_y = config.n_particles, obj.domain_x, obj.domain_y
+    xs = _rng(config.seed, _TAG_INIT_X, 0).uniform(box_x.lower, box_x.upper, (n, box_x.dim))
+    ys = _rng(config.seed, _TAG_INIT_Y, 0).uniform(box_y.lower, box_y.upper, (n, box_y.dim))
+    faces = _rng(config.seed, _TAG_INIT_AUX, 0).integers(0, 2 * (box_x.dim + box_y.dim), n)
+    lo = np.concatenate([box_x.lower, box_y.lower])
+    hi = np.concatenate([box_x.upper, box_y.upper])
+    for i in range(n):
+        k = faces[i] // 2
+        value = (hi if faces[i] % 2 else lo)[k]
+        if k < box_x.dim:
+            xs[i, k] = value
+        else:
+            ys[i, k - box_x.dim] = value
+    return xs, ys
+
+
+_BOX_2D_3D = ObjectiveFunction(
+    "box_2d_3d", 2, 3,
+    BoxDomain(np.array([-1.0, -2.5]), np.array([0.5, 3.0])),
+    BoxDomain(np.array([-4.0, 0.25, -1.0]), np.array([-3.0, 2.0, 7.5])),
+    lambda x, y: x[..., 0] * y[..., 0] + x[..., 1] * y[..., 2],
+)
+
+
+@pytest.mark.parametrize("obj", [FORSAKEN, _BOX_2D_3D], ids=["forsaken", "box_2d_3d"])
+@pytest.mark.parametrize("n", [1, 7, 160, 1000])
+@pytest.mark.parametrize("seed", [0, 3, 2**40 + 1])
+def test_border_init_equals_the_per_particle_loop_bitwise(obj, n, seed):
+    config = _cfg(n_particles=n, init="border", seed=seed)
+    ens = initialize(config, obj)
+    want_xs, want_ys = _border_init_reference(config, obj)
+    assert ens.xs.tobytes() == want_xs.tobytes() and ens.ys.tobytes() == want_ys.tobytes()
+    assert ens.xs.flags.c_contiguous and ens.ys.flags.c_contiguous
 
 
 def test_same_seed_same_ensemble_bitwise():
