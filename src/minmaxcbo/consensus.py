@@ -142,6 +142,8 @@ def _owned(values: np.ndarray) -> np.ndarray:
 
 def _as_ensemble(arr, dim: int, what: str) -> np.ndarray:
     arr = np.asarray(arr, dtype=float)
+    if arr.ndim in (2, 3) and arr.shape[-1] == dim and arr.size:
+        return arr
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim not in (2, 3) or arr.shape[-1] != dim:
@@ -176,10 +178,12 @@ def consensus_points(
     are computed together; every result then gains the leading axis T, and
     a trial's results are bitwise those of its (N, d) call.  Evaluates
     E(X^i, Y^j) exactly once per (i, j) pair of each trial, in blocks of
-    x-rows of about ``_BLOCK_ENTRIES`` pairs per trial.  Each block writes
-    its rows' max and first maximizing y-index, its y-weights and its rows
-    of the y-consensus before the worker evaluates its next block, so no
-    N x N array is built.  Both weight sets are written over arrays that
+    x-rows of about ``_BLOCK_ENTRIES`` pairs per trial.  ``_row_block``
+    gives a block's rows' max and first maximizing y-index and its rows of
+    the y-consensus; when the rows fit one block these are the call's
+    arrays, else each block writes them into the call's arrays before the
+    worker evaluates its next block, so no N x N array is built.  Both
+    weight sets are written over arrays that
     ``_owned`` returns, so the results do not depend on the layout of the
     objective's output.  When the rows split into two or more such blocks
     and ``_worker_count`` allows two workers, blocks of half the size
@@ -202,37 +206,32 @@ def consensus_points(
     (n_x, d1), (n_y, d2) = xs.shape[-2:], ys.shape[-2:]
     n_trials = math.prod(lead)  # one (N, d) call is the batch of one trial
     n_rows = _block_rows(_BLOCK_ENTRIES, n_y)
-    workers = _worker_count() if n_x > n_rows else 1
-    if workers > 1:
-        n_rows = _block_rows(_BLOCK_ENTRIES // workers, n_y)
-    yhat = np.empty((*lead, n_x, d2))
-    # Each row's max and the first y-index that attains it, trial-major.
-    row_max = np.empty((n_trials, n_x))
-    row_arg = np.empty((n_trials, n_x), dtype=np.intp)
-
-    def block(a: int) -> None:
-        """Rows a:a + n_rows of yhat, row_max and row_arg."""
-        rows = _owned(obj.pair_matrix(xs[..., a : a + n_rows, :], ys))
-        _check_finite(rows, "consensus pair matrix", a)
-        pair_rows = rows.reshape(-1, n_y)  # trial-major
-        arg = pair_rows.argmax(axis=1)
-        pivot = pair_rows.take(arg + np.arange(0, pair_rows.size, n_y))  # the row max: the y-weights' pivot
-        row_max[:, a : a + n_rows] = pivot.reshape(n_trials, -1)
-        row_arg[:, a : a + n_rows] = arg.reshape(n_trials, -1)
-        weights = exp_weights(pair_rows, beta, pivot=pivot[:, None])
-        np.matmul(weights.reshape(rows.shape), ys, out=yhat[..., a : a + n_rows, :])
-
-    starts = range(0, n_x, n_rows)
-    if workers == 1:
-        for a in starts:
-            block(a)
+    if n_x <= n_rows:
+        row_max, row_arg, yhat = _row_block(obj, xs, ys, beta, 0)
     else:
-        _on_two_workers(block, starts)
+        workers = _worker_count()
+        n_rows = _block_rows(_BLOCK_ENTRIES // workers, n_y)
+        row_max, row_arg = np.empty((*lead, n_x)), np.empty((*lead, n_x), dtype=np.intp)
+        yhat = np.empty((*lead, n_x, d2))
+
+        def block(a: int) -> None:
+            """Rows a:a + n_rows of row_max, row_arg and yhat."""
+            rows = slice(a, a + n_rows)
+            row_max[..., rows], row_arg[..., rows], _ = _row_block(
+                obj, xs[..., rows, :], ys, beta, a, yhat[..., rows, :]
+            )
+
+        starts = range(0, n_x, n_rows)
+        if workers == 1:
+            for a in starts:
+                block(a)
+        else:
+            _on_two_workers(block, starts)
     # argmin and argmax return the first extremal entry, so ties go to the
     # lowest x-index, then the lowest y-index.  The best pair is gathered with
     # take() on trial-major flat indices, a few times faster than fancy
     # indexing at small N.
-    best_i = row_max.argmin(axis=1) + np.arange(0, n_trials * n_x, n_x)
+    best_i = row_max.argmin(axis=-1) + np.arange(0, n_trials * n_x, n_x)
     best_j = row_arg.take(best_i) + np.arange(0, n_trials * n_y, n_y)
     best_value = row_max.take(best_i)
     outer_vals = _owned(obj.batch(xs, yhat))
@@ -244,6 +243,25 @@ def consensus_points(
         ys.reshape(-1, d2).take(best_j, 0).reshape(*lead, d2),
         best_value.reshape(lead) if lead else best_value.item(),
     )
+
+
+def _row_block(obj: ObjectiveFunction, xs: np.ndarray, ys: np.ndarray, beta: float, a: int, out=None):
+    """Each x-row's max of E over the y-ensemble, the first y-index attaining it, and its y-consensus.
+
+    ``xs`` holds the x-rows of each trial from row ``a`` on.  The max and
+    the index have the shape of ``xs`` without its last axis, the
+    y-consensus that of ``xs`` with the last axis of ``ys``; it is written
+    into ``out`` when given.
+    """
+    rows = _owned(obj.pair_matrix(xs, ys))
+    _check_finite(rows, "consensus pair matrix", a)
+    n_y = ys.shape[-2]
+    pair_rows = rows.reshape(-1, n_y)  # trial-major
+    arg = pair_rows.argmax(axis=1)
+    pivot = pair_rows.take(arg + np.arange(0, pair_rows.size, n_y))  # the row max: the y-weights' pivot
+    weights = exp_weights(pair_rows, beta, pivot=pivot[:, None])
+    lead_rows = rows.shape[:-1]
+    return pivot.reshape(lead_rows), arg.reshape(lead_rows), np.matmul(weights.reshape(rows.shape), ys, out=out)
 
 
 def _block_rows(entries: int, n_y: int) -> int:

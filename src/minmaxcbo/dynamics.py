@@ -42,7 +42,7 @@ def _rng(seed: int, tag: int, step_index: int):
 
 # numpy's SeedSequence (stable under NEP 19; O'Neill's seed_seq_fe) and the
 # PCG64 setseq seeding rule, restated for _KeyedStreams.
-_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
+_MASK32, _MASK64, _MASK128 = 0xFFFFFFFF, (1 << 64) - 1, (1 << 128) - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -87,18 +87,24 @@ class _KeyedStreams:
     tag is read once per tag from numpy's ``SeedSequence(seed,
     spawn_key=(tag,))``; a chunk of _NOISE_CHUNK steps then mixes its step
     words into it and runs generate_state's output hashes in one pass of
-    uint64 arithmetic.  Per key, the PCG64 (state, inc) follows from the
-    four output words by the setseq rule and is set on the one generator
-    this object reuses.  A step is one 32-bit word, which ``SolverConfig``
+    uint64 arithmetic, and each step's PCG64 (state, inc) follows from its
+    four output words by the setseq rule.  Per key, these go to the one
+    generator this object reuses: written into its state struct when
+    ``_state_words_checked`` passed in this process, else through the
+    ``state`` setter.  A step is one 32-bit word, which ``SolverConfig``
     guarantees by capping the step count.
     """
 
     def __init__(self, seed: int):
         self.seed = seed
         self._pools = {}  # tag -> (pool words, hash constants for the step word), uint64 columns
-        self._chunks = {}  # tag -> (first step, the 4 words of generate_state(4, uint64) per step)
+        self._chunks = {}  # tag -> (first step, the PCG64 state and inc of each step)
         self._bitgen = PCG64(0)
         self._gen = Generator(self._bitgen)
+        if _state_words_checked():
+            self._set_pcg_state = functools.partial(_write_state, _state_words(self._bitgen))
+        else:
+            self._set_pcg_state = functools.partial(_set_state, self._bitgen)
 
     def _pool_after_tag(self, tag: int):
         pool = np.array(SeedSequence(self.seed, spawn_key=(tag,)).pool, dtype=np.uint64)[:, None]
@@ -106,31 +112,100 @@ class _KeyedStreams:
         hashed = 4 * (max(4, (int(self.seed).bit_length() + 31) // 32) + 1)
         return pool, _schedule(_INIT_A * pow(_MULT_A, hashed, 1 << 32) & _MASK32, _MULT_A, 4)
 
-    def _chunk(self, tag: int, first: int) -> tuple[int, list[list[int]]]:
+    def _chunk(self, tag: int, first: int) -> tuple[int, list[int], list[int]]:
         if tag not in self._pools:
             self._pools[tag] = self._pool_after_tag(tag)
         pool, consts = self._pools[tag]
         steps = np.arange(first, first + _NOISE_CHUNK, dtype=np.uint64)
         pool = _mix(pool, _hashmix(steps, consts))
         out = _hashmix(pool[_STATE_SOURCES], _STATE_CONSTS, _MULT_B)
-        # one row per step: seed high, seed low, inc high, inc low
-        return first, (out[0::2] | (out[1::2] << 32)).T.tolist()
+        seed_hi, seed_lo, inc_hi, inc_lo = (out[0::2] | (out[1::2] << 32)).tolist()
+        # the (state, inc) of each step as two 128-bit ints: about half the
+        # memory of its four 64-bit words
+        incs = [((hi << 65) | (lo << 1) | 1) & _MASK128 for hi, lo in zip(inc_hi, inc_lo)]
+        states = [
+            ((inc + (hi << 64 | lo)) * _PCG_MULT + inc) & _MASK128 for inc, hi, lo in zip(incs, seed_hi, seed_lo)
+        ]
+        return first, states, incs
 
     def generator(self, tag: int, step: int) -> Generator:
         chunk = self._chunks.get(tag)
         if chunk is None or not chunk[0] <= step < chunk[0] + _NOISE_CHUNK:
             chunk = self._chunks[tag] = self._chunk(tag, step - step % _NOISE_CHUNK)
-        first, words = chunk
-        seed_hi, seed_lo, inc_hi, inc_lo = words[step - first]
-        inc = ((inc_hi << 65) | (inc_lo << 1) | 1) & _MASK128
-        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
-        self._bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        first, states, incs = chunk
+        self._set_pcg_state(states[step - first], incs[step - first])
         return self._gen
+
+
+def _set_state(bitgen: PCG64, state: int, inc: int) -> None:
+    """Set a PCG64's (state, inc) with no buffered uint32 through its ``state`` setter."""
+    bitgen.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _state_words(bitgen: PCG64):
+    """ctypes views of ``bitgen``'s state struct: the four 64-bit words of its (state, inc), then its uint32 buffer.
+
+    The struct's address is the first field of the bitgen_t in
+    ``bitgen.capsule``; ``bitgen.ctypes`` would give it too, but builds
+    about 1 KB of function pointers per generator.  numpy's pcg64_state
+    holds a pointer to the (state, inc) pair, then the int has_uint32 and
+    the uint32 uinteger; with a native 128-bit integer the pair is four
+    64-bit words, low word first.  The views borrow memory ``bitgen`` owns.
+    """
+    import ctypes  # here, so a process that never steps does not load it
+
+    capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer
+    capsule_pointer.argtypes, capsule_pointer.restype = (ctypes.py_object, ctypes.c_char_p), ctypes.c_void_p
+    address = ctypes.c_void_p.from_address(capsule_pointer(bitgen.capsule, b"BitGenerator")).value
+    pair = ctypes.c_void_p.from_address(address).value
+    words = [ctypes.c_uint64.from_address(pair + 8 * k) for k in range(4)]
+    return (*words, ctypes.c_uint64.from_address(address + ctypes.sizeof(ctypes.c_void_p)))
+
+
+def _write_state(views, state: int, inc: int) -> None:
+    """What ``_set_state`` sets, written through the ``_state_words`` views of the generator."""
+    state_lo, state_hi, inc_lo, inc_hi, buffered = views
+    state_lo.value, state_hi.value = state & _MASK64, state >> 64
+    inc_lo.value, inc_hi.value = inc & _MASK64, inc >> 64
+    buffered.value = 0  # has_uint32 and uinteger
+
+
+# (state, inc) pairs that _state_words_checked writes: a write that swaps
+# words or halves, or drops a word, changes at least one of them.
+_CHECK_KEYS = (
+    (1, 3),
+    (_MASK128, _MASK128),
+    (0x0123456789ABCDEF_FEDCBA9876543210, 0xF0E1D2C3B4A59687_1122334455667789),
+)
+
+
+@functools.cache
+def _state_words_checked() -> bool:
+    """Whether ``_state_words`` writes give the states the ``state`` setter gives, once per process.
+
+    The struct layout is a build detail of numpy: a build without a native
+    128-bit integer type keeps each 128-bit value as two words in another
+    order.  Each check key is written both ways over a generator that has
+    just drawn a uint32, so it has one buffered, and the ``state`` dicts
+    must agree.
+    """
+    direct, reference = PCG64(0), PCG64(0)
+    try:
+        views = _state_words(direct)
+    except (ImportError, AttributeError, ValueError):  # no ctypes, no CPython C API in it, another capsule name
+        return False
+    for state, inc in _CHECK_KEYS:
+        Generator(direct).integers(0, 2**32 - 1, dtype=np.uint32)
+        _write_state(views, state, inc)
+        _set_state(reference, state, inc)
+        if direct.state != reference.state:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

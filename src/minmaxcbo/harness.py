@@ -371,12 +371,14 @@ def write_run_csv(path, record: RunRecord) -> None:
         ("best_value", record.best_value_trace),
         ("best_err", record.best_error_trace),
     ]
+    # The bytes of csv.writer's default dialect, whose line end is \r\n: no
+    # name and no float repr holds a character it would quote.  tolist()
+    # gives Python floats, whose repr is what _fmt writes for a float64.
+    lines = [",".join(["schema", "step", *(name for name, _ in named)]) + "\r\n"]
+    for k, values in enumerate(zip(*(column.tolist() for _, column in named))):
+        lines.append(f"{RUN_CSV_SCHEMA},{k},{','.join(map(repr, values))}\r\n")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["schema", "step", *(name for name, _ in named)])
-        # tolist() gives Python floats, whose repr is what _fmt writes for a float64
-        for k, values in enumerate(zip(*(column.tolist() for _, column in named))):
-            writer.writerow([RUN_CSV_SCHEMA, k, *map(repr, values)])
+        fh.write("".join(lines))
 
 
 def write_run_summary(path, record: RunRecord, config: SolverConfig, benchmark: str, wall_time: float) -> dict:

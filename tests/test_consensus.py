@@ -29,6 +29,7 @@ from minmaxcbo.consensus import (
     _MASK_MIN_ENTRIES,
     _MASK_MIN_SHARE,
     _MASK_SAMPLE,
+    _block_rows,
     consensus_points,
     exp_weights,
 )
@@ -428,23 +429,31 @@ def _reference_consensus(obj, xs, ys, alpha, beta):
     return x_cons, yhat, (xs[i], ys[j], float(pair_values[i, j]))
 
 
+def _reference_results(obj, xs, ys, weight):
+    """_reference_consensus of each trial of (N, d) or (T, N, d) ensembles as (x_cons, yhat, x, y, value), stacked."""
+    lead = xs.ndim == 3
+    refs = [_reference_consensus(obj, x, y, weight, weight) for x, y in (zip(xs, ys) if lead else [(xs, ys)])]
+    flat = [(x_cons, yhat, bx, by, np.float64(v)) for x_cons, yhat, (bx, by, v) in refs]
+    return tuple(np.stack(parts) if lead else parts[0] for parts in zip(*flat))
+
+
 def _blocked_mismatches():
-    """(benchmark, n_x, n_y, alpha=beta) of every case where consensus_points differs in a bit from the reference."""
-    cases = [(name, n, n) for name in BUILT_IN_IDS for n in (1, 7, 513, 997, 1000, 1031)]
-    cases += [("forsaken", 1000, 1500), ("bilinearly_coupled", 997, 130), ("sixth_order", 40, 2000)]
+    """(benchmark, n_x, n_y, trial shape, alpha=beta) of each case where consensus_points is not bitwise the reference."""
+    cases = [(name, n, n, ()) for name in BUILT_IN_IDS for n in (1, 7, 513, 997, 1000, 1031)]
+    cases += [("forsaken", 1000, 1500, ()), ("bilinearly_coupled", 997, 130, ()), ("sixth_order", 40, 2000, ())]
+    # the rows of 256 particles fit one block, those of 257 split into two
+    cases += [(name, n, n, lead) for name in BUILT_IN_IDS for n in (256, 257) for lead in ((), (1,), (3,))]
     mismatches = []
-    for name, n_x, n_y in cases:
+    for name, n_x, n_y, lead in cases:
         obj = make_benchmark(name)
-        rng = np.random.default_rng([n_x, n_y])
-        xs = rng.uniform(obj.domain_x.lower, obj.domain_x.upper, (n_x, obj.dim_x))
-        ys = rng.uniform(obj.domain_y.lower, obj.domain_y.upper, (n_y, obj.dim_y))
+        rng = np.random.default_rng([n_x, n_y, *lead])
+        xs = rng.uniform(obj.domain_x.lower, obj.domain_x.upper, (*lead, n_x, obj.dim_x))
+        ys = rng.uniform(obj.domain_y.lower, obj.domain_y.upper, (*lead, n_y, obj.dim_y))
         for weight in (1e4, 30.0):
             cp, (bx, by, value) = consensus_points(obj, xs, ys, weight, weight)
-            x_cons, yhat, (rx, ry, rvalue) = _reference_consensus(obj, xs, ys, weight, weight)
             got = (cp.x_cons, cp.y_cons_per_particle, bx, by, np.float64(value))
-            want = (x_cons, yhat, rx, ry, np.float64(rvalue))
-            if any(g.tobytes() != w.tobytes() for g, w in zip(got, want)):
-                mismatches.append((name, n_x, n_y, weight))
+            if any(g.tobytes() != w.tobytes() for g, w in zip(got, _reference_results(obj, xs, ys, weight))):
+                mismatches.append((name, n_x, n_y, lead, weight))
     return mismatches
 
 
@@ -458,6 +467,7 @@ _ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NU
 
 
 def test_row_blocks_bitwise_equal_whole_matrix_reference():
+    assert _block_rows(_BLOCK_ENTRIES, 256) == 256  # so N = 257 is the first size that splits
     code = f"import runpy; print(runpy.run_path({__file__!r})['_blocked_mismatches']())"
     env = {**os.environ, **_ONE_BLAS_THREAD, "PYTHONPATH": os.pathsep.join(sys.path)}
     child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600)
@@ -659,10 +669,7 @@ def _worker_mismatches():
                     two, two_threads = _consensus_on(2, obj, xs, ys, weight)
                     wants = [one]
                     if obj.dim_y == 1:  # gemm may sum a 2-d y's blocks and whole product differently
-                        refs = [_reference_consensus(obj, x, y, weight, weight)
-                                for x, y in (zip(xs, ys) if lead else [(xs, ys)])]
-                        flat = [(x_cons, yhat, bx, by, np.float64(v)) for x_cons, yhat, (bx, by, v) in refs]
-                        wants.append(tuple(np.stack(parts) if lead else parts[0] for parts in zip(*flat)))
+                        wants.append(_reference_results(obj, xs, ys, weight))
                     if (one_threads, two_threads) != (1, 2) or any(
                         g.tobytes() != w.tobytes() for want in wants for g, w in zip(two, want)
                     ):

@@ -1,5 +1,7 @@
+import ctypes
 import gc
 import math
+import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
@@ -22,7 +24,7 @@ from minmaxcbo import (
     run,
     trajectory,
 )
-from minmaxcbo import consensus, harness
+from minmaxcbo import consensus, dynamics, harness
 from minmaxcbo.consensus import ConsensusPoint, consensus_points
 from minmaxcbo.dynamics import (
     _TAG_INIT_AUX,
@@ -454,9 +456,13 @@ def _assert_stream_matches_numpy(streams, seed, tag, step):
     assert got.bit_generator.state == want.bit_generator.state, (seed, tag, step)
     for shape in _DRAW_SHAPES:
         assert got.standard_normal(shape).tobytes() == want.standard_normal(shape).tobytes(), (seed, tag, step)
+    # a uint32 draw keeps the other half of its 64 bits for the next one, so
+    # the next key is set over a generator with has_uint32 = 1
+    assert got.integers(0, 2**32 - 1, dtype=np.uint32) == want.integers(0, 2**32 - 1, dtype=np.uint32)
+    assert got.bit_generator.state["has_uint32"] == 1
 
 
-def test_keyed_streams_match_numpy_at_chunk_edges():
+def _assert_chunk_edges_match_numpy():
     for seed in _WIDE_SEEDS:
         streams = _KeyedStreams(seed)
         for tag in range(5):
@@ -464,8 +470,21 @@ def test_keyed_streams_match_numpy_at_chunk_edges():
                 _assert_stream_matches_numpy(streams, seed, tag, step)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
+def _setter_only(patch):
+    """Have the keyed streams made from now on set their keys through the ``state`` setter."""
+    patch.setattr(dynamics, "_state_words_checked", lambda: False)
+
+
+def test_keyed_streams_match_numpy_at_chunk_edges():
+    _assert_chunk_edges_match_numpy()
+
+
+def test_keyed_streams_match_numpy_at_chunk_edges_through_the_setter(monkeypatch):
+    _setter_only(monkeypatch)
+    _assert_chunk_edges_match_numpy()
+
+
+_KEY_LISTS = dict(
     seed=st.one_of(st.sampled_from(_WIDE_SEEDS), st.integers(0, 2**32), st.integers(0, 2**200)),
     keys=st.lists(
         st.tuples(st.integers(0, 4), st.one_of(st.sampled_from(_EDGE_STEPS), st.integers(0, 2**32 - 1))),
@@ -473,10 +492,66 @@ def test_keyed_streams_match_numpy_at_chunk_edges():
         max_size=6,
     ),
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(**_KEY_LISTS)
 def test_keyed_streams_match_numpy(seed, keys):
     streams = _KeyedStreams(seed)
     for tag, step in keys:
         _assert_stream_matches_numpy(streams, seed, tag, step)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**_KEY_LISTS)
+def test_keyed_streams_match_numpy_through_the_setter(seed, keys):
+    with pytest.MonkeyPatch.context() as patch:
+        _setter_only(patch)
+        streams = _KeyedStreams(seed)
+        for tag, step in keys:
+            _assert_stream_matches_numpy(streams, seed, tag, step)
+
+
+def _counting_setter(monkeypatch):
+    """Patch dynamics._set_state to count its calls; returns the list of calls."""
+    calls, setter = [], dynamics._set_state
+    monkeypatch.setattr(dynamics, "_set_state", lambda *args: calls.append(args) or setter(*args))
+    return calls
+
+
+# numpy's PCG64 keeps its 128-bit words as native integers, low word first,
+# where the compiler has a 128-bit type: 64-bit builds other than MSVC's.
+@pytest.mark.skipif(sys.maxsize <= 2**32 or sys.platform == "win32", reason="numpy emulates 128-bit words here")
+def test_the_direct_state_write_is_used_where_numpy_has_native_128_bit_words():
+    assert dynamics._state_words_checked()
+
+
+@pytest.mark.parametrize("checked", [True, False])
+def test_the_layout_check_selects_the_state_setter_when_it_fails(monkeypatch, checked):
+    if checked and not dynamics._state_words_checked():
+        pytest.skip("this numpy build's PCG64 state layout is not the one the direct write knows")
+    monkeypatch.setattr(dynamics, "_state_words_checked", lambda: checked)
+    calls = _counting_setter(monkeypatch)
+    streams = _KeyedStreams(3)
+    for step in (0, 1, 64):
+        _assert_stream_matches_numpy(streams, 3, _TAG_STEP_X, step)
+    assert len(calls) == (0 if checked else 3)
+
+
+@pytest.mark.parametrize("miss", ["state", "buffered"])
+def test_the_layout_check_fails_when_a_direct_write_misses(monkeypatch, miss):
+    # the state words, or the word that clears the buffered uint32, written
+    # beside the generator instead of into it
+    views = dynamics._state_words
+
+    def stray_views(bitgen):
+        *words, buffered = views(bitgen)
+        if miss == "state":
+            return (*(ctypes.c_uint64() for _ in words), buffered)
+        return (*words, ctypes.c_uint64())
+
+    monkeypatch.setattr(dynamics, "_state_words", stray_views)
+    assert dynamics._state_words_checked.__wrapped__() is False
 
 
 def test_run_at_a_wide_seed_equals_the_run_with_numpy_keyed_generators(monkeypatch):

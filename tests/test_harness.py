@@ -35,7 +35,7 @@ from minmaxcbo.harness import (
     write_run_csv,
     write_sweep_csv,
 )
-from minmaxcbo.diagnostics import error_to_reference
+from minmaxcbo.diagnostics import RunRecord, error_to_reference
 from minmaxcbo.cli import main
 from minmaxcbo.objectives import BoxDomain, ObjectiveFunction, make_benchmark, register_benchmark
 
@@ -269,6 +269,34 @@ def test_run_csv_schema_and_roundtrip(tmp_path):
     assert float(rows[-1]["t"]) == pytest.approx(1.0)
     # values round-trip through repr exactly
     assert float(rows[3]["Vx"]) == record.variance_x[3]
+
+
+def _csv_writer_reference(path, record):
+    """The run CSV as csv.writer writes it: the header, then one row per state of repr'd floats."""
+    columns = [record.times, record.variance_x, record.variance_y, record.variance_total, record.spread_x,
+               record.spread_y, *record.mean_x.T, *record.mean_y.T, record.best_value_trace, record.best_error_trace]
+    names = ["t", "Vx", "Vy", "V", "spread_x", "spread_y", *(f"mean_x_{k}" for k in range(record.mean_x.shape[1])),
+             *(f"mean_y_{k}" for k in range(record.mean_y.shape[1])), "best_value", "best_err"]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["schema", "step", *names])
+        for k in range(len(record)):
+            writer.writerow([RUN_CSV_SCHEMA, k, *(repr(float(column[k])) for column in columns)])
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_run_csv_bytes_equal_csv_writer(tmp_path, rows):
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1, -2.5e-308])
+    record = RunRecord.allocate(rows, 2, 3)
+    values = np.resize(specials, (rows, 12))  # each special value lands in the first row
+    for k, series in enumerate((record.times, record.variance_x, record.variance_y, record.spread_x,
+                                record.spread_y, record.best_value_trace, record.best_error_trace)):
+        series[:] = values[:, k]
+    record.mean_x[:], record.mean_y[:] = values[:, 7:9], values[:, 9:12]
+    with np.errstate(invalid="ignore"):  # V = Vx + Vy meets inf + -inf
+        write_run_csv(tmp_path / "run.csv", record)
+        _csv_writer_reference(tmp_path / "want.csv", record)
+    assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_sweep_csv_schema(tmp_path):
