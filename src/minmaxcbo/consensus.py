@@ -186,7 +186,7 @@ def consensus_points(
     weight sets are written over arrays that
     ``_owned`` returns, so the results do not depend on the layout of the
     objective's output.  When the rows split into two or more such blocks
-    and ``_worker_count`` allows two workers, blocks of half the size
+    and this process may run on two or more CPUs, blocks of half the size
     alternate between this thread and a helper thread started for the
     call, so ``obj.fn`` may run on two threads at once; the results are
     bitwise those of one worker.  The best pair is (x, y, value): x
@@ -209,7 +209,7 @@ def consensus_points(
     if n_x <= n_rows:
         row_max, row_arg, yhat = _row_block(obj, xs, ys, beta, 0)
     else:
-        workers = _worker_count()
+        workers = min(2, _usable_cpus())
         n_rows = _block_rows(_BLOCK_ENTRIES // workers, n_y)
         row_max, row_arg = np.empty((*lead, n_x)), np.empty((*lead, n_x), dtype=np.intp)
         yhat = np.empty((*lead, n_x, d2))
@@ -275,11 +275,6 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         return os.cpu_count() or 1
-
-
-def _worker_count() -> int:
-    """Threads that step the row blocks of a multi-block call: min(2, usable CPUs)."""
-    return min(2, _usable_cpus())
 
 
 def _on_two_workers(block, starts: range) -> None:

@@ -101,8 +101,8 @@ class _KeyedStreams:
         self._chunks = {}  # tag -> (first step, the PCG64 state and inc of each step)
         self._bitgen = PCG64(0)
         self._gen = Generator(self._bitgen)
-        if _state_words_checked():
-            self._set_pcg_state = functools.partial(_write_state, _state_words(self._bitgen))
+        if capsule_pointer := _state_words_checked():
+            self._set_pcg_state = functools.partial(_write_state, _state_words(self._bitgen, capsule_pointer))
         else:
             self._set_pcg_state = functools.partial(_set_state, self._bitgen)
 
@@ -147,20 +147,19 @@ def _set_state(bitgen: PCG64, state: int, inc: int) -> None:
     }
 
 
-def _state_words(bitgen: PCG64):
+def _state_words(bitgen: PCG64, capsule_pointer):
     """ctypes views of ``bitgen``'s state struct: the four 64-bit words of its (state, inc), then its uint32 buffer.
 
     The struct's address is the first field of the bitgen_t in
-    ``bitgen.capsule``; ``bitgen.ctypes`` would give it too, but builds
-    about 1 KB of function pointers per generator.  numpy's pcg64_state
-    holds a pointer to the (state, inc) pair, then the int has_uint32 and
-    the uint32 uinteger; with a native 128-bit integer the pair is four
-    64-bit words, low word first.  The views borrow memory ``bitgen`` owns.
+    ``bitgen.capsule``, which ``capsule_pointer`` (PyCapsule_GetPointer)
+    reads; ``bitgen.ctypes`` would give it too, but builds about 1 KB of
+    function pointers per generator.  numpy's pcg64_state holds a pointer
+    to the (state, inc) pair, then the int has_uint32 and the uint32
+    uinteger; with a native 128-bit integer the pair is four 64-bit words,
+    low word first.  The views borrow memory ``bitgen`` owns.
     """
-    import ctypes  # here, so a process that never steps does not load it
+    import ctypes
 
-    capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer
-    capsule_pointer.argtypes, capsule_pointer.restype = (ctypes.py_object, ctypes.c_char_p), ctypes.c_void_p
     address = ctypes.c_void_p.from_address(capsule_pointer(bitgen.capsule, b"BitGenerator")).value
     pair = ctypes.c_void_p.from_address(address).value
     words = [ctypes.c_uint64.from_address(pair + 8 * k) for k in range(4)]
@@ -185,27 +184,34 @@ _CHECK_KEYS = (
 
 
 @functools.cache
-def _state_words_checked() -> bool:
-    """Whether ``_state_words`` writes give the states the ``state`` setter gives, once per process.
+def _state_words_checked():
+    """A private PyCapsule_GetPointer for ``_state_words`` if its writes give the ``state`` setter's states, else None.
 
-    The struct layout is a build detail of numpy: a build without a native
-    128-bit integer type keeps each 128-bit value as two words in another
-    order.  Each check key is written both ways over a generator that has
-    just drawn a uint32, so it has one buffered, and the ``state`` dicts
-    must agree.
+    Checked once per process.  The struct layout is a build detail of
+    numpy: a build without a native 128-bit integer type keeps each 128-bit
+    value as two words in another order.  No view is written unless all lie
+    inside the generator object.  Then each check key is written both ways
+    over a generator that has just drawn a uint32, so it has one buffered,
+    and the ``state`` dicts must agree.
     """
     direct, reference = PCG64(0), PCG64(0)
     try:
-        views = _state_words(direct)
+        import ctypes  # here, so a process that never steps does not load it
+
+        prototype = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)
+        capsule_pointer = prototype(("PyCapsule_GetPointer", ctypes.pythonapi))
+        views = _state_words(direct, capsule_pointer)
     except (ImportError, AttributeError, ValueError):  # no ctypes, no CPython C API in it, another capsule name
-        return False
+        return None
+    if not all(0 <= ctypes.addressof(v) - id(direct) <= sys.getsizeof(direct) - ctypes.sizeof(v) for v in views):
+        return None
     for state, inc in _CHECK_KEYS:
         Generator(direct).integers(0, 2**32 - 1, dtype=np.uint32)
         _write_state(views, state, inc)
         _set_state(reference, state, inc)
         if direct.state != reference.state:
-            return False
-    return True
+            return None
+    return capsule_pointer
 
 
 @dataclass(frozen=True)
@@ -250,6 +256,8 @@ class SolverConfig:
         for name in ("n_particles", "seed"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not isinstance(self.project, (bool, np.bool_)):
+            raise ConfigError(f"project must be a bool, got {self.project!r}")
         finite = ("lambda_x", "lambda_y", "sigma_x", "sigma_y", "alpha", "beta", "horizon", "init_mean", "init_std")
         for name in (*finite, "dt_y", "epsilon_scale"):
             value = getattr(self, name)

@@ -9,12 +9,12 @@ index ceil(q * n) - 1.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+import numbers
 import pickle
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -238,10 +238,10 @@ class SweepSpec:
             raise ConfigError(f"sweep parameter must be one of {tuple(SWEEP_PARAMETERS)}")
         if not self.values:
             raise ConfigError("sweep needs at least one parameter value")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
+        for name in ("trials", "jobs"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         try:
             self.reference = benchmark_reference(self.objective.name)
         except InputError as exc:
@@ -269,11 +269,6 @@ def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
         return float("nan")
     rank = max(1, math.ceil(q * values.size))
     return float(values[rank - 1])
-
-
-def _configured(spec: SweepSpec, value) -> SolverConfig:
-    overrides = {key: value for key in SWEEP_PARAMETERS[spec.parameter]}
-    return apply_overrides(spec.base, overrides)
 
 
 def _sweep_trials(obj: ObjectiveFunction, ref: ReferencePoint, config: SolverConfig, seeds: list[int]) -> list[float]:
@@ -322,7 +317,8 @@ def run_sweep(spec: SweepSpec) -> list[TrialSummary]:
     failed trials enter the error list as NaN and are excluded from the
     quantiles, while a finished trial's error of inf counts.
     """
-    configs = [_configured(spec, value) for value in spec.values]
+    keys = SWEEP_PARAMETERS[spec.parameter]
+    configs = [apply_overrides(spec.base, dict.fromkeys(keys, value)) for value in spec.values]
     seeds = [spec.base.seed + trial for trial in range(spec.trials)]
     batches = [(config, batch) for config in configs for batch in _batches(seeds, config.n_particles, spec.jobs)]
     obj, ref = spec.objective, spec.reference
@@ -331,7 +327,7 @@ def run_sweep(spec: SweepSpec) -> list[TrialSummary]:
 
         # the pool may start all its workers at the first submit, so ask for no more than can run
         with ProcessPoolExecutor(max_workers=min(spec.jobs, len(batches), _usable_cpus())) as pool:
-            done = list(pool.map(_sweep_trials, repeat(obj), repeat(ref), *zip(*batches)))
+            done = list(pool.map(partial(_sweep_trials, obj, ref), *zip(*batches)))
     else:
         done = [_sweep_trials(obj, ref, config, batch) for config, batch in batches]
     results = [error for errors in done for error in errors]
@@ -351,11 +347,14 @@ def run_sweep(spec: SweepSpec) -> list[TrialSummary]:
     return summaries
 
 
-def _fmt(value) -> str:
-    """Shortest round-trip decimal form; deterministic for byte comparisons."""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def _write_csv(path, header: list[str], rows) -> None:
+    """The bytes csv.writer's default dialect writes: commas, CRLF line ends, and no field holds a character it quotes.
+
+    str of a Python or numpy float64 is its shortest round-trip repr, which that writer writes for a float.
+    """
+    lines = [",".join(header) + "\r\n", *(",".join(map(str, row)) + "\r\n" for row in rows)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("".join(lines))
 
 
 def write_run_csv(path, record: RunRecord) -> None:
@@ -371,14 +370,9 @@ def write_run_csv(path, record: RunRecord) -> None:
         ("best_value", record.best_value_trace),
         ("best_err", record.best_error_trace),
     ]
-    # The bytes of csv.writer's default dialect, whose line end is \r\n: no
-    # name and no float repr holds a character it would quote.  tolist()
-    # gives Python floats, whose repr is what _fmt writes for a float64.
-    lines = [",".join(["schema", "step", *(name for name, _ in named)]) + "\r\n"]
-    for k, values in enumerate(zip(*(column.tolist() for _, column in named))):
-        lines.append(f"{RUN_CSV_SCHEMA},{k},{','.join(map(repr, values))}\r\n")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("".join(lines))
+    # the row generator owns the columns' float lists, so they are freed before the lines are joined
+    _write_csv(path, ["schema", "step", *(name for name, _ in named)], (
+        (RUN_CSV_SCHEMA, k, *values) for k, values in enumerate(zip(*(column.tolist() for _, column in named)))))
 
 
 def write_run_summary(path, record: RunRecord, config: SolverConfig, benchmark: str, wall_time: float) -> dict:
@@ -406,21 +400,9 @@ def write_run_summary(path, record: RunRecord, config: SolverConfig, benchmark: 
 
 
 def write_sweep_csv(summary_path, trials_path, spec: SweepSpec, summaries: list[TrialSummary]) -> None:
-    with open(summary_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["schema", "parameter", "value", "median_error", "q20", "q80", "n_ok", "trials"])
-        for s in summaries:
-            n_ok = sum(1 for e in s.errors if not math.isnan(e))
-            writer.writerow(
-                [SWEEP_CSV_SCHEMA, spec.parameter, _fmt(s.parameter_value), _fmt(s.median_error),
-                 _fmt(s.q20), _fmt(s.q80), n_ok, spec.trials]
-            )
-    with open(trials_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["schema", "parameter", "value", "trial", "seed", "error"])
-        for s in summaries:
-            for trial, err in enumerate(s.errors):
-                writer.writerow(
-                    [TRIAL_CSV_SCHEMA, spec.parameter, _fmt(s.parameter_value), trial,
-                     spec.base.seed + trial, _fmt(err)]
-                )
+    _write_csv(summary_path, ["schema", "parameter", "value", "median_error", "q20", "q80", "n_ok", "trials"],
+               ((SWEEP_CSV_SCHEMA, spec.parameter, s.parameter_value, s.median_error, s.q20, s.q80,
+                 sum(1 for e in s.errors if not math.isnan(e)), spec.trials) for s in summaries))
+    _write_csv(trials_path, ["schema", "parameter", "value", "trial", "seed", "error"],
+               ((TRIAL_CSV_SCHEMA, spec.parameter, s.parameter_value, trial, spec.base.seed + trial, err)
+                for s in summaries for trial, err in enumerate(s.errors)))

@@ -8,7 +8,6 @@ acceptance tests; only meant for low-dimensional problems.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,9 +54,7 @@ def _check_domain(box: BoxDomain, label: str) -> None:
 def _grid_points(lower: np.ndarray, upper: np.ndarray, m: int) -> np.ndarray:
     """Cartesian grid with m points per axis, flattened to (m^d, d) rows."""
     axes = [np.linspace(lower[k], upper[k], m) for k in range(lower.size)]
-    if len(axes) == 1:
-        return axes[0][:, None]
-    return np.array(list(itertools.product(*axes)))
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, lower.size)
 
 
 def _shrunk(lower, upper, center, box: BoxDomain):
@@ -106,16 +103,9 @@ def _maximizer_clusters(ys: np.ndarray, vals: np.ndarray) -> list[int]:
     """
     if ys.shape[1] != 1:
         return [int(np.argmax(vals))]
-    top = float(vals.max())
-    near = np.flatnonzero(vals >= top - _TIE_TOL)
-    reps = []
-    start = 0
-    for pos in range(1, near.size + 1):
-        if pos == near.size or near[pos] - near[pos - 1] > _CLUSTER_GAP:
-            members = near[start:pos]
-            reps.append(int(members[np.argmax(vals[members])]))
-            start = pos
-    return reps
+    near = np.flatnonzero(vals >= float(vals.max()) - _TIE_TOL)
+    clusters = np.split(near, np.flatnonzero(np.diff(near) > _CLUSTER_GAP) + 1)
+    return [int(members[np.argmax(vals[members])]) for members in clusters]
 
 
 def solve_minmax(obj: ObjectiveFunction, grid: GridSpec | None = None) -> OracleSolution:

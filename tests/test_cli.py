@@ -469,7 +469,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert main(["solve", "--benchmark", "forsaken", "-T", "0.3", "--out", sys.argv[1] + "/solve"]) == 0
     assert main(sweep + ["-T", "0.3", "--jobs", "1", "--out", sys.argv[1] + "/sweep"]) == 0
 print([m for m in POOLS if m in sys.modules])
-consensus._worker_count = lambda: 2
+consensus._usable_cpus = lambda: 2
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["solve", "--benchmark", "forsaken", "-N", "300", "-T", "0.3", "--out", sys.argv[1] + "/n300"]) == 0
 print([m for m in POOLS if m in sys.modules])

@@ -520,7 +520,7 @@ def test_best_value_is_the_objective_at_the_best_pair_in_a_batch_and_on_two_work
     _, best = consensus_points(BILINEAR, np.stack([xs, xs]), np.array([[[-1.0], [2.0]], [[2.0], [-1.0]]]), 1e4, 1e4)
     _assert_value_is_e_at_the_pair(BILINEAR, best)
     # N = 300 splits into blocks on two workers; every row but that of x = 0 has a positive max
-    monkeypatch.setattr(consensus, "_worker_count", lambda: 2)
+    monkeypatch.setattr(consensus, "_usable_cpus", lambda: 2)
     rng = np.random.default_rng(9)
     xs, ys = rng.uniform(-4, 4, (300, 1)), rng.uniform(-4, 4, (300, 1))
     xs[211, 0] = 0.0
@@ -563,7 +563,7 @@ def _kept_arrays_objective(kind):
 def test_arrays_the_objective_keeps_stay_intact(monkeypatch, workers, n, kind):
     # the results are bitwise those of the C-ordered objective whatever layout
     # its values come in, and no array the objective keeps is written over
-    monkeypatch.setattr(consensus, "_worker_count", lambda: workers)
+    monkeypatch.setattr(consensus, "_usable_cpus", lambda: workers)
     rng = np.random.default_rng(n)
     n_blocks = {20: 1, 300: workers + 1, 1000: 16 * workers}[n]  # 216 or 104 rows at N = 300, 64 or 32 at 1000
     for lead, weight in itertools.product(((), (2,)), (30.0, 1e4)):  # 1e4 masks most blocks' exp
@@ -646,12 +646,12 @@ def _consensus_on(workers, obj, xs, ys, weight):
         return obj.fn(x, y)
 
     traced = ObjectiveFunction(obj.name, obj.dim_x, obj.dim_y, obj.domain_x, obj.domain_y, fn)
-    saved = consensus._worker_count
-    consensus._worker_count = lambda: workers
+    saved = consensus._usable_cpus
+    consensus._usable_cpus = lambda: workers
     try:
         cp, (bx, by, value) = consensus_points(traced, xs, ys, weight, weight)
     finally:
-        consensus._worker_count = saved
+        consensus._usable_cpus = saved
     return (cp.x_cons, cp.y_cons_per_particle, bx, by, np.float64(value)), len(threads)
 
 
@@ -686,14 +686,13 @@ def test_two_workers_bitwise_equal_one_worker_and_whole_matrix_reference():
 
 
 def test_one_usable_cpu_keeps_one_worker_and_the_full_blocks(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(consensus, "_usable_cpus", lambda: 1)
     rng = np.random.default_rng(8)
     xs, ys = rng.uniform(-4, 4, (1000, 1)), rng.uniform(-4, 4, (1000, 1))
     calls = []
     counted = ObjectiveFunction("counted", 1, 1, BILINEAR.domain_x, BILINEAR.domain_y,
                                 lambda x, y: calls.append(threading.get_ident()) or BILINEAR.fn(x, y))
     consensus_points(counted, xs, ys, 1e4, 1e4)
-    assert consensus._worker_count() == 1
     assert calls[:-1] == [threading.get_ident()] * 16  # 16 row blocks of 64 rows, then the outer values
 
 
@@ -712,7 +711,7 @@ def _planted(bad_rows):
 @pytest.mark.parametrize("bad_rows", [[100, 200], [70, 170]])
 def test_failures_on_both_workers_report_the_lowest_block(monkeypatch, bad_rows):
     # 32-row blocks: rows 100 and 200 lie in blocks 3 (helper) and 6 (caller), rows 70 and 170 in 2 (caller) and 5
-    monkeypatch.setattr(consensus, "_worker_count", lambda: 2)
+    monkeypatch.setattr(consensus, "_usable_cpus", lambda: 2)
     obj, xs, ys = _planted(bad_rows)
     low = min(bad_rows)
     with pytest.raises(NumericalError, match=re.escape(f"at particle index ({low}, 0)")):
@@ -720,7 +719,7 @@ def test_failures_on_both_workers_report_the_lowest_block(monkeypatch, bad_rows)
 
 
 def test_an_exception_raised_on_the_helper_reaches_the_caller(monkeypatch):
-    monkeypatch.setattr(consensus, "_worker_count", lambda: 2)
+    monkeypatch.setattr(consensus, "_usable_cpus", lambda: 2)
     main = threading.get_ident()
 
     def fails_off_main(x, y):
@@ -757,7 +756,7 @@ def _overflows_in_block_1():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_the_helper_keeps_the_callers_numpy_error_state(monkeypatch, workers):
-    monkeypatch.setattr(consensus, "_worker_count", lambda: workers)
+    monkeypatch.setattr(consensus, "_usable_cpus", lambda: workers)
     obj, xs, ys = _overflows_in_block_1()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -773,7 +772,7 @@ _FORK_SCRIPT = """
 import multiprocessing
 import numpy as np
 from minmaxcbo import SolverConfig, make_benchmark
-from minmaxcbo.consensus import _worker_count, consensus_points
+from minmaxcbo.consensus import _usable_cpus, consensus_points
 from minmaxcbo.harness import SweepSpec, run_sweep
 
 obj = make_benchmark("forsaken")
@@ -799,7 +798,7 @@ child.join()
 base = SolverConfig(n_particles=300, horizon=0.3, init="border", seed=2)
 rows = {jobs: run_sweep(SweepSpec("sigma", [1.0, 2.0], obj, base, trials=3, jobs=jobs)) for jobs in (2, 1)}
 assert [s.errors for s in rows[2]] == [s.errors for s in rows[1]], rows
-print("ok", _worker_count())
+print("ok", min(2, _usable_cpus()))
 """
 
 

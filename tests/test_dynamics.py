@@ -274,7 +274,7 @@ def test_eval_count_equals_the_evaluations_made():
         sizes.clear()
         record = run(_cfg(n_particles=n, horizon=horizon), obj)
         assert sum(sizes) == record.eval_count == len(record) * n * (n + 1), n
-    workers = consensus._worker_count()
+    workers = min(2, consensus._usable_cpus())
     blocks = -(-1000 // consensus._block_rows(consensus._BLOCK_ENTRIES // workers, 1000))
     assert blocks == 16 * workers
     assert len(sizes) == 3 * (blocks + 1)
@@ -427,11 +427,19 @@ def test_config_validation():
         with pytest.raises(ConfigError, match=name):
             _cfg(**{name: bad})
     assert _cfg(n_particles=np.int64(5), seed=np.uint32(3), alpha=np.float32(2.0), horizon=1).n_particles == 5
+    assert _cfg(project=np.False_).project is np.False_
     # replace builds a new config, so no change of a field escapes validation
     with pytest.raises(ConfigError):
         replace(_cfg(), dt_y=1.5)
     with pytest.raises(FrozenInstanceError):
         _cfg().dt_y = 1.5
+
+
+@pytest.mark.parametrize("project", ["false", "true", 0, 1, 1.0, None])
+def test_project_must_be_a_bool(project):
+    # any truthy value used to project, the string "false" included
+    with pytest.raises(ConfigError, match="^project must be a bool"):
+        _cfg(project=project)
 
 
 def test_non_finite_state_raises_numerical_error():
@@ -528,9 +536,10 @@ def test_the_direct_state_write_is_used_where_numpy_has_native_128_bit_words():
 
 @pytest.mark.parametrize("checked", [True, False])
 def test_the_layout_check_selects_the_state_setter_when_it_fails(monkeypatch, checked):
-    if checked and not dynamics._state_words_checked():
+    capsule_pointer = dynamics._state_words_checked()
+    if checked and not capsule_pointer:
         pytest.skip("this numpy build's PCG64 state layout is not the one the direct write knows")
-    monkeypatch.setattr(dynamics, "_state_words_checked", lambda: checked)
+    monkeypatch.setattr(dynamics, "_state_words_checked", lambda: capsule_pointer if checked else None)
     calls = _counting_setter(monkeypatch)
     streams = _KeyedStreams(3)
     for step in (0, 1, 64):
@@ -540,18 +549,20 @@ def test_the_layout_check_selects_the_state_setter_when_it_fails(monkeypatch, ch
 
 @pytest.mark.parametrize("miss", ["state", "buffered"])
 def test_the_layout_check_fails_when_a_direct_write_misses(monkeypatch, miss):
-    # the state words, or the word that clears the buffered uint32, written
-    # beside the generator instead of into it
-    views = dynamics._state_words
+    # the state words, or the word that clears the buffered uint32, would be
+    # written beside the generator instead of into it: the check finds them
+    # outside the generator object and writes through no view
+    views, strays = dynamics._state_words, []
 
-    def stray_views(bitgen):
-        *words, buffered = views(bitgen)
-        if miss == "state":
-            return (*(ctypes.c_uint64() for _ in words), buffered)
-        return (*words, ctypes.c_uint64())
+    def stray_views(bitgen, capsule_pointer):
+        *words, buffered = views(bitgen, capsule_pointer)
+        count = len(words) if miss == "state" else 1
+        strays.extend(ctypes.c_uint64(0x5A5A5A5A5A5A5A5A) for _ in range(count))
+        return (*strays, buffered) if miss == "state" else (*words, *strays)
 
     monkeypatch.setattr(dynamics, "_state_words", stray_views)
-    assert dynamics._state_words_checked.__wrapped__() is False
+    assert dynamics._state_words_checked.__wrapped__() is None
+    assert [stray.value for stray in strays] == [0x5A5A5A5A5A5A5A5A] * (4 if miss == "state" else 1)
 
 
 def test_run_at_a_wide_seed_equals_the_run_with_numpy_keyed_generators(monkeypatch):

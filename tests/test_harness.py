@@ -27,6 +27,8 @@ from minmaxcbo.harness import (
     CONFIG_KEYS,
     RUN_CSV_SCHEMA,
     SWEEP_CSV_SCHEMA,
+    TRIAL_CSV_SCHEMA,
+    TrialSummary,
     apply_overrides,
     benchmark_config,
     nearest_rank_quantile,
@@ -255,6 +257,15 @@ def test_sweep_spec_validation():
         _tiny_spec(values=[])
     with pytest.raises(ConfigError):
         _tiny_spec(trials=0)
+    assert _tiny_spec(trials=np.int64(2), jobs=np.int32(1)).trials == 2
+
+
+@pytest.mark.parametrize("name", ["trials", "jobs"])
+@pytest.mark.parametrize("value", [2.5, True, np.bool_(True), np.float64(2.0), "2", None])
+def test_sweep_spec_rejects_a_count_that_is_not_an_integer(name, value):
+    # 2.5 ended in a TypeError from range, and True ran one trial
+    with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+        _tiny_spec(**{name: value})
 
 
 def test_run_csv_schema_and_roundtrip(tmp_path):
@@ -284,9 +295,12 @@ def _csv_writer_reference(path, record):
             writer.writerow([RUN_CSV_SCHEMA, k, *(repr(float(column[k])) for column in columns)])
 
 
+_SPECIAL_VALUES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1, -2.5e-308]
+
+
 @pytest.mark.parametrize("rows", [1, 7])
 def test_run_csv_bytes_equal_csv_writer(tmp_path, rows):
-    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 0.1, -2.5e-308])
+    specials = np.array(_SPECIAL_VALUES)
     record = RunRecord.allocate(rows, 2, 3)
     values = np.resize(specials, (rows, 12))  # each special value lands in the first row
     for k, series in enumerate((record.times, record.variance_x, record.variance_y, record.spread_x,
@@ -297,6 +311,40 @@ def test_run_csv_bytes_equal_csv_writer(tmp_path, rows):
         write_run_csv(tmp_path / "run.csv", record)
         _csv_writer_reference(tmp_path / "want.csv", record)
     assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def _sweep_csv_writer_reference(summary_path, trials_path, spec, summaries):
+    """The sweep CSVs as csv.writer writes them, with repr(float(v)) for each float v and each int as it is."""
+    text = lambda v: repr(float(v)) if isinstance(v, (float, np.floating)) else v
+    with open(summary_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["schema", "parameter", "value", "median_error", "q20", "q80", "n_ok", "trials"])
+        for s in summaries:
+            n_ok = sum(not math.isnan(e) for e in s.errors)
+            writer.writerow([SWEEP_CSV_SCHEMA, spec.parameter, text(s.parameter_value), text(s.median_error),
+                             text(s.q20), text(s.q80), n_ok, spec.trials])
+    with open(trials_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["schema", "parameter", "value", "trial", "seed", "error"])
+        for s in summaries:
+            for trial, err in enumerate(s.errors):
+                writer.writerow([TRIAL_CSV_SCHEMA, spec.parameter, text(s.parameter_value), trial,
+                                 spec.base.seed + trial, text(err)])
+
+
+@pytest.mark.parametrize("kind", [float, np.float64])
+def test_sweep_csv_bytes_equal_csv_writer(tmp_path, kind):
+    # every special value is a parameter value, a quantile and an error; np.float64 values come with a numpy seed
+    values = [kind(v) for v in _SPECIAL_VALUES]
+    spec = _tiny_spec(trials=len(values))
+    if kind is np.float64:
+        spec.base = replace(spec.base, seed=np.int64(2**40))
+    summaries = [TrialSummary(values[k], values[k - 1], values[k - 2], values[k - 3], values[k:] + values[:k])
+                 for k in range(len(values))]
+    write_sweep_csv(tmp_path / "s.csv", tmp_path / "t.csv", spec, summaries)
+    _sweep_csv_writer_reference(tmp_path / "want_s.csv", tmp_path / "want_t.csv", spec, summaries)
+    assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "want_s.csv").read_bytes()
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "want_t.csv").read_bytes()
 
 
 def test_sweep_csv_schema(tmp_path):

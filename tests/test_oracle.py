@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from minmaxcbo import GridSpec, InputError, envelope, make_benchmark, solve_minmax
+from minmaxcbo import GridSpec, InputError, envelope, make_benchmark, oracle, solve_minmax
 from minmaxcbo.objectives import BoxDomain, ObjectiveFunction
 
 GRID = GridSpec(points_per_dim=2049, refine_rounds=3)
@@ -129,3 +130,46 @@ def test_two_dimensional_variables_supported():
     sol = solve_minmax(obj, GridSpec(points_per_dim=41, refine_rounds=2))
     assert np.all(np.abs(sol.x_star) < 0.05)
     assert np.all(np.abs(sol.y_star) < 0.05)
+
+
+def _product_grid(lower, upper, m):
+    """The grid as itertools.product of the axes, the 1-d grid as one column: the reference formulation."""
+    axes = [np.linspace(lower[k], upper[k], m) for k in range(lower.size)]
+    if len(axes) == 1:
+        return axes[0][:, None]
+    return np.array(list(itertools.product(*axes)))
+
+
+@pytest.mark.parametrize("lower, upper, m", [
+    ([-1.5], [1.5], 3), ([-4.0], [4.0], 2049), ([-2.0, 0.5], [2.0, 3.0], 3), ([-1.0, -3.0], [0.5, 3.0], 65),
+    ([0.1, -1e-3], [0.7, 1e300], 17),
+])
+def test_grid_points_equal_the_product_of_the_axes(lower, upper, m):
+    lower, upper = np.array(lower), np.array(upper)
+    got, want = oracle._grid_points(lower, upper, m), _product_grid(lower, upper, m)
+    assert got.shape == want.shape == (m ** lower.size, lower.size)
+    assert got.tobytes() == want.tobytes()
+
+
+def _loop_clusters(vals):
+    """Representatives of the near-maximal clusters by a scan over the near indices: the reference formulation."""
+    near = np.flatnonzero(vals >= float(vals.max()) - oracle._TIE_TOL)
+    reps, start = [], 0
+    for pos in range(1, near.size + 1):
+        if pos == near.size or near[pos] - near[pos - 1] > oracle._CLUSTER_GAP:
+            members = near[start:pos]
+            reps.append(int(members[np.argmax(vals[members])]))
+            start = pos
+    return reps
+
+
+def test_maximizer_clusters_equal_the_loop_on_random_tie_patterns():
+    rng = np.random.default_rng(22)
+    for _ in range(2000):
+        m = int(rng.integers(1, 40))
+        vals = rng.uniform(-1.0, 0.0, m)
+        ties = rng.random(m) < rng.uniform(0.05, 0.9)
+        vals[ties] = rng.choice([0.0, -0.5e-6, -2e-6], ties.sum())  # near, near and not near the max 0
+        vals[rng.integers(m)] = 0.0
+        ys = np.linspace(-1.0, 1.0, m)[:, None]
+        assert oracle._maximizer_clusters(ys, vals) == _loop_clusters(vals), vals
