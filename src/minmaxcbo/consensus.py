@@ -5,6 +5,8 @@ y-ensemble; the x-consensus is the soft-argmin of x -> E(x, yhat(x)) over
 the x-ensemble, where yhat(x) is the y-consensus evaluated at that x.  All
 exponential weights are computed max-shifted (the largest exponent becomes
 zero) so that weight parameters of 1e4 and far beyond cannot overflow.
+Both averages sum_j w_j z_j / sum_j w_j form the weighted sum of the
+unnormalized weights first and divide it by their sum once per point.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ _BLOCK_ENTRIES = 2**16
 
 
 def exp_weights(values: np.ndarray, scale: float, *, pivot: np.ndarray) -> np.ndarray:
-    """Normalized exp(scale * (values - pivot)) along the last axis, written over ``values``.
+    """Unnormalized exp(scale * (values - pivot)), written over ``values``.
 
     ``values`` is a writeable C-contiguous float64 array; the result is
     ``values`` itself.  ``pivot`` is its max along the last axis, with the
@@ -81,8 +83,10 @@ def exp_weights(values: np.ndarray, scale: float, *, pivot: np.ndarray) -> np.nd
     |scale * v| far beyond 1e14 and makes the weights exactly invariant
     under v -> v + c whenever the constant adds without rounding.
 
-    The result is bit for bit ``e / e.sum(-1, keepdims=True)`` with
-    ``e = np.exp(scale * (values - pivot))``.  While the particles are
+    The result is bit for bit ``np.exp(scale * (values - pivot))``.  Each
+    pivot's lane is exactly 1.0, so every row sums to at least 1; the
+    caller divides its weighted sums by the row sums, one divide per row
+    rather than one per weight.  While the particles are
     spread out and the weight parameters are large, many scaled exponents
     lie below ``_EXP_FAST_CUT``, where exp's result is 0.0 or subnormal and
     numpy's exp leaves its fast path for the whole vector of lanes.  In an
@@ -102,7 +106,6 @@ def exp_weights(values: np.ndarray, scale: float, *, pivot: np.ndarray) -> np.nd
     np.subtract(values, pivot, out=values)
     values *= scale
     _exp_in_place(values.reshape(-1))
-    values /= values.sum(axis=-1, keepdims=True)
     return values
 
 
@@ -201,8 +204,8 @@ def consensus_points(
     lead = xs.shape[:-2]
     if ys.shape[:-2] != lead:
         raise InputError(f"ensemble_x has trial shape {lead}, ensemble_y {ys.shape[:-2]}")
-    if alpha < 0 or beta < 0:
-        raise InputError("alpha and beta must be >= 0")
+    if not (0 <= alpha < math.inf and 0 <= beta < math.inf):  # False for NaN
+        raise InputError(f"alpha and beta must be finite and >= 0, got {alpha!r} and {beta!r}")
     (n_x, d1), (n_y, d2) = xs.shape[-2:], ys.shape[-2:]
     n_trials = math.prod(lead)  # one (N, d) call is the batch of one trial
     n_rows = _block_rows(_BLOCK_ENTRIES, n_y)
@@ -238,6 +241,7 @@ def consensus_points(
     _check_finite(outer_vals, "x-consensus outer weights")
     weights = exp_weights(outer_vals, -alpha, pivot=outer_vals.min(-1, keepdims=True))
     x_cons = np.matmul(weights[..., None, :], xs)[..., 0, :]
+    x_cons /= weights.sum(axis=-1, keepdims=True)
     return ConsensusPoint(x_cons=x_cons, y_cons_per_particle=yhat), (
         xs.reshape(-1, d1).take(best_i, 0).reshape(*lead, d1),
         ys.reshape(-1, d2).take(best_j, 0).reshape(*lead, d2),
@@ -261,7 +265,9 @@ def _row_block(obj: ObjectiveFunction, xs: np.ndarray, ys: np.ndarray, beta: flo
     pivot = pair_rows.take(arg + np.arange(0, pair_rows.size, n_y))  # the row max: the y-weights' pivot
     weights = exp_weights(pair_rows, beta, pivot=pivot[:, None])
     lead_rows = rows.shape[:-1]
-    return pivot.reshape(lead_rows), arg.reshape(lead_rows), np.matmul(weights.reshape(rows.shape), ys, out=out)
+    yhat = np.matmul(weights.reshape(rows.shape), ys, out=out)
+    yhat /= weights.sum(axis=-1).reshape(*lead_rows, 1)
+    return pivot.reshape(lead_rows), arg.reshape(lead_rows), yhat
 
 
 def _block_rows(entries: int, n_y: int) -> int:

@@ -254,8 +254,9 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("n_particles", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):  # bool is an Integral
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not isinstance(self.project, (bool, np.bool_)):
             raise ConfigError(f"project must be a bool, got {self.project!r}")
         finite = ("lambda_x", "lambda_y", "sigma_x", "sigma_y", "alpha", "beta", "horizon", "init_mean", "init_std")

@@ -60,10 +60,11 @@ __all__ = [
 # common horizon.
 SWEEP_HORIZON = 50.0
 
-RUN_CSV_SCHEMA = "minmaxcbo/run/v1"
-SWEEP_CSV_SCHEMA = "minmaxcbo/sweep/v1"
-TRIAL_CSV_SCHEMA = "minmaxcbo/trials/v1"
-RUN_JSON_SCHEMA = "minmaxcbo/summary/v1"
+# v2: each consensus average divides its weighted sum by its weights' sum.
+RUN_CSV_SCHEMA = "minmaxcbo/run/v2"
+SWEEP_CSV_SCHEMA = "minmaxcbo/sweep/v2"
+TRIAL_CSV_SCHEMA = "minmaxcbo/trials/v2"
+RUN_JSON_SCHEMA = "minmaxcbo/summary/v2"
 
 # Pair entries of one consensus block that a sweep batch may hold: T trials
 # of N particles make T * N^2.  Measured on forsaken with one BLAS thread:

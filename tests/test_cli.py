@@ -29,7 +29,7 @@ def test_solve_writes_csv_and_json(tmp_path, capsys):
     json_path = tmp_path / "run_bilinear_seed7.json"
     assert csv_path.exists() and json_path.exists()
     summary = json.loads(json_path.read_text())
-    assert summary["schema"] == "minmaxcbo/summary/v1"
+    assert summary["schema"] == "minmaxcbo/summary/v2"
     assert summary["seed"] == 7
     assert summary["steps"] == 20
     assert summary["eval_count"] > 0

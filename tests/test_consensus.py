@@ -97,6 +97,17 @@ def test_negative_weights_rejected():
         consensus_points(BILINEAR, ys, ys, alpha=-2.0, beta=1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("which", ["alpha", "beta"])
+def test_non_finite_weight_parameters_rejected(which, bad):
+    # alpha = NaN or inf used to return a NaN x_cons; beta = NaN or inf raised
+    # a NumericalError about a non-finite objective value
+    xs, ys = np.array([[0.2], [-0.4]]), np.array([[0.3], [0.9]])
+    weights = {"alpha": 1.0, "beta": 1.0, which: bad}
+    with pytest.raises(InputError, match="^alpha and beta must be finite and >= 0"):
+        consensus_points(BILINEAR, xs, ys, **weights)
+
+
 def test_non_finite_objective_reports_particle():
     box = BoxDomain(np.array([-1.0]), np.array([1.0]))
 
@@ -173,11 +184,12 @@ def test_shift_invariance_bitwise_on_dyadic_values():
 
 
 def test_stable_weights_normalized_rows():
+    # the weights are unnormalized: each row's pivot lane is exactly 1.0 and no weight exceeds it
     rng = np.random.default_rng(5)
     scores = rng.uniform(-1e5, 1e5, (6, 9))
     w = exp_weights(scores, 1.0, pivot=scores.max(axis=1, keepdims=True))
-    assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
-    assert np.all(w >= 0)
+    assert np.array_equal(w.max(axis=1), np.ones(6))
+    assert np.all((w >= 0) & (w <= 1))
 
 
 # --- exp_weights against the plain formula, bit for bit ---------------------
@@ -189,8 +201,7 @@ def _pivot(values, scale):
 
 
 def _reference_weights(values, scale):
-    e = np.exp(scale * (values - _pivot(values, scale)))
-    return e / e.sum(axis=-1, keepdims=True)
+    return np.exp(scale * (values - _pivot(values, scale)))
 
 
 def _masks(values, scale):
@@ -419,11 +430,16 @@ def test_runs_bitwise_equal_with_reference_weights(monkeypatch):
         assert fast.final_ensemble.ys.tobytes() == slow.final_ensemble.ys.tobytes()
 
 
+def _weighted_average(e, z):
+    """The averages of the rows of ``z`` under the unnormalized weights ``e``: the product first, then one divide."""
+    return (e @ z) / e.sum(axis=-1, keepdims=True)
+
+
 def _reference_consensus(obj, xs, ys, alpha, beta):
     """consensus_points over the whole pair matrix: x_cons, yhat and the best pair (x, y, value)."""
     pair_values = obj.pair_matrix(xs, ys)
-    yhat = _reference_weights(pair_values, beta) @ ys
-    x_cons = _reference_weights(obj.batch(xs, yhat), -alpha) @ xs
+    yhat = _weighted_average(_reference_weights(pair_values, beta), ys)
+    x_cons = _weighted_average(_reference_weights(obj.batch(xs, yhat), -alpha), xs)
     i = int(np.argmin(pair_values.max(axis=1)))
     j = int(np.argmax(pair_values[i]))
     return x_cons, yhat, (xs[i], ys[j], float(pair_values[i, j]))
@@ -455,6 +471,30 @@ def _blocked_mismatches():
             if any(g.tobytes() != w.tobytes() for g, w in zip(got, _reference_results(obj, xs, ys, weight))):
                 mismatches.append((name, n_x, n_y, lead, weight))
     return mismatches
+
+
+def _normalize_first_average(e, z):
+    """The averages of the rows of ``z`` by the earlier definition: each weight divided by its row's sum, then the product."""
+    return np.matmul(e / e.sum(axis=-1, keepdims=True), z)
+
+
+@pytest.mark.parametrize("name", BUILT_IN_IDS)
+def test_dividing_after_the_product_moves_the_averages_by_a_few_eps(name):
+    # Against the normalize-first formula on the same pair matrix and, for
+    # x, on the same outer values, the averages move by at most a few
+    # rounding units of the largest particle coordinate.
+    obj, eps = make_benchmark(name), np.finfo(float).eps
+    for n, lead in ((20, ()), (257, ()), (1000, ()), (257, (3,))):
+        rng = np.random.default_rng([n, len(lead)])
+        xs = rng.uniform(obj.domain_x.lower, obj.domain_x.upper, (*lead, n, obj.dim_x))
+        ys = rng.uniform(obj.domain_y.lower, obj.domain_y.upper, (*lead, n, obj.dim_y))
+        for weight in (1e4, 30.0, 1.0):
+            cp, _ = consensus_points(obj, xs, ys, weight, weight)
+            yhat = _normalize_first_average(_reference_weights(obj.pair_matrix(xs, ys), weight), ys)
+            outer = _reference_weights(obj.batch(xs, cp.y_cons_per_particle), -weight)
+            x_cons = _normalize_first_average(outer[..., None, :], xs)[..., 0, :]
+            assert np.abs(cp.y_cons_per_particle - yhat).max() <= 8 * eps * np.abs(ys).max(), (n, lead, weight)
+            assert np.abs(cp.x_cons - x_cons).max() <= 8 * eps * np.abs(xs).max(), (n, lead, weight)
 
 
 # OpenBLAS may split the rows of one large product between threads, and a

@@ -442,6 +442,14 @@ def test_project_must_be_a_bool(project):
         _cfg(project=project)
 
 
+@pytest.mark.parametrize("name", ["n_particles", "seed"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_integer_fields_reject_bools(name, flag):
+    # bool is a numbers.Integral, so SolverConfig(n_particles=True, seed=False) used to construct
+    with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {flag}$"):
+        _cfg(**{name: flag})
+
+
 def test_non_finite_state_raises_numerical_error():
     config = _cfg(sigma_x=1e308, sigma_y=1e308, project=False, seed=0)
     ens = initialize(config, BILINEAR)
