@@ -11,10 +11,9 @@ unnormalized weights first and divide it by their sum once per point.
 
 from __future__ import annotations
 
-import contextvars
+import contextlib
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,11 +56,11 @@ _EXP_FAST_CUT = -707.0
 _MASK_MIN_ENTRIES = 1024
 # A block is masked only when at least 1/_MASK_MIN_SHARE of a sample of its
 # exponents lies below the fast cut.  The mask makes six more numpy calls
-# than one exp, and on two consensus workers each call hands the GIL to the
-# other worker and back; below this share the few slow lanes of the one exp
-# cost less than those hand-overs.  The sample holds at most _MASK_SAMPLE
-# evenly spaced exponents: numpy keeps the GIL through loops of at most 500
-# entries, so drawing it hands nothing over.
+# than one exp; the share was set while the second consensus worker was a
+# thread, to which each call handed the GIL and back, and below it the few
+# slow lanes of the one exp cost less than those hand-overs.  The sample
+# holds at most _MASK_SAMPLE evenly spaced exponents: numpy keeps the GIL
+# through loops of at most 500 entries, so drawing it handed nothing over.
 _MASK_MIN_SHARE = 16
 _MASK_SAMPLE = 500
 # Pair entries per row block of consensus_points: 2**16 float64 values
@@ -173,7 +172,7 @@ def _check_finite(values: np.ndarray, what: str, row_offset: int = 0) -> None:
 
 
 def consensus_points(
-    obj: ObjectiveFunction, ensemble_x, ensemble_y, alpha: float, beta: float
+    obj: ObjectiveFunction, ensemble_x, ensemble_y, alpha: float, beta: float, *, _helper=None
 ) -> tuple[ConsensusPoint, tuple[np.ndarray, np.ndarray, float]]:
     """Both consensus quantities and the best pair from one all-pairs evaluation.
 
@@ -188,16 +187,19 @@ def consensus_points(
     worker evaluates its next block, so no N x N array is built.  Both
     weight sets are written over arrays that
     ``_owned`` returns, so the results do not depend on the layout of the
-    objective's output.  When the rows split into two or more such blocks
-    and this process may run on two or more CPUs, blocks of half the size
-    alternate between this thread and a helper thread started for the
-    call, so ``obj.fn`` may run on two threads at once; the results are
-    bitwise those of one worker.  The best pair is (x, y, value): x
+    objective's output.  Rows that split into two or more such blocks are
+    stepped on one worker, unless ``_helper`` is the second worker that
+    ``dynamics.trajectory`` forks for its run (see ``_second_worker``) and
+    was made for this objective and these shapes: then blocks of half the
+    size alternate between this process and the helper process, so
+    ``obj.fn`` also runs in a forked process, and the results are bitwise
+    those of one worker.  The best pair is (x, y, value): x
     minimizes the max over j of E(x, Y^j) over the x-ensemble, y attains
     that max, and value is E(x, y) bit for bit.  Ties go to the lowest
     x-index, then the lowest y-index.  An error is the one of the lowest
     failing block; in a batch, a NumericalError names the
-    full index (t, i, j).
+    full index (t, i, j).  A helper that dies during the call raises
+    ChildProcessError.
     """
     xs = _as_ensemble(ensemble_x, obj.dim_x, "ensemble_x")
     ys = _as_ensemble(ensemble_y, obj.dim_y, "ensemble_y")
@@ -211,25 +213,14 @@ def consensus_points(
     n_rows = _block_rows(_BLOCK_ENTRIES, n_y)
     if n_x <= n_rows:
         row_max, row_arg, yhat = _row_block(obj, xs, ys, beta, 0)
+    elif _helper is not None and _helper.fits(obj, xs, ys):
+        row_max, row_arg, yhat = _helper.call(xs, ys, beta)
     else:
-        workers = min(2, _usable_cpus())
-        n_rows = _block_rows(_BLOCK_ENTRIES // workers, n_y)
         row_max, row_arg = np.empty((*lead, n_x)), np.empty((*lead, n_x), dtype=np.intp)
         yhat = np.empty((*lead, n_x, d2))
-
-        def block(a: int) -> None:
-            """Rows a:a + n_rows of row_max, row_arg and yhat."""
-            rows = slice(a, a + n_rows)
-            row_max[..., rows], row_arg[..., rows], _ = _row_block(
-                obj, xs[..., rows, :], ys, beta, a, yhat[..., rows, :]
-            )
-
-        starts = range(0, n_x, n_rows)
-        if workers == 1:
-            for a in starts:
-                block(a)
-        else:
-            _on_two_workers(block, starts)
+        failure = _row_blocks(obj, xs, ys, beta, n_rows, range(-(-n_x // n_rows)), row_max, row_arg, yhat)
+        if failure is not None:
+            raise failure[1]
     # argmin and argmax return the first extremal entry, so ties go to the
     # lowest x-index, then the lowest y-index.  The best pair is gathered with
     # take() on trial-major flat indices, a few times faster than fancy
@@ -270,6 +261,23 @@ def _row_block(obj: ObjectiveFunction, xs: np.ndarray, ys: np.ndarray, beta: flo
     return pivot.reshape(lead_rows), arg.reshape(lead_rows), yhat
 
 
+def _row_blocks(obj, xs, ys, beta, n_rows: int, blocks: range, row_max, row_arg, yhat):
+    """Rows b * n_rows:(b + 1) * n_rows of row_max, row_arg and yhat for each b in ``blocks``, in order.
+
+    Stops at the first block that raises an Exception and returns its
+    index and the exception; returns None when every block succeeds.
+    """
+    for b in blocks:
+        a = b * n_rows
+        rows = slice(a, a + n_rows)
+        try:
+            row_max[..., rows], row_arg[..., rows], _ = _row_block(obj, xs[..., rows, :], ys, beta, a,
+                                                                   yhat[..., rows, :])
+        except Exception as exc:
+            return b, exc
+    return None
+
+
 def _block_rows(entries: int, n_y: int) -> int:
     """x-rows per block of about ``entries`` pair entries per trial: a multiple of 8, at least 8."""
     return max(8, entries // n_y // 8 * 8)
@@ -283,32 +291,28 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _on_two_workers(block, starts: range) -> None:
-    """block(a) for a in starts, the even blocks on this thread and the odd ones on a helper thread.
+@contextlib.contextmanager
+def _second_worker(obj: ObjectiveFunction, xs_shape: tuple[int, ...], ys_shape: tuple[int, ...]):
+    """A helper process for the ``consensus_points`` calls of one run, reaped on exit; None for one worker.
 
-    The helper is started for this call and joined before it returns, so
-    no thread outlives the call and a forked child inherits none.  It runs
-    in a copy of the caller's context, so numpy's errstate holds there
-    too.  A worker stops at its first failing block, so every block below
-    the lowest failure runs; what the lowest failing block raised is
-    raised here once both workers are done.
+    The run's ensembles have the shapes ``xs_shape`` and ``ys_shape``.  The
+    helper is forked only when their rows split into two or more blocks,
+    ``os.fork`` exists, this process may run on two or more CPUs and no
+    other Python thread is alive: a fork beside a running thread can
+    deadlock the child, and Python 3.12 warns about it.  A fork that fails
+    leaves the run on one worker too.
     """
-    errors: list = [None] * len(starts)
+    helper = None
+    if xs_shape[-2] > _block_rows(_BLOCK_ENTRIES, ys_shape[-2]) and hasattr(os, "fork") and _usable_cpus() >= 2:
+        import threading  # loaded by then in any process; only its thread count is read
 
-    def work(first: int) -> None:
-        for b in range(first, len(starts), 2):
-            try:
-                block(starts[b])
-            except Exception as exc:
-                errors[b] = exc
-                return
+        from .second_worker import Helper  # here, so only a run that may fork compiles and loads it
 
-    helper = threading.Thread(target=contextvars.copy_context().run, args=(work, 1))
-    helper.start()
+        if threading.active_count() == 1:
+            with contextlib.suppress(OSError):  # no pipe, no shared buffer or no fork
+                helper = Helper(obj, xs_shape, ys_shape)
     try:
-        work(0)
+        yield helper
     finally:
-        helper.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+        if helper is not None:
+            helper.close()

@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence, default_rng
 
-from .consensus import ConsensusPoint, _first_non_finite, consensus_points
+from .consensus import ConsensusPoint, _first_non_finite, _second_worker, consensus_points
 from .diagnostics import RunRecord, error_to_reference, spread, variance
 from .errors import ConfigError, NumericalError
 from .objectives import ObjectiveFunction, ReferencePoint
@@ -425,6 +425,12 @@ def trajectory(
     run of ``seeds[t]``.  No trial's arithmetic reads another trial's
     data, so each trial is bitwise the run of its seed alone.  A non-finite
     value in any trial raises NumericalError.
+
+    When the rows of a state split into two or more consensus blocks (N
+    from 257 on), the run forks one helper process that evaluates half of
+    each state's blocks (``consensus._second_worker``); the results are
+    bitwise those of one worker.  The helper is reaped when the run ends,
+    raises or is closed early, so no process outlives it.
     """
     _keep_freed_memory()
     if seeds is None:
@@ -433,11 +439,13 @@ def trajectory(
         runs = [initialize(replace(config, seed=seed), obj) for seed in seeds]
         ensemble = Ensemble(np.stack([e.xs for e in runs]), np.stack([e.ys for e in runs]))
     streams = [_KeyedStreams(seed) for seed in ([config.seed] if seeds is None else seeds)]
-    for k in range(config.n_steps + 1):
-        if k:
-            ensemble = _advance(ensemble, config, obj, cp, streams)
-        cp, best_pair = consensus_points(obj, ensemble.xs, ensemble.ys, config.alpha, config.beta)
-        yield ensemble, cp, best_pair
+    with _second_worker(obj, ensemble.xs.shape, ensemble.ys.shape) as helper:
+        for k in range(config.n_steps + 1):
+            if k:
+                ensemble = _advance(ensemble, config, obj, cp, streams)
+            cp, best_pair = consensus_points(obj, ensemble.xs, ensemble.ys, config.alpha, config.beta,
+                                             _helper=helper)
+            yield ensemble, cp, best_pair
 
 
 def run(config: SolverConfig, obj: ObjectiveFunction, reference: ReferencePoint | None = None) -> RunRecord:

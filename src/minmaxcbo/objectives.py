@@ -91,9 +91,10 @@ class ObjectiveFunction:
     """Evaluatable E(x, y) with its dimensions and box domains.
 
     ``fn`` must be deterministic and finite on domain_x x domain_y.  From
-    N = 257 particles on, consensus_points may call it from two threads at
-    once: numpy expressions of its arguments are safe, an ``fn`` that keeps
-    Python-side state between calls is not.  consensus_points writes its
+    N = 257 particles on, a run may call it in a helper process forked for
+    the run as well as in the calling process: nothing ``fn`` keeps or
+    changes in Python there (a counter, a cache) comes back to the caller,
+    so it should be a pure function of its arrays.  consensus_points writes its
     weights over a returned writeable C-contiguous float64 array that owns
     its data, which ``fn`` must therefore not keep, and over a C-ordered
     copy of any other array, so the layout ``fn`` returns does not matter.
@@ -225,8 +226,9 @@ def register_benchmark(
 
     Boxes are BoxDomain instances or (lower, upper) pairs.  Sweeps in worker
     processes receive the objective itself, so fn must be a module-level
-    function there.  fn may be called from two threads at once (see
-    ObjectiveFunction), so it must keep no Python-side state between calls.
+    function there.  fn may run in a forked helper process (see
+    ObjectiveFunction), where nothing it keeps in Python comes back to the
+    caller, so it must keep no Python-side state between calls.
     """
     key = canonical_id(name)
     if key in _REGISTRY:

@@ -1,0 +1,174 @@
+"""The second consensus worker: a process forked for one run, which evaluates every other row block.
+
+``consensus._second_worker`` decides whether a run gets one and imports
+this module only then, so a process whose runs fit one block never loads
+it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import math
+import mmap
+import os
+import pickle
+import signal
+import sys
+
+import numpy as np
+
+from .consensus import _BLOCK_ENTRIES, _block_rows, _row_blocks
+from .objectives import ObjectiveFunction
+
+
+class Helper:
+    """A forked process that evaluates the odd row blocks of each call, with arrays shared with its parent.
+
+    The parent makes an anonymous shared ``mmap`` that holds the ensembles
+    and the call's rows of ``row_max``, ``row_arg`` and ``yhat``, then forks.
+    Per call it writes the ensembles there and sends the helper one request
+    over a pipe, (beta, ``np.geterr()``), so the helper runs under the
+    caller's errstate; a warning it raises under "warn" is printed by the
+    helper, past the caller's warning filters.  The helper writes its
+    blocks into the shared rows and replies None, or the index and pickled
+    exception of its first failing block.  The two sides alternate blocks
+    of half the one-worker size, each computed as one worker computes it,
+    so every result is bitwise that of one worker.
+
+    The helper ignores SIGINT, leaves by ``os._exit`` at EOF of its request
+    pipe (also when the parent dies) and never returns into the parent's
+    code.  ``close`` reaps it.  A child forked while a helper is open closes
+    that helper's pipes, so its copy neither keeps the helper alive nor
+    uses it.
+    """
+
+    def __init__(self, obj: ObjectiveFunction, xs_shape: tuple[int, ...], ys_shape: tuple[int, ...]):
+        lead, n_x, n_y, d2 = xs_shape[:-2], xs_shape[-2], ys_shape[-2], ys_shape[-1]
+        self.obj = obj
+        self.n_rows = _block_rows(_BLOCK_ENTRIES // 2, n_y)
+        self.n_blocks = -(-n_x // self.n_rows)
+        layout = [(xs_shape, np.float64), (ys_shape, np.float64), ((*lead, n_x), np.float64),
+                  ((*lead, n_x), np.intp), ((*lead, n_x, d2), np.float64)]
+        buffer = mmap.mmap(-1, sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in layout))
+        views, offset = [], 0
+        for shape, dtype in layout:
+            views.append(np.frombuffer(buffer, dtype, math.prod(shape), offset).reshape(shape))
+            offset += views[-1].nbytes
+        self.xs, self.ys, self.row_max, self.row_arg, self.yhat = views
+        requests_r, self._requests = os.pipe()
+        replies_r, replies_w = os.pipe()
+        for stream in (sys.stdout, sys.stderr):  # so the child's streams start empty
+            with contextlib.suppress(Exception):
+                stream.flush()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (requests_r, self._requests, replies_r, replies_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            os.close(self._requests)
+            os.close(replies_r)
+            self._serve(os.fdopen(requests_r, "rb"), replies_w)
+        os.close(requests_r)
+        os.close(replies_w)
+        self._replies = os.fdopen(replies_r, "rb")
+        self._pending = False
+        _open_helpers.add(self)
+
+    def _serve(self, requests, replies: int) -> None:
+        """The helper's loop, in the child: each request's odd blocks, then the reply; never returns."""
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            blocks = range(1, self.n_blocks, 2)
+            while True:
+                beta, errstate = pickle.load(requests)
+                with np.errstate(**errstate):
+                    failure = _row_blocks(self.obj, self.xs, self.ys, beta, self.n_rows, blocks,
+                                          self.row_max, self.row_arg, self.yhat)
+                _send(replies, None if failure is None else (failure[0], _portable(failure[1])))
+        finally:  # EOF of the requests, or a reply the parent no longer reads
+            for stream in (sys.stdout, sys.stderr):
+                with contextlib.suppress(Exception):
+                    stream.flush()
+            os._exit(0)
+
+    def fits(self, obj: ObjectiveFunction, xs: np.ndarray, ys: np.ndarray) -> bool:
+        """Whether this open helper was made for ``obj`` and ensembles of these shapes."""
+        return self.pid is not None and obj is self.obj and xs.shape == self.xs.shape and ys.shape == self.ys.shape
+
+    def call(self, xs: np.ndarray, ys: np.ndarray, beta: float):
+        """One call's row_max, row_arg and yhat: the even blocks evaluated here, the odd ones in the helper.
+
+        Raises the exception of the lowest failing block once both sides
+        are done, and ChildProcessError when the helper is gone.
+        """
+        self.xs[...], self.ys[...] = xs, ys
+        self._pending = True
+        try:
+            _send(self._requests, (beta, np.geterr()))
+        except BrokenPipeError:
+            raise self._lost() from None
+        mine = _row_blocks(self.obj, xs, ys, beta, self.n_rows, range(0, self.n_blocks, 2),
+                           self.row_max, self.row_arg, self.yhat)
+        try:
+            theirs = pickle.load(self._replies)
+        except (EOFError, pickle.UnpicklingError):  # no reply, or a part of one
+            raise self._lost() from None
+        self._pending = False
+        failures = [f for f in (mine, theirs) if f is not None]
+        if failures:
+            raise min(failures, key=lambda f: f[0])[1]
+        return self.row_max, self.row_arg, self.yhat.copy()
+
+    def _lost(self) -> ChildProcessError:
+        """Reap a helper that died during a call; the error to raise for it."""
+        pid = self.pid
+        self.close()
+        return ChildProcessError(f"the consensus helper process {pid} exited during a call")
+
+    def close(self) -> None:
+        """End and reap the helper: at EOF of its requests when idle, by SIGKILL when a call was cut short."""
+        pid = self.pid
+        if pid is None:
+            return
+        self._forget()
+        if self._pending:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        with contextlib.suppress(ChildProcessError):  # already reaped, e.g. with SIGCHLD ignored
+            os.waitpid(pid, 0)
+
+    def _forget(self) -> None:
+        """Close this side's pipes and mark the helper closed, without reaping it."""
+        _open_helpers.discard(self)
+        os.close(self._requests)
+        self._replies.close()
+        self.pid = None
+
+
+_open_helpers: set[Helper] = set()
+
+
+def _forget_open_helpers() -> None:
+    for helper in list(_open_helpers):
+        helper._forget()
+
+
+os.register_at_fork(after_in_child=_forget_open_helpers)  # loaded only where os.fork exists
+
+
+def _portable(exc: Exception) -> Exception:
+    """``exc`` when it survives a pickle round trip, else a RuntimeError that names its type and message."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(f"{type(exc).__qualname__}: {exc}")
+    return exc
+
+
+def _send(fd: int, message) -> None:
+    """Write ``message`` pickled to the pipe ``fd``; the reader's ``pickle.load`` finds its end."""
+    data = memoryview(pickle.dumps(message))
+    while data:
+        data = data[os.write(fd, data):]

@@ -478,12 +478,65 @@ print([m for m in POOLS if m in sys.modules])
 
 def test_commands_load_a_pool_only_when_they_use_it(tmp_path):
     # N=256 fits one row block, so nothing below N=257 steps on two workers; N=300 splits into two blocks,
-    # which step on a plain thread
+    # which step in a helper process forked without a pool
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     child = subprocess.run([sys.executable, "-c", _POOLS_ON_FIRST_USE, str(tmp_path)], env=env, capture_output=True,
                            text=True, timeout=300)
     assert child.returncode == 0, child.stderr
     assert child.stdout.splitlines() == ["[]", "[]"]
+
+
+def _session_members(sid: int) -> list[int]:
+    """The pids of the processes in session ``sid``, read from /proc."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                stat = Path("/proc", entry, "stat").read_text()
+            except OSError:  # the process ended meanwhile
+                continue
+            if int(stat[stat.rindex(")") + 2:].split()[3]) == sid:  # after the name: state, ppid, pgrp, session
+                members.append(int(entry))
+    return members
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads the sessions of processes under /proc")
+def test_a_solve_that_steps_on_two_workers_leaves_no_process_in_its_session(tmp_path):
+    # the child is a session leader, so any helper process it leaves keeps the child's pid as its session
+    code = ("import sys; from minmaxcbo import consensus; from minmaxcbo.cli import main; "
+            "consensus._usable_cpus = lambda: 2; sys.exit(main(sys.argv[1:]))")
+    argv = ["solve", "--benchmark", "bilinear", "-N", "300", "-T", "0.05", "--out", str(tmp_path)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+    child = subprocess.Popen([sys.executable, "-c", code, *argv], env=env, start_new_session=True,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    _, err = child.communicate(timeout=120)
+    assert child.returncode == 0, err
+    assert _session_members(child.pid) == []
+
+
+_MAIN_PID = os.getpid()
+
+
+def _exits_in_a_helper(x, y):
+    if os.getpid() != _MAIN_PID:
+        os._exit(1)
+    return x[..., 0] * y[..., 0]
+
+
+def test_a_helper_that_dies_makes_solve_exit_2_with_one_error_line(tmp_path, capsys, monkeypatch):
+    from minmaxcbo import consensus, objectives
+
+    monkeypatch.setattr(consensus, "_usable_cpus", lambda: 2)
+    register_benchmark("CLI Helper Exit", _exits_in_a_helper, (-2.0, 2.0), (-2.0, 2.0),
+                       reference=ReferencePoint([0.0], [[0.0]]))
+    try:
+        code = main(["solve", "--benchmark", "cli-helper-exit", "-N", "300", "-T", "0.05", "--out", str(tmp_path)])
+    finally:
+        del objectives._REGISTRY["cli_helper_exit"]
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: the consensus helper process ") and err.endswith(" exited during a call\n")
+    assert err.count("\n") == 1
 
 
 def _refuse_work(*args, **kwargs):

@@ -1,10 +1,13 @@
+import contextlib
 import itertools
 import math
+import mmap
 import os
 import re
+import signal
 import subprocess
 import sys
-import threading
+import time
 import tracemalloc
 import warnings
 
@@ -20,8 +23,9 @@ from minmaxcbo import (
     benchmark_reference,
     make_benchmark,
     run,
+    trajectory,
 )
-from minmaxcbo import consensus
+from minmaxcbo import consensus, second_worker
 from minmaxcbo.consensus import (
     _BLOCK_ENTRIES,
     _EXP_FAST_CUT,
@@ -555,28 +559,29 @@ def test_best_value_is_the_objective_at_the_best_pair_bit_for_bit(ys):
     _assert_value_is_e_at_the_pair(BILINEAR, best)
 
 
-def test_best_value_is_the_objective_at_the_best_pair_in_a_batch_and_on_two_workers(monkeypatch):
+def test_best_value_is_the_objective_at_the_best_pair_in_a_batch_and_on_two_workers():
     xs = np.array([[0.5], [0.0], [-0.7]])
     _, best = consensus_points(BILINEAR, np.stack([xs, xs]), np.array([[[-1.0], [2.0]], [[2.0], [-1.0]]]), 1e4, 1e4)
     _assert_value_is_e_at_the_pair(BILINEAR, best)
     # N = 300 splits into blocks on two workers; every row but that of x = 0 has a positive max
-    monkeypatch.setattr(consensus, "_usable_cpus", lambda: 2)
     rng = np.random.default_rng(9)
     xs, ys = rng.uniform(-4, 4, (300, 1)), rng.uniform(-4, 4, (300, 1))
     xs[211, 0] = 0.0
     for first in (-1.0, 2.0):
         ys[0, 0] = first
-        _, best = consensus_points(BILINEAR, xs, ys, 1e4, 1e4)
+        _, best = _consensus_with(2, BILINEAR, xs, ys, 1e4)
         assert (best[0][0], best[1][0]) == (0.0, first)
         _assert_value_is_e_at_the_pair(BILINEAR, best)
 
 
 def _kept_arrays_objective(kind):
-    """forsaken returning its values as ``kind`` says, and the arrays it keeps, with a copy of each.
+    """forsaken returning its values as ``kind`` says, the arrays it keeps in this process, and its calls.
 
     "view" returns a view of an array it keeps, "read_only" that array made
     read-only, "fortran" an F-ordered copy of it, and "transposed" the
-    transposed view of a C-ordered array of the transposed values.
+    transposed view of a C-ordered array of the transposed values.  Each
+    kept array is listed with a copy.  Calls made in a forked helper keep
+    their arrays there; ``_calls_by_process`` counts them.
     """
     kept = []
 
@@ -592,7 +597,8 @@ def _kept_arrays_objective(kind):
             return np.array(full, order="F")
         return full.T if kind == "transposed" else full[...]
 
-    return ObjectiveFunction("kept", 1, 1, FORSAKEN.domain_x, FORSAKEN.domain_y, fn), kept
+    fn, calls = _calls_by_process(fn)
+    return ObjectiveFunction("kept", 1, 1, FORSAKEN.domain_x, FORSAKEN.domain_y, fn), kept, calls
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -600,21 +606,26 @@ def _kept_arrays_objective(kind):
 # the ids of the first two cases say whether the kept array itself is returned read-only
 @pytest.mark.parametrize("kind", ["view", "read_only", "fortran", "transposed"],
                          ids=["False", "True", "fortran", "transposed"])
-def test_arrays_the_objective_keeps_stay_intact(monkeypatch, workers, n, kind):
+def test_arrays_the_objective_keeps_stay_intact(workers, n, kind):
     # the results are bitwise those of the C-ordered objective whatever layout
-    # its values come in, and no array the objective keeps is written over
-    monkeypatch.setattr(consensus, "_usable_cpus", lambda: workers)
+    # its values come in, and no array the objective keeps is written over:
+    # checked on this process's share of the blocks, which runs the same code
+    # as the helper's share
     rng = np.random.default_rng(n)
-    n_blocks = {20: 1, 300: workers + 1, 1000: 16 * workers}[n]  # 216 or 104 rows at N = 300, 64 or 32 at 1000
+    # blocks here and in the helper: one worker takes 216 rows at N = 300 and 64 at 1000, two workers
+    # 104 and 32, and the helper the odd blocks
+    blocks = {20: (1, 0), 300: (2, 0), 1000: (16, 0)} if workers == 1 else {20: (1, 0), 300: (2, 1), 1000: (16, 16)}
     for lead, weight in itertools.product(((), (2,)), (30.0, 1e4)):  # 1e4 masks most blocks' exp
         xs, ys = rng.uniform(-1.5, 1.5, (*lead, n, 1)), rng.uniform(-1.5, 1.5, (*lead, n, 1))
-        obj, kept = _kept_arrays_objective(kind)
-        cp, best = consensus_points(obj, xs, ys, weight, weight)
+        obj, kept, calls = _kept_arrays_objective(kind)
+        cp, best = _consensus_with(workers, obj, xs, ys, weight)
         want_cp, want_best = consensus_points(FORSAKEN, xs, ys, weight, weight)
         got = (cp.x_cons, cp.y_cons_per_particle, *map(np.asarray, best))
         want = (want_cp.x_cons, want_cp.y_cons_per_particle, *map(np.asarray, want_best))
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
-        assert len(kept) == n_blocks + 1  # the pair blocks, then the outer values
+        here, helper = blocks[n]
+        assert calls.tolist() == [here + 1, helper]  # the pair blocks, then here the outer values
+        assert len(kept) == here + 1
         assert all(array.tobytes() == copy.tobytes() for array, copy in kept)
 
 
@@ -677,22 +688,59 @@ def test_two_dimensional_y_agrees_with_whole_matrix_reference():
 # --- row blocks on two workers ------------------------------------------------
 
 
-def _consensus_on(workers, obj, xs, ys, weight):
-    """consensus_points with the given worker count: its results and the threads that evaluated pairs."""
-    threads = set()
+def _calls_by_process(fn):
+    """``fn`` counting its calls in shared memory, and the counts: [in this process, in other processes].
 
-    def fn(x, y):
-        threads.add(threading.get_ident())
-        return obj.fn(x, y)
+    A forked helper writes its count into the same memory, so the caller
+    reads both once the call returns.
+    """
+    counts = np.frombuffer(mmap.mmap(-1, 16), np.int64)
+    here = os.getpid()
 
-    traced = ObjectiveFunction(obj.name, obj.dim_x, obj.dim_y, obj.domain_x, obj.domain_y, fn)
+    def counted(x, y):
+        counts[int(os.getpid() != here)] += 1
+        return fn(x, y)
+
+    return counted, counts
+
+
+@contextlib.contextmanager
+def _second_worker_for(obj, xs, ys, cpus=2):
+    """The helper ``trajectory`` opens for ensembles of these shapes, on a process that may use ``cpus`` CPUs."""
     saved = consensus._usable_cpus
-    consensus._usable_cpus = lambda: workers
+    consensus._usable_cpus = lambda: cpus
     try:
-        cp, (bx, by, value) = consensus_points(traced, xs, ys, weight, weight)
+        with consensus._second_worker(obj, np.shape(xs), np.shape(ys)) as helper:
+            consensus._usable_cpus = saved
+            yield helper
     finally:
         consensus._usable_cpus = saved
-    return (cp.x_cons, cp.y_cons_per_particle, bx, by, np.float64(value)), len(threads)
+
+
+def _consensus_with(workers, obj, xs, ys, weight):
+    """consensus_points on one worker, or on two with the second opened as ``trajectory`` opens it."""
+    if workers == 1:
+        return consensus_points(obj, xs, ys, weight, weight)
+    with _second_worker_for(obj, xs, ys) as helper:
+        assert (helper is not None) == (np.shape(xs)[-2] > _block_rows(_BLOCK_ENTRIES, np.shape(ys)[-2]))
+        return consensus_points(obj, xs, ys, weight, weight, _helper=helper)
+
+
+def _no_child_left() -> bool:
+    """Whether this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _consensus_on(workers, obj, xs, ys, weight):
+    """consensus_points with the given worker count: its results and the processes that evaluated pairs."""
+    fn, calls = _calls_by_process(obj.fn)
+    counted = ObjectiveFunction(obj.name, obj.dim_x, obj.dim_y, obj.domain_x, obj.domain_y, fn)
+    cp, (bx, by, value) = _consensus_with(workers, counted, xs, ys, weight)
+    return (cp.x_cons, cp.y_cons_per_particle, bx, by, np.float64(value)), np.count_nonzero(calls)
 
 
 def _worker_mismatches():
@@ -705,12 +753,12 @@ def _worker_mismatches():
                 xs = rng.uniform(obj.domain_x.lower, obj.domain_x.upper, (*lead, n, obj.dim_x))
                 ys = rng.uniform(obj.domain_y.lower, obj.domain_y.upper, (*lead, n, obj.dim_y))
                 for weight in (1e4, 30.0):
-                    one, one_threads = _consensus_on(1, obj, xs, ys, weight)
-                    two, two_threads = _consensus_on(2, obj, xs, ys, weight)
+                    one, one_processes = _consensus_on(1, obj, xs, ys, weight)
+                    two, two_processes = _consensus_on(2, obj, xs, ys, weight)
                     wants = [one]
                     if obj.dim_y == 1:  # gemm may sum a 2-d y's blocks and whole product differently
                         wants.append(_reference_results(obj, xs, ys, weight))
-                    if (one_threads, two_threads) != (1, 2) or any(
+                    if (one_processes, two_processes) != (1, 2) or any(
                         g.tobytes() != w.tobytes() for want in wants for g, w in zip(two, want)
                     ):
                         mismatches.append((obj.name, n, lead, weight))
@@ -726,14 +774,35 @@ def test_two_workers_bitwise_equal_one_worker_and_whole_matrix_reference():
 
 
 def test_one_usable_cpu_keeps_one_worker_and_the_full_blocks(monkeypatch):
-    monkeypatch.setattr(consensus, "_usable_cpus", lambda: 1)
     rng = np.random.default_rng(8)
     xs, ys = rng.uniform(-4, 4, (1000, 1)), rng.uniform(-4, 4, (1000, 1))
-    calls = []
-    counted = ObjectiveFunction("counted", 1, 1, BILINEAR.domain_x, BILINEAR.domain_y,
-                                lambda x, y: calls.append(threading.get_ident()) or BILINEAR.fn(x, y))
+    fn, calls = _calls_by_process(BILINEAR.fn)
+    counted = ObjectiveFunction("counted", 1, 1, BILINEAR.domain_x, BILINEAR.domain_y, fn)
+    with _second_worker_for(counted, xs, ys, cpus=1) as helper:
+        assert helper is None
+        consensus_points(counted, xs, ys, 1e4, 1e4, _helper=helper)
+    assert calls.tolist() == [17, 0]  # 16 row blocks of 64 rows, then the outer values
+    # a call that is given no helper steps on one worker whatever the CPU count
+    monkeypatch.setattr(consensus, "_usable_cpus", lambda: 2)
+    calls[:] = 0
     consensus_points(counted, xs, ys, 1e4, 1e4)
-    assert calls[:-1] == [threading.get_ident()] * 16  # 16 row blocks of 64 rows, then the outer values
+    assert calls.tolist() == [17, 0]
+    assert _no_child_left()
+
+
+def test_a_helper_is_used_only_for_its_objective_and_shapes():
+    rng = np.random.default_rng(8)
+    xs, ys = rng.uniform(-4, 4, (1000, 1)), rng.uniform(-4, 4, (1000, 1))
+    fn, calls = _calls_by_process(BILINEAR.fn)
+    counted = ObjectiveFunction("counted", 1, 1, BILINEAR.domain_x, BILINEAR.domain_y, fn)
+    with _second_worker_for(counted, xs, ys) as helper:
+        for obj, x, y in ((BILINEAR, xs, ys), (counted, xs[:999], ys), (counted, xs, ys[:999])):
+            want, _ = consensus_points(obj, x, y, 1e4, 1e4)
+            got, _ = consensus_points(obj, x, y, 1e4, 1e4, _helper=helper)
+            assert got.y_cons_per_particle.tobytes() == want.y_cons_per_particle.tobytes()
+        assert calls[1] == 0
+        consensus_points(counted, xs, ys, 1e4, 1e4, _helper=helper)
+        assert calls[1] == 16
 
 
 def _planted(bad_rows):
@@ -749,36 +818,140 @@ def _planted(bad_rows):
 
 
 @pytest.mark.parametrize("bad_rows", [[100, 200], [70, 170]])
-def test_failures_on_both_workers_report_the_lowest_block(monkeypatch, bad_rows):
+def test_failures_on_both_workers_report_the_lowest_block(bad_rows):
     # 32-row blocks: rows 100 and 200 lie in blocks 3 (helper) and 6 (caller), rows 70 and 170 in 2 (caller) and 5
-    monkeypatch.setattr(consensus, "_usable_cpus", lambda: 2)
     obj, xs, ys = _planted(bad_rows)
     low = min(bad_rows)
     with pytest.raises(NumericalError, match=re.escape(f"at particle index ({low}, 0)")):
-        consensus_points(obj, xs, ys, 1e4, 1e4)
+        _consensus_with(2, obj, xs, ys, 1e4)
 
 
-def test_an_exception_raised_on_the_helper_reaches_the_caller(monkeypatch):
-    monkeypatch.setattr(consensus, "_usable_cpus", lambda: 2)
-    main = threading.get_ident()
+def _fails_in_other_processes(make_exception):
+    """bilinear, raising ``make_exception()`` in any process but this one."""
+    here = os.getpid()
 
-    def fails_off_main(x, y):
-        if threading.get_ident() != main:
-            raise ValueError("raised on the helper")
+    def fails_off_here(x, y):
+        if os.getpid() != here:
+            raise make_exception()
         return x[..., 0] * y[..., 0]
 
-    obj = ObjectiveFunction("off_main", 1, 1, BILINEAR.domain_x, BILINEAR.domain_y, fails_off_main)
+    return ObjectiveFunction("off_here", 1, 1, BILINEAR.domain_x, BILINEAR.domain_y, fails_off_here)
+
+
+def test_an_exception_raised_on_the_helper_reaches_the_caller():
+    obj = _fails_in_other_processes(lambda: ValueError("raised on the helper"))
     rng = np.random.default_rng(3)
     with pytest.raises(ValueError, match="^raised on the helper$"):
-        consensus_points(obj, rng.uniform(-4, 4, (1000, 1)), rng.uniform(-4, 4, (1000, 1)), 1e4, 1e4)
+        _consensus_with(2, obj, rng.uniform(-4, 4, (1000, 1)), rng.uniform(-4, 4, (1000, 1)), 1e4)
 
 
-def test_a_two_worker_call_leaves_no_thread_behind():
+def test_an_exception_that_cannot_be_pickled_arrives_as_a_runtime_error_naming_it():
+    class LocalError(Exception):  # a local class cannot be pickled by reference
+        pass
+
+    obj = _fails_in_other_processes(lambda: LocalError("raised on the helper"))
+    rng = np.random.default_rng(3)
+    with pytest.raises(RuntimeError, match=r"^\S*LocalError: raised on the helper$"):
+        _consensus_with(2, obj, rng.uniform(-4, 4, (1000, 1)), rng.uniform(-4, 4, (1000, 1)), 1e4)
+    assert _no_child_left()
+
+
+def test_a_helper_that_dies_during_a_call_raises_child_process_error_at_once():
+    here = os.getpid()
+
+    def exits_off_here(x, y):
+        if os.getpid() != here:
+            os._exit(1)
+        return x[..., 0] * y[..., 0]
+
+    obj = ObjectiveFunction("exits", 1, 1, BILINEAR.domain_x, BILINEAR.domain_y, exits_off_here)
+    rng = np.random.default_rng(3)
+    xs, ys = rng.uniform(-4, 4, (1000, 1)), rng.uniform(-4, 4, (1000, 1))
+    with _second_worker_for(obj, xs, ys) as helper:
+        start = time.monotonic()
+        with pytest.raises(ChildProcessError, match="exited during a call"):
+            consensus_points(obj, xs, ys, 1e4, 1e4, _helper=helper)
+        assert time.monotonic() - start < 30
+        assert _no_child_left()  # reaped by the failed call
+        want, _ = consensus_points(BILINEAR, xs, ys, 1e4, 1e4)
+        got, _ = consensus_points(obj, xs, ys, 1e4, 1e4, _helper=helper)  # the closed helper is not used again
+        assert got.y_cons_per_particle.tobytes() == want.y_cons_per_particle.tobytes()
+
+
+def test_a_failed_fork_leaves_the_run_on_one_worker_bitwise(monkeypatch):
+    config = SolverConfig(n_particles=300, horizon=0.3, seed=4)
+    monkeypatch.setattr(consensus, "_usable_cpus", lambda: 1)
+    one = run(config, FORSAKEN)
+    monkeypatch.setattr(consensus, "_usable_cpus", lambda: 2)
+    two = run(config, FORSAKEN)
+
+    def no_fork():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    refused = run(config, FORSAKEN)
+    for record in (two, refused):
+        assert record.final_ensemble.xs.tobytes() == one.final_ensemble.xs.tobytes()
+        assert record.final_ensemble.ys.tobytes() == one.final_ensemble.ys.tobytes()
+        assert record.best_value_trace.tobytes() == one.best_value_trace.tobytes()
+
+
+def test_a_two_worker_call_leaves_no_process_behind():
     rng = np.random.default_rng(4)
     xs, ys = rng.uniform(-4, 4, (1000, 1)), rng.uniform(-4, 4, (1000, 1))
-    before = threading.active_count()
-    _, threads = _consensus_on(2, BILINEAR, xs, ys, 1e4)
-    assert threads == 2 and threading.active_count() == before
+    _, processes = _consensus_on(2, BILINEAR, xs, ys, 1e4)
+    assert processes == 2 and _no_child_left()
+
+
+def test_the_helper_ignores_sigint():
+    rng = np.random.default_rng(4)
+    xs, ys = rng.uniform(-4, 4, (1000, 1)), rng.uniform(-4, 4, (1000, 1))
+    want, _ = consensus_points(BILINEAR, xs, ys, 1e4, 1e4)
+    with _second_worker_for(BILINEAR, xs, ys) as helper:
+        consensus_points(BILINEAR, xs, ys, 1e4, 1e4, _helper=helper)
+        os.kill(helper.pid, signal.SIGINT)
+        got, _ = consensus_points(BILINEAR, xs, ys, 1e4, 1e4, _helper=helper)
+    assert got.y_cons_per_particle.tobytes() == want.y_cons_per_particle.tobytes()
+
+
+@pytest.mark.parametrize("stop", ["exhausted", "numerical_error", "closed"])
+def test_a_run_reaps_its_helper_however_it_ends(monkeypatch, stop):
+    monkeypatch.setattr(consensus, "_usable_cpus", lambda: 2)
+    sigma = 1e300 if stop == "numerical_error" else 1.0  # the first update overflows the state
+    config = SolverConfig(n_particles=300, horizon=0.5, sigma_x=sigma, sigma_y=sigma, project=False, seed=1)
+    states = trajectory(config, FORSAKEN)
+    with np.errstate(all="ignore"):
+        next(states)
+        assert len(second_worker._open_helpers) == 1
+        if stop == "closed":
+            next(states)
+            states.close()
+        elif stop == "numerical_error":
+            with pytest.raises(NumericalError, match="non-finite"):
+                next(states)
+        else:
+            assert len(list(states)) == config.n_steps
+    assert not second_worker._open_helpers and _no_child_left()
+
+
+def test_interleaved_runs_each_step_on_their_own_helper_bitwise(monkeypatch):
+    # three runs advanced in turn keep three helpers open beside this process, more workers than cores
+    monkeypatch.setattr(consensus, "_usable_cpus", lambda: 2)
+    configs = [SolverConfig(n_particles=n, horizon=0.4, seed=seed) for n, seed in ((300, 1), (300, 2), (520, 3))]
+    objs = [FORSAKEN, BILINEAR, FORSAKEN]
+    runs = [trajectory(config, obj) for config, obj in zip(configs, objs)]
+    together = [[] for _ in runs]
+    for states in zip(*runs):
+        assert len(second_worker._open_helpers) == len(runs)
+        for kept, (ensemble, cp, best) in zip(together, states):
+            kept.append((ensemble.xs.tobytes(), cp.y_cons_per_particle.tobytes(), np.float64(best[2]).tobytes()))
+    assert [next(states, None) for states in runs[1:]] == [None, None]  # zip stopped at the first run's end
+    assert not second_worker._open_helpers and _no_child_left()
+    monkeypatch.setattr(consensus, "_usable_cpus", lambda: 1)
+    for config, obj, kept in zip(configs, objs, together):
+        alone = [(e.xs.tobytes(), cp.y_cons_per_particle.tobytes(), np.float64(best[2]).tobytes())
+                 for e, cp, best in trajectory(config, obj)]
+        assert kept == alone
 
 
 def _overflows_in_block_1():
@@ -795,16 +968,19 @@ def _overflows_in_block_1():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_the_helper_keeps_the_callers_numpy_error_state(monkeypatch, workers):
-    monkeypatch.setattr(consensus, "_usable_cpus", lambda: workers)
+def test_the_helper_keeps_the_callers_numpy_error_state(workers):
+    # the helper is opened before either errstate, as a run opens it, so
+    # each call must carry the caller's state to it
     obj, xs, ys = _overflows_in_block_1()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with np.errstate(all="ignore"):
-            consensus_points(obj, xs, ys, 1e4, 1e4)
-    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
-    with np.errstate(over="raise"), pytest.raises(FloatingPointError) as info:
-        consensus_points(obj, xs, ys, 1e4, 1e4)
+    with _second_worker_for(obj, xs, ys, cpus=workers) as helper:
+        assert (helper is not None) == (workers == 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with np.errstate(all="ignore"):
+                consensus_points(obj, xs, ys, 1e4, 1e4, _helper=helper)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError) as info:
+            consensus_points(obj, xs, ys, 1e4, 1e4, _helper=helper)
     assert str(info.value) == "overflow encountered in exp"
 
 
@@ -812,29 +988,37 @@ _FORK_SCRIPT = """
 import multiprocessing
 import numpy as np
 from minmaxcbo import SolverConfig, make_benchmark
-from minmaxcbo.consensus import _usable_cpus, consensus_points
+from minmaxcbo.consensus import _second_worker, _usable_cpus, consensus_points
 from minmaxcbo.harness import SweepSpec, run_sweep
 
 obj = make_benchmark("forsaken")
 rng = np.random.default_rng(1)
 xs, ys = rng.uniform(-1.5, 1.5, (1000, 1)), rng.uniform(-1.5, 1.5, (1000, 1))
 
-def call():
-    cp, best = consensus_points(obj, xs, ys, 1e4, 1e4)
+def call(helper):
+    cp, best = consensus_points(obj, xs, ys, 1e4, 1e4, _helper=helper)
     return cp.y_cons_per_particle.tobytes() + np.asarray(best[:2]).tobytes()
 
-def in_child(pipe):
-    pipe.send(call())
+def in_child(pipe, inherited):
+    pipe.send(call(inherited))  # the parent's helper is closed in this process: one worker
+    with _second_worker(obj, xs.shape, ys.shape) as own:
+        pipe.send(call(own))
+    pipe.recv()  # stay alive, holding this process's copies of the parent's descriptors
 
-first = call()  # the helper thread now exists in this process
 parent_end, child_end = multiprocessing.Pipe()
-child = multiprocessing.get_context("fork").Process(target=in_child, args=(child_end,))
-child.start()
-if not parent_end.poll(60):
-    child.kill()
-    raise SystemExit("the forked child hung")
-assert parent_end.recv() == first  # the forked child made and used a helper thread of its own
-child.join()
+with _second_worker(obj, xs.shape, ys.shape) as helper:
+    first = call(helper)
+    child = multiprocessing.get_context("fork").Process(target=in_child, args=(child_end, helper))
+    child.start()
+    for _ in range(2):
+        if not parent_end.poll(60):
+            child.kill()
+            raise SystemExit("the forked child hung")
+        assert parent_end.recv() == first
+# the helper was reaped while the child was still alive
+parent_end.send(None)
+child.join(60)
+assert child.exitcode == 0, child.exitcode
 base = SolverConfig(n_particles=300, horizon=0.3, init="border", seed=2)
 rows = {jobs: run_sweep(SweepSpec("sigma", [1.0, 2.0], obj, base, trials=3, jobs=jobs)) for jobs in (2, 1)}
 assert [s.errors for s in rows[2]] == [s.errors for s in rows[1]], rows
@@ -844,6 +1028,12 @@ print("ok", min(2, _usable_cpus()))
 
 def test_fork_after_a_two_worker_call_neither_hangs_nor_changes_results():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    child = subprocess.run([sys.executable, "-c", _FORK_SCRIPT], env=env, capture_output=True, text=True, timeout=180)
-    assert child.returncode == 0, child.stderr
-    assert child.stdout.split()[0] == "ok"
+    child = subprocess.Popen([sys.executable, "-c", _FORK_SCRIPT], env=env, stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        out, err = child.communicate(timeout=180)
+    except subprocess.TimeoutExpired:  # a hang: end the script's helpers and children with it
+        os.killpg(child.pid, signal.SIGKILL)
+        out, err = child.communicate()
+    assert child.returncode == 0, err
+    assert out.split()[0] == "ok"

@@ -1,6 +1,8 @@
 import ctypes
 import gc
 import math
+import mmap
+import os
 import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
@@ -262,27 +264,29 @@ def test_trajectory_yields_every_state_and_counts_like_run():
 
 
 def test_eval_count_equals_the_evaluations_made():
-    # fn tallies the broadcast size of every call it gets, whichever path makes the call
-    sizes = []
+    # fn tallies the broadcast size of every call it gets, whichever path makes the call; the tallies
+    # live in shared memory, so the calls of a run's forked consensus helper count too
+    tally = np.frombuffer(mmap.mmap(-1, 32), np.int64).reshape(2, 2)  # [calls, entries] here, then in the helper
+    here = os.getpid()
 
     def tallied(x, y):
-        sizes.append(math.prod(np.broadcast_shapes(x.shape[:-1], y.shape[:-1])))
+        tally[int(os.getpid() != here)] += 1, math.prod(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
         return x[..., 0] * y[..., 0]
 
     obj = ObjectiveFunction("tallied", 1, 1, BILINEAR.domain_x, BILINEAR.domain_y, tallied)
     for n, horizon in ((5, 15.0), (1000, 0.2)):  # N=1000: 3 states of 16 row blocks each, or 32 on two workers
-        sizes.clear()
+        tally[:] = 0
         record = run(_cfg(n_particles=n, horizon=horizon), obj)
-        assert sum(sizes) == record.eval_count == len(record) * n * (n + 1), n
+        assert tally[:, 1].sum() == record.eval_count == len(record) * n * (n + 1), n
     workers = min(2, consensus._usable_cpus())
     blocks = -(-1000 // consensus._block_rows(consensus._BLOCK_ENTRIES // workers, 1000))
     assert blocks == 16 * workers
-    assert len(sizes) == 3 * (blocks + 1)
+    assert tally[:, 0].tolist() == ([3 * (blocks + 1), 0] if workers == 1 else [3 * (16 + 1), 3 * 16])
     config, seeds = _cfg(n_particles=7, horizon=2.0), [4, 9, 2]
-    sizes.clear()
+    tally[:] = 0
     for _ in trajectory(config, obj, seeds):
         pass
-    assert sum(sizes) == len(seeds) * (config.n_steps + 1) * 7 * 8
+    assert tally[:, 1].sum() == len(seeds) * (config.n_steps + 1) * 7 * 8
 
 
 @pytest.mark.parametrize("consumer", ["run", "sweep_trial"] + [f"consensus_points-{n}" for n in BUILT_IN_IDS])
