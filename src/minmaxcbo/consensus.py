@@ -54,21 +54,18 @@ _EXP_FAST_CUT = -707.0
 # Below about this many entries, masking the exponents under the fast cut
 # costs more than it saves.
 _MASK_MIN_ENTRIES = 1024
-# A block is masked only when at least 1/_MASK_MIN_SHARE of a sample of its
-# exponents lies below the fast cut.  The mask makes six more numpy calls
-# than one exp; the share was set while the second consensus worker was a
-# thread, to which each call handed the GIL and back, and below it the few
-# slow lanes of the one exp cost less than those hand-overs.  The sample
-# holds at most _MASK_SAMPLE evenly spaced exponents: numpy keeps the GIL
-# through loops of at most 500 entries, so drawing it handed nothing over.
+# A block is masked only when at least 1/_MASK_MIN_SHARE of a sample of at
+# most _MASK_SAMPLE evenly spaced exponents lies below the fast cut (the mask
+# makes six more numpy calls than one exp).  Both were set while the second
+# consensus worker was a thread; ROADMAP item 6 measures them again.
 _MASK_MIN_SHARE = 16
 _MASK_SAMPLE = 500
-# Pair entries per row block of consensus_points: 2**16 float64 values
-# (512 KiB) and their weights stay in a core's L2 cache.  The row count is
-# a multiple of 8 because BLAS gemv groups output rows by 4: with blocks
-# that start off that grid, the last bits of some y-consensus rows differed
-# from the product over the whole matrix.  When the blocks run on two
-# workers, each worker's block holds half as many entries.
+# Pair entries per trial of a consensus_points call that takes one block:
+# 2**16 float64 values (512 KiB) and their weights stay in a core's L2 cache.
+# Longer rows split into blocks of half as many entries, the same blocks on
+# one worker or two (README gives their one-CPU timings against full-size
+# blocks).  Row counts are multiples of 8: BLAS gemv groups output rows by
+# 4, and blocks off that grid changed some y-consensus bits.
 _BLOCK_ENTRIES = 2**16
 
 
@@ -179,27 +176,26 @@ def consensus_points(
     The ensembles are (N, d) arrays, or (T, N, d) arrays of T trials that
     are computed together; every result then gains the leading axis T, and
     a trial's results are bitwise those of its (N, d) call.  Evaluates
-    E(X^i, Y^j) exactly once per (i, j) pair of each trial, in blocks of
-    x-rows of about ``_BLOCK_ENTRIES`` pairs per trial.  ``_row_block``
-    gives a block's rows' max and first maximizing y-index and its rows of
-    the y-consensus; when the rows fit one block these are the call's
+    E(X^i, Y^j) exactly once per (i, j) pair of each trial: in one block
+    when the x-rows hold at most ``_BLOCK_ENTRIES`` pairs per trial (see
+    ``_one_block``), else in blocks of ``_block_rows`` x-rows.
+    ``_row_block`` gives a block's rows' max and first maximizing y-index
+    and its rows of the y-consensus; for one block these are the call's
     arrays, else each block writes them into the call's arrays before the
     worker evaluates its next block, so no N x N array is built.  Both
-    weight sets are written over arrays that
-    ``_owned`` returns, so the results do not depend on the layout of the
-    objective's output.  Rows that split into two or more such blocks are
-    stepped on one worker, unless ``_helper`` is the second worker that
-    ``dynamics.trajectory`` forks for its run (see ``_second_worker``) and
-    was made for this objective and these shapes: then blocks of half the
-    size alternate between this process and the helper process, so
-    ``obj.fn`` also runs in a forked process, and the results are bitwise
-    those of one worker.  The best pair is (x, y, value): x
-    minimizes the max over j of E(x, Y^j) over the x-ensemble, y attains
-    that max, and value is E(x, y) bit for bit.  Ties go to the lowest
-    x-index, then the lowest y-index.  An error is the one of the lowest
-    failing block; in a batch, a NumericalError names the
-    full index (t, i, j).  A helper that dies during the call raises
-    ChildProcessError.
+    weight sets are written over arrays that ``_owned`` returns, so the
+    results do not depend on the layout of the objective's output.  Split
+    rows are stepped on one worker, unless ``_helper`` is the second worker
+    that ``dynamics.trajectory`` forks for its run (see ``_second_worker``)
+    and was made for this objective and these shapes: then the same blocks
+    alternate between this process and the helper process, so ``obj.fn``
+    also runs in a forked process, and the results are bitwise those of one
+    worker.  The best pair is (x, y, value): x minimizes the max over j of
+    E(x, Y^j) over the x-ensemble, y attains that max, and value is E(x, y)
+    bit for bit.  Ties go to the lowest x-index, then the lowest y-index.
+    An error is the one of the lowest failing block; in a batch, a
+    NumericalError names the full index (t, i, j).  A helper that dies
+    during the call raises ChildProcessError.
     """
     xs = _as_ensemble(ensemble_x, obj.dim_x, "ensemble_x")
     ys = _as_ensemble(ensemble_y, obj.dim_y, "ensemble_y")
@@ -210,15 +206,14 @@ def consensus_points(
         raise InputError(f"alpha and beta must be finite and >= 0, got {alpha!r} and {beta!r}")
     (n_x, d1), (n_y, d2) = xs.shape[-2:], ys.shape[-2:]
     n_trials = math.prod(lead)  # one (N, d) call is the batch of one trial
-    n_rows = _block_rows(_BLOCK_ENTRIES, n_y)
-    if n_x <= n_rows:
+    if _one_block(n_x, n_y):
         row_max, row_arg, yhat = _row_block(obj, xs, ys, beta, 0)
     elif _helper is not None and _helper.fits(obj, xs, ys):
         row_max, row_arg, yhat = _helper.call(xs, ys, beta)
     else:
         row_max, row_arg = np.empty((*lead, n_x)), np.empty((*lead, n_x), dtype=np.intp)
         yhat = np.empty((*lead, n_x, d2))
-        failure = _row_blocks(obj, xs, ys, beta, n_rows, range(-(-n_x // n_rows)), row_max, row_arg, yhat)
+        failure = _row_blocks(obj, xs, ys, beta, 0, 1, row_max, row_arg, yhat)
         if failure is not None:
             raise failure[1]
     # argmin and argmax return the first extremal entry, so ties go to the
@@ -261,26 +256,31 @@ def _row_block(obj: ObjectiveFunction, xs: np.ndarray, ys: np.ndarray, beta: flo
     return pivot.reshape(lead_rows), arg.reshape(lead_rows), yhat
 
 
-def _row_blocks(obj, xs, ys, beta, n_rows: int, blocks: range, row_max, row_arg, yhat):
-    """Rows b * n_rows:(b + 1) * n_rows of row_max, row_arg and yhat for each b in ``blocks``, in order.
+def _row_blocks(obj, xs, ys, beta, first: int, step: int, row_max, row_arg, yhat):
+    """Row blocks first, first + step, ... of row_max, row_arg and yhat, in order, each of ``_block_rows`` rows.
 
     Stops at the first block that raises an Exception and returns its
-    index and the exception; returns None when every block succeeds.
+    first row and the exception; returns None when every block succeeds.
     """
-    for b in blocks:
-        a = b * n_rows
+    n_rows = _block_rows(ys.shape[-2])
+    for a in range(first * n_rows, xs.shape[-2], step * n_rows):
         rows = slice(a, a + n_rows)
         try:
             row_max[..., rows], row_arg[..., rows], _ = _row_block(obj, xs[..., rows, :], ys, beta, a,
                                                                    yhat[..., rows, :])
         except Exception as exc:
-            return b, exc
+            return a, exc
     return None
 
 
-def _block_rows(entries: int, n_y: int) -> int:
-    """x-rows per block of about ``entries`` pair entries per trial: a multiple of 8, at least 8."""
-    return max(8, entries // n_y // 8 * 8)
+def _one_block(n_x: int, n_y: int) -> bool:
+    """Whether n_x x-rows take one block: at most 8, or at most ``_BLOCK_ENTRIES`` pairs on the 8-row grid."""
+    return n_x <= 8 or -(-n_x // 8) * 8 * n_y <= _BLOCK_ENTRIES
+
+
+def _block_rows(n_y: int) -> int:
+    """x-rows per block of a split call: about ``_BLOCK_ENTRIES / 2`` pairs per trial, a multiple of 8, at least 8."""
+    return max(8, _BLOCK_ENTRIES // 2 // n_y // 8 * 8)
 
 
 def _usable_cpus() -> int:
@@ -303,7 +303,7 @@ def _second_worker(obj: ObjectiveFunction, xs_shape: tuple[int, ...], ys_shape: 
     leaves the run on one worker too.
     """
     helper = None
-    if xs_shape[-2] > _block_rows(_BLOCK_ENTRIES, ys_shape[-2]) and hasattr(os, "fork") and _usable_cpus() >= 2:
+    if not _one_block(xs_shape[-2], ys_shape[-2]) and hasattr(os, "fork") and _usable_cpus() >= 2:
         import threading  # loaded by then in any process; only its thread count is read
 
         from .second_worker import Helper  # here, so only a run that may fork compiles and loads it

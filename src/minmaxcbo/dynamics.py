@@ -20,7 +20,7 @@ from numpy.random import PCG64, Generator, SeedSequence, default_rng
 
 from .consensus import ConsensusPoint, _first_non_finite, _second_worker, consensus_points
 from .diagnostics import RunRecord, error_to_reference, spread, variance
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, InputError, NumericalError
 from .objectives import ObjectiveFunction, ReferencePoint
 
 __all__ = ["SolverConfig", "Ensemble", "initialize", "trajectory", "run"]
@@ -432,6 +432,8 @@ def trajectory(
     bitwise those of one worker.  The helper is reaped when the run ends,
     raises or is closed early, so no process outlives it.
     """
+    if seeds is not None and len(seeds) == 0:
+        raise InputError("seeds must hold at least one seed")
     _keep_freed_memory()
     if seeds is None:
         ensemble = initialize(config, obj)

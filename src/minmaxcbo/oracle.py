@@ -8,6 +8,7 @@ acceptance tests; only meant for low-dimensional problems.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,10 +30,10 @@ class GridSpec:
     refine_rounds: int = 3
 
     def __post_init__(self):
-        if self.points_per_dim < 3:
-            raise InputError("points_per_dim must be >= 3")
-        if self.refine_rounds < 0:
-            raise InputError("refine_rounds must be >= 0")
+        for name, low in (("points_per_dim", 3), ("refine_rounds", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:  # bool is an Integral
+                raise InputError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass

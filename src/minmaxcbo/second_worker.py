@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .consensus import _BLOCK_ENTRIES, _block_rows, _row_blocks
+from .consensus import _row_blocks
 from .objectives import ObjectiveFunction
 
 
@@ -30,10 +30,10 @@ class Helper:
     over a pipe, (beta, ``np.geterr()``), so the helper runs under the
     caller's errstate; a warning it raises under "warn" is printed by the
     helper, past the caller's warning filters.  The helper writes its
-    blocks into the shared rows and replies None, or the index and pickled
-    exception of its first failing block.  The two sides alternate blocks
-    of half the one-worker size, each computed as one worker computes it,
-    so every result is bitwise that of one worker.
+    blocks into the shared rows and replies None, or the first row and
+    pickled exception of its first failing block.  The two sides alternate
+    the blocks that one worker steps, each computed as one worker computes
+    it, so every result is bitwise that of one worker.
 
     The helper ignores SIGINT, leaves by ``os._exit`` at EOF of its request
     pipe (also when the parent dies) and never returns into the parent's
@@ -43,12 +43,9 @@ class Helper:
     """
 
     def __init__(self, obj: ObjectiveFunction, xs_shape: tuple[int, ...], ys_shape: tuple[int, ...]):
-        lead, n_x, n_y, d2 = xs_shape[:-2], xs_shape[-2], ys_shape[-2], ys_shape[-1]
-        self.obj = obj
-        self.n_rows = _block_rows(_BLOCK_ENTRIES // 2, n_y)
-        self.n_blocks = -(-n_x // self.n_rows)
-        layout = [(xs_shape, np.float64), (ys_shape, np.float64), ((*lead, n_x), np.float64),
-                  ((*lead, n_x), np.intp), ((*lead, n_x, d2), np.float64)]
+        self.obj, rows = obj, xs_shape[:-1]
+        layout = [(xs_shape, np.float64), (ys_shape, np.float64), (rows, np.float64), (rows, np.intp),
+                  ((*rows, ys_shape[-1]), np.float64)]
         buffer = mmap.mmap(-1, sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in layout))
         views, offset = [], 0
         for shape, dtype in layout:
@@ -80,12 +77,10 @@ class Helper:
         """The helper's loop, in the child: each request's odd blocks, then the reply; never returns."""
         try:
             signal.signal(signal.SIGINT, signal.SIG_IGN)
-            blocks = range(1, self.n_blocks, 2)
             while True:
                 beta, errstate = pickle.load(requests)
                 with np.errstate(**errstate):
-                    failure = _row_blocks(self.obj, self.xs, self.ys, beta, self.n_rows, blocks,
-                                          self.row_max, self.row_arg, self.yhat)
+                    failure = _row_blocks(self.obj, self.xs, self.ys, beta, 1, 2, self.row_max, self.row_arg, self.yhat)
                 _send(replies, None if failure is None else (failure[0], _portable(failure[1])))
         finally:  # EOF of the requests, or a reply the parent no longer reads
             for stream in (sys.stdout, sys.stderr):
@@ -109,8 +104,7 @@ class Helper:
             _send(self._requests, (beta, np.geterr()))
         except BrokenPipeError:
             raise self._lost() from None
-        mine = _row_blocks(self.obj, xs, ys, beta, self.n_rows, range(0, self.n_blocks, 2),
-                           self.row_max, self.row_arg, self.yhat)
+        mine = _row_blocks(self.obj, xs, ys, beta, 0, 2, self.row_max, self.row_arg, self.yhat)
         try:
             theirs = pickle.load(self._replies)
         except (EOFError, pickle.UnpicklingError):  # no reply, or a part of one

@@ -73,6 +73,12 @@ def test_divergence_halts_with_flag():
     assert np.max(np.abs(result.xs[-1])) > 1e6 or np.max(np.abs(result.ys[-1])) > 1e6
 
 
+@pytest.mark.parametrize("iterations", [-1, 2.5, 2.0, True, False, "2", None])
+def test_iterations_must_be_an_integer_of_at_least_zero(iterations):
+    with pytest.raises(InputError, match="^iterations must be an integer >= 0"):
+        GdaConfig(step_size=0.1, iterations=iterations, start=_start(0, 0))
+
+
 def test_config_validation():
     with pytest.raises(InputError):
         GdaConfig(step_size=0.0, iterations=5, start=_start(0, 0))

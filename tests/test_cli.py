@@ -477,7 +477,7 @@ print([m for m in POOLS if m in sys.modules])
 
 
 def test_commands_load_a_pool_only_when_they_use_it(tmp_path):
-    # N=256 fits one row block, so nothing below N=257 steps on two workers; N=300 splits into two blocks,
+    # N=256 fits one row block, so nothing below N=257 steps on two workers; N=300 splits into three blocks,
     # which step in a helper process forked without a pool
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     child = subprocess.run([sys.executable, "-c", _POOLS_ON_FIRST_USE, str(tmp_path)], env=env, capture_output=True,

@@ -34,6 +34,7 @@ from minmaxcbo.consensus import (
     _MASK_MIN_SHARE,
     _MASK_SAMPLE,
     _block_rows,
+    _one_block,
     consensus_points,
     exp_weights,
 )
@@ -511,7 +512,7 @@ _ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NU
 
 
 def test_row_blocks_bitwise_equal_whole_matrix_reference():
-    assert _block_rows(_BLOCK_ENTRIES, 256) == 256  # so N = 257 is the first size that splits
+    assert _one_block(256, 256) and not _one_block(257, 257)  # so N = 257 is the first size that splits
     code = f"import runpy; print(runpy.run_path({__file__!r})['_blocked_mismatches']())"
     env = {**os.environ, **_ONE_BLAS_THREAD, "PYTHONPATH": os.pathsep.join(sys.path)}
     child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600)
@@ -521,7 +522,7 @@ def test_row_blocks_bitwise_equal_whole_matrix_reference():
 
 def test_best_pair_tie_across_a_block_boundary_goes_to_the_lowest_indices():
     # every row peaks at min(y, 1) = 1, first reached at y-index 10; rows 63
-    # and 64 end the first block and start the second and tie at the lowest
+    # and 64 end the second block and start the third and tie at the lowest
     # row max with row 900, so row 63 and y-index 10 must win
     box = BoxDomain(np.array([-4.0]), np.array([4.0]))
     obj = ObjectiveFunction("tie", 1, 1, box, box, lambda x, y: (x[..., 0] - 1.0) ** 2 + np.minimum(y[..., 0], 1.0))
@@ -530,7 +531,7 @@ def test_best_pair_tie_across_a_block_boundary_goes_to_the_lowest_indices():
     xs[[63, 64, 900], 0] = 1.5, 0.5, 0.5
     ys = rng.uniform(-4.0, 0.5, (1000, 1))
     ys[[10, 20, 700], 0] = 2.0, 1.0, 3.0
-    assert _BLOCK_ENTRIES // 1000 // 8 * 8 == 64  # rows per block
+    assert _block_rows(1000) == 32  # rows per block
     _, (bx, by, value) = consensus_points(obj, xs, ys, 1e4, 1e4)
     assert (bx[0], by[0], value) == (1.5, 2.0, 1.25)
     _, _, whole = _reference_consensus(obj, xs, ys, 1e4, 1e4)
@@ -612,9 +613,9 @@ def test_arrays_the_objective_keeps_stay_intact(workers, n, kind):
     # checked on this process's share of the blocks, which runs the same code
     # as the helper's share
     rng = np.random.default_rng(n)
-    # blocks here and in the helper: one worker takes 216 rows at N = 300 and 64 at 1000, two workers
-    # 104 and 32, and the helper the odd blocks
-    blocks = {20: (1, 0), 300: (2, 0), 1000: (16, 0)} if workers == 1 else {20: (1, 0), 300: (2, 1), 1000: (16, 16)}
+    # blocks here and in the helper: a split call takes 104 rows per block at N = 300 and 32 at 1000, and
+    # on two workers the helper takes the odd blocks
+    blocks = {20: (1, 0), 300: (3, 0), 1000: (32, 0)} if workers == 1 else {20: (1, 0), 300: (2, 1), 1000: (16, 16)}
     for lead, weight in itertools.product(((), (2,)), (30.0, 1e4)):  # 1e4 masks most blocks' exp
         xs, ys = rng.uniform(-1.5, 1.5, (*lead, n, 1)), rng.uniform(-1.5, 1.5, (*lead, n, 1))
         obj, kept, calls = _kept_arrays_objective(kind)
@@ -722,7 +723,7 @@ def _consensus_with(workers, obj, xs, ys, weight):
     if workers == 1:
         return consensus_points(obj, xs, ys, weight, weight)
     with _second_worker_for(obj, xs, ys) as helper:
-        assert (helper is not None) == (np.shape(xs)[-2] > _block_rows(_BLOCK_ENTRIES, np.shape(ys)[-2]))
+        assert (helper is not None) == (np.shape(xs)[-2] * np.shape(ys)[-2] > _BLOCK_ENTRIES)  # square here
         return consensus_points(obj, xs, ys, weight, weight, _helper=helper)
 
 
@@ -781,13 +782,25 @@ def test_one_usable_cpu_keeps_one_worker_and_the_full_blocks(monkeypatch):
     with _second_worker_for(counted, xs, ys, cpus=1) as helper:
         assert helper is None
         consensus_points(counted, xs, ys, 1e4, 1e4, _helper=helper)
-    assert calls.tolist() == [17, 0]  # 16 row blocks of 64 rows, then the outer values
+    assert calls.tolist() == [33, 0]  # 32 row blocks of 32 rows, then the outer values
     # a call that is given no helper steps on one worker whatever the CPU count
     monkeypatch.setattr(consensus, "_usable_cpus", lambda: 2)
     calls[:] = 0
     consensus_points(counted, xs, ys, 1e4, 1e4)
-    assert calls.tolist() == [17, 0]
+    assert calls.tolist() == [33, 0]
     assert _no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_n1000_call_steps_the_same_32_row_blocks_on_one_worker_or_two(workers):
+    rng = np.random.default_rng(8)
+    xs, ys = rng.uniform(-4, 4, (1000, 1)), rng.uniform(-4, 4, (1000, 1))
+    fn, calls = _calls_by_process(BILINEAR.fn)
+    counted = ObjectiveFunction("counted", 1, 1, BILINEAR.domain_x, BILINEAR.domain_y, fn)
+    with _second_worker_for(counted, xs, ys, cpus=workers) as helper:
+        consensus_points(counted, xs, ys, 1e4, 1e4, _helper=helper)
+    # 32 pair blocks of 32 rows (the last of 8) and the outer values: all here, or the odd blocks in the helper
+    assert calls.tolist() == ([32 + 1, 0] if workers == 1 else [16 + 1, 16])
 
 
 def test_a_helper_is_used_only_for_its_objective_and_shapes():
@@ -955,7 +968,7 @@ def test_interleaved_runs_each_step_on_their_own_helper_bitwise(monkeypatch):
 
 
 def _overflows_in_block_1():
-    """exp overflows, to a finite result, only in the pair rows 32-63: block 1 of two workers, on the helper."""
+    """exp overflows, to a finite result, only in the pair rows 32-63: block 1, on the helper of two workers."""
     xs = np.linspace(-1.0, 1.0, 1000)[:, None]
     xs[32:64, 0] = 3.0
 

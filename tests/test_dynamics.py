@@ -15,6 +15,7 @@ from numpy.random import SeedSequence, default_rng
 
 from minmaxcbo import (
     ConfigError,
+    InputError,
     NumericalError,
     ReferencePoint,
     SolverConfig,
@@ -274,14 +275,12 @@ def test_eval_count_equals_the_evaluations_made():
         return x[..., 0] * y[..., 0]
 
     obj = ObjectiveFunction("tallied", 1, 1, BILINEAR.domain_x, BILINEAR.domain_y, tallied)
-    for n, horizon in ((5, 15.0), (1000, 0.2)):  # N=1000: 3 states of 16 row blocks each, or 32 on two workers
+    for n, horizon in ((5, 15.0), (1000, 0.2)):  # N=1000: 3 states of 32 row blocks each
         tally[:] = 0
         record = run(_cfg(n_particles=n, horizon=horizon), obj)
         assert tally[:, 1].sum() == record.eval_count == len(record) * n * (n + 1), n
-    workers = min(2, consensus._usable_cpus())
-    blocks = -(-1000 // consensus._block_rows(consensus._BLOCK_ENTRIES // workers, 1000))
-    assert blocks == 16 * workers
-    assert tally[:, 0].tolist() == ([3 * (blocks + 1), 0] if workers == 1 else [3 * (16 + 1), 3 * 16])
+    # each state's 32 pair blocks and its outer call here, or on two workers 16 of the blocks in the helper
+    assert tally[:, 0].tolist() == ([3 * (32 + 1), 0] if consensus._usable_cpus() == 1 else [3 * (16 + 1), 3 * 16])
     config, seeds = _cfg(n_particles=7, horizon=2.0), [4, 9, 2]
     tally[:] = 0
     for _ in trajectory(config, obj, seeds):
@@ -662,7 +661,7 @@ def _random_ensembles(obj, n_trials, n, seed):
 
 
 @pytest.mark.parametrize("name", list(BUILT_IN_IDS) + ["two_dim"])
-@pytest.mark.parametrize("n_trials, n", [(1, 7), (3, 10), (5, 160), (2, 1000)])  # N=1000: 16 row blocks
+@pytest.mark.parametrize("n_trials, n", [(1, 7), (3, 10), (5, 160), (2, 1000)])  # N=1000: 32 row blocks
 def test_batched_kernel_equals_each_trial_alone_bitwise(name, n_trials, n):
     obj = _TWO_DIM if name == "two_dim" else make_benchmark(name)
     xs, ys = _random_ensembles(obj, n_trials, n, 0)
@@ -678,6 +677,12 @@ def test_batched_kernel_equals_each_trial_alone_bitwise(name, n_trials, n):
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want], (name, t)
         alone = _advance(Ensemble(xs[t], ys[t], 3), config, obj, cp_t, _streams(seed))
         assert stepped.xs[t].tobytes() == alone.xs.tobytes() and stepped.ys[t].tobytes() == alone.ys.tobytes()
+
+
+@pytest.mark.parametrize("seeds", [[], np.array([], dtype=np.int64)])
+def test_a_batch_of_no_seeds_raises_input_error(seeds):
+    with pytest.raises(InputError, match="at least one seed"):
+        next(trajectory(_cfg(), BILINEAR, seeds))
 
 
 def test_batch_errors_name_the_failing_trial():

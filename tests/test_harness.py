@@ -375,7 +375,7 @@ def _assert_batch_equals_runs_alone(obj, ref, config, n_trials):
         assert errors[t].hex() == error_to_reference((alone.best_x[-1], alone.best_y[-1]), ref).hex(), t
 
 
-# Every trial count with every N, the built-ins in turn; N=300 takes two row blocks.
+# Every trial count with every N, the built-ins in turn; N=300 takes three row blocks.
 _BATCH_CASES = [
     (BUILT_IN_IDS[k % len(BUILT_IN_IDS)], n_trials, n)
     for k, (n_trials, n) in enumerate(itertools.product((1, 2, 7, 40), (1, 7, 10, 25, 128, 160)))

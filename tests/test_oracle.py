@@ -113,6 +113,19 @@ def test_high_dimension_rejected():
         solve_minmax(obj, GridSpec(points_per_dim=5))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("points_per_dim", 2), ("points_per_dim", 5.5), ("points_per_dim", 5.0), ("points_per_dim", True),
+    ("points_per_dim", "5"), ("refine_rounds", -1), ("refine_rounds", 1.5), ("refine_rounds", False),
+])
+def test_grid_spec_rejects_counts_that_are_not_integers_in_range(field, value):
+    with pytest.raises(InputError, match=f"^{field} must be an integer >= "):
+        GridSpec(**{field: value})
+
+
+def test_grid_spec_takes_numpy_integers():
+    assert solve_minmax(make_benchmark("bilinear"), GridSpec(np.int64(5), np.int64(0))).value == 0.0
+
+
 def test_unbounded_domain_rejected():
     box = BoxDomain(np.array([-np.inf]), np.array([np.inf]))
     obj = ObjectiveFunction("free", 1, 1, box, box, lambda x, y: x[..., 0] * y[..., 0])

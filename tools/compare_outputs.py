@@ -20,7 +20,8 @@ its own ``src/`` first on the path and one BLAS thread:
 - ``solve`` of ``bilinear`` and ``forsaken`` at N = 300 and N = 1000 for 30
   steps, and ``sweep`` of ``forsaken`` at N = 300, 3 trials, horizon 1, at
   ``--jobs 1`` and ``--jobs 2``: these split the pair matrix into several
-  row blocks, which two threads step on a machine with two or more CPUs;
+  row blocks, which the caller and its forked helper step on a machine
+  with two or more CPUs, and one process on a single CPU;
 - ``solve`` and ``sweep`` of ``forsaken`` with a ``--config`` file that sets
   ``init = gaussian``, ``init_mean``, ``init_std`` and
   ``diffusion = isotropic``;
