@@ -106,10 +106,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     overrides.setdefault("horizon", SWEEP_HORIZON)
     overrides.setdefault("init", "border")
     config, obj = benchmark_config(benchmark, overrides)
-    key = SWEEP_PARAMETERS[args.parameter][0]
+    key, items = SWEEP_PARAMETERS[args.parameter][0], args.values.split(",")
+    if not all(item.strip() for item in items):
+        raise ConfigError(f"--values {args.values!r} has an empty item")
     spec = SweepSpec(
         parameter=args.parameter,
-        values=[parse_value(key, v) for v in args.values.split(",") if v.strip()],
+        values=[parse_value(key, v) for v in items],
         objective=obj,
         base=config,
         trials=args.trials,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
-from numpy.random import PCG64, Generator, SeedSequence, default_rng
+from numpy.random import SeedSequence, default_rng
 
 from .consensus import ConsensusPoint, _first_non_finite, _second_worker, consensus_points
 from .diagnostics import RunRecord, error_to_reference, spread, variance
@@ -28,190 +28,53 @@ __all__ = ["SolverConfig", "Ensemble", "initialize", "trajectory", "run"]
 INIT_MODES = ("uniform_box", "border", "gaussian")
 DIFFUSION_MODES = ("anisotropic", "isotropic")
 
-# Stream tags for the keyed generator: (seed, tag, step) identifies every
+# Stream tags for the keyed generator: (seed, tag, index) identifies every
 # draw, so no execution order can reshuffle noise between runs.
 _TAG_INIT_X, _TAG_INIT_Y, _TAG_STEP_X, _TAG_STEP_Y, _TAG_INIT_AUX = 0, 1, 2, 3, 4
 # Floats of particle state that run stages before it fills their rows.
 _STAGE_FLOATS = 4096
+# Floats of step noise that one keyed draw gives a trial's population: a
+# buffer of 8 KiB per trial and step tag.
+_NOISE_FLOATS = 1024
+# The most steps a run may take: far more than any run could finish, and a
+# horizon / dt_y of inf (say 1e308 / 0.5) is turned away before n_steps.
+_MAX_STEPS = 2**32 - 1
 
 
-def _rng(seed: int, tag: int, step_index: int):
-    """The keyed generator: the reference definition of every draw."""
-    return default_rng(SeedSequence(seed, spawn_key=(tag, step_index)))
+def _rng(seed: int, tag: int, index: int):
+    """The keyed generator: the draws of ``(seed, tag, index)``, for an init draw (index 0) or a chunk of steps."""
+    return default_rng(SeedSequence(seed, spawn_key=(tag, index)))
 
 
-# numpy's SeedSequence (stable under NEP 19; O'Neill's seed_seq_fe) and the
-# PCG64 setseq seeding rule, restated for _KeyedStreams.
-_MASK32, _MASK64, _MASK128 = 0xFFFFFFFF, (1 << 64) - 1, (1 << 128) - 1
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# Steps whose seed words one vectorized pass forms.
-_NOISE_CHUNK = 64
+class _StepNoise:
+    """The standard normals of the steps of a run, or of a batch with one trial per seed.
 
-
-def _hashmix(value, h, mult=_MULT_A):
-    """seed_seq_fe's hash of ``value`` with constant ``h``.
-
-    Works on ints and on uint64 arrays alike: every product of two 32-bit
-    words fits in 64 bits, and masking gives the uint32 result.
-    """
-    value = ((value ^ h) * ((h * mult) & _MASK32)) & _MASK32
-    return value ^ (value >> 16)
-
-
-def _mix(x, y):
-    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return r ^ (r >> 16)
-
-
-def _schedule(h: int, mult: int, n: int) -> np.ndarray:
-    """The n hash constants h, h*mult, h*mult^2, ... (mod 2^32) as a uint64 column."""
-    consts = [h]
-    for _ in range(n - 1):
-        consts.append((consts[-1] * mult) & _MASK32)
-    return np.array(consts, dtype=np.uint64)[:, None]
-
-
-# generate_state(4, uint64) hashes the pool words 0-3 twice over with these constants.
-_STATE_SOURCES = [0, 1, 2, 3, 0, 1, 2, 3]
-_STATE_CONSTS = _schedule(_INIT_B, _MULT_B, 8)
-
-
-class _KeyedStreams:
-    """The keyed generators of one run: ``generator(tag, step)`` is in the state of ``_rng(seed, tag, step)``.
-
-    The entropy of a key is the seed's words padded to the pool size of 4,
-    then the tag, then the step, and SeedSequence's hash constants advance
-    on a schedule that does not depend on the data.  So the pool after the
-    tag is read once per tag from numpy's ``SeedSequence(seed,
-    spawn_key=(tag,))``; a chunk of _NOISE_CHUNK steps then mixes its step
-    words into it and runs generate_state's output hashes in one pass of
-    uint64 arithmetic, and each step's PCG64 (state, inc) follows from its
-    four output words by the setseq rule.  Per key, these go to the one
-    generator this object reuses: written into its state struct when
-    ``_state_words_checked`` passed in this process, else through the
-    ``state`` setter.  A step is one 32-bit word, which ``SolverConfig``
-    guarantees by capping the step count.
+    A population of N particles of dimension d takes its noise in chunks of
+    S = max(1, _NOISE_FLOATS // (N * d)) steps: step k of the trial of
+    ``seed`` reads row k % S of ``_rng(seed, tag, k // S).standard_normal((S,
+    N, d))``.  So a draw depends only on (seed, tag, k, N, d), never on the
+    other trials of a batch or on the order of the steps.  Each tag keeps
+    its current chunk of all trials in one (T, S, N, d) buffer, filled in
+    place.
     """
 
-    def __init__(self, seed: int):
-        self.seed = seed
-        self._pools = {}  # tag -> (pool words, hash constants for the step word), uint64 columns
-        self._chunks = {}  # tag -> (first step, the PCG64 state and inc of each step)
-        self._bitgen = PCG64(0)
-        self._gen = Generator(self._bitgen)
-        if capsule_pointer := _state_words_checked():
-            self._set_pcg_state = functools.partial(_write_state, _state_words(self._bitgen, capsule_pointer))
-        else:
-            self._set_pcg_state = functools.partial(_set_state, self._bitgen)
+    def __init__(self, seeds: Sequence[int]):
+        self.seeds = seeds
+        self._chunks = {}  # tag -> (chunk index, buffer)
 
-    def _pool_after_tag(self, tag: int):
-        pool = np.array(SeedSequence(self.seed, spawn_key=(tag,)).pool, dtype=np.uint64)[:, None]
-        # mixing the pool hashed each of its max(4, seed words) + 1 entropy words 4 times
-        hashed = 4 * (max(4, (int(self.seed).bit_length() + 31) // 32) + 1)
-        return pool, _schedule(_INIT_A * pow(_MULT_A, hashed, 1 << 32) & _MASK32, _MULT_A, 4)
-
-    def _chunk(self, tag: int, first: int) -> tuple[int, list[int], list[int]]:
-        if tag not in self._pools:
-            self._pools[tag] = self._pool_after_tag(tag)
-        pool, consts = self._pools[tag]
-        steps = np.arange(first, first + _NOISE_CHUNK, dtype=np.uint64)
-        pool = _mix(pool, _hashmix(steps, consts))
-        out = _hashmix(pool[_STATE_SOURCES], _STATE_CONSTS, _MULT_B)
-        seed_hi, seed_lo, inc_hi, inc_lo = (out[0::2] | (out[1::2] << 32)).tolist()
-        # the (state, inc) of each step as two 128-bit ints: about half the
-        # memory of its four 64-bit words
-        incs = [((hi << 65) | (lo << 1) | 1) & _MASK128 for hi, lo in zip(inc_hi, inc_lo)]
-        states = [
-            ((inc + (hi << 64 | lo)) * _PCG_MULT + inc) & _MASK128 for inc, hi, lo in zip(incs, seed_hi, seed_lo)
-        ]
-        return first, states, incs
-
-    def generator(self, tag: int, step: int) -> Generator:
-        chunk = self._chunks.get(tag)
-        if chunk is None or not chunk[0] <= step < chunk[0] + _NOISE_CHUNK:
-            chunk = self._chunks[tag] = self._chunk(tag, step - step % _NOISE_CHUNK)
-        first, states, incs = chunk
-        self._set_pcg_state(states[step - first], incs[step - first])
-        return self._gen
-
-
-def _set_state(bitgen: PCG64, state: int, inc: int) -> None:
-    """Set a PCG64's (state, inc) with no buffered uint32 through its ``state`` setter."""
-    bitgen.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
-def _state_words(bitgen: PCG64, capsule_pointer):
-    """ctypes views of ``bitgen``'s state struct: the four 64-bit words of its (state, inc), then its uint32 buffer.
-
-    The struct's address is the first field of the bitgen_t in
-    ``bitgen.capsule``, which ``capsule_pointer`` (PyCapsule_GetPointer)
-    reads; ``bitgen.ctypes`` would give it too, but builds about 1 KB of
-    function pointers per generator.  numpy's pcg64_state holds a pointer
-    to the (state, inc) pair, then the int has_uint32 and the uint32
-    uinteger; with a native 128-bit integer the pair is four 64-bit words,
-    low word first.  The views borrow memory ``bitgen`` owns.
-    """
-    import ctypes
-
-    address = ctypes.c_void_p.from_address(capsule_pointer(bitgen.capsule, b"BitGenerator")).value
-    pair = ctypes.c_void_p.from_address(address).value
-    words = [ctypes.c_uint64.from_address(pair + 8 * k) for k in range(4)]
-    return (*words, ctypes.c_uint64.from_address(address + ctypes.sizeof(ctypes.c_void_p)))
-
-
-def _write_state(views, state: int, inc: int) -> None:
-    """What ``_set_state`` sets, written through the ``_state_words`` views of the generator."""
-    state_lo, state_hi, inc_lo, inc_hi, buffered = views
-    state_lo.value, state_hi.value = state & _MASK64, state >> 64
-    inc_lo.value, inc_hi.value = inc & _MASK64, inc >> 64
-    buffered.value = 0  # has_uint32 and uinteger
-
-
-# (state, inc) pairs that _state_words_checked writes: a write that swaps
-# words or halves, or drops a word, changes at least one of them.
-_CHECK_KEYS = (
-    (1, 3),
-    (_MASK128, _MASK128),
-    (0x0123456789ABCDEF_FEDCBA9876543210, 0xF0E1D2C3B4A59687_1122334455667789),
-)
-
-
-@functools.cache
-def _state_words_checked():
-    """A private PyCapsule_GetPointer for ``_state_words`` if its writes give the ``state`` setter's states, else None.
-
-    Checked once per process.  The struct layout is a build detail of
-    numpy: a build without a native 128-bit integer type keeps each 128-bit
-    value as two words in another order.  No view is written unless all lie
-    inside the generator object.  Then each check key is written both ways
-    over a generator that has just drawn a uint32, so it has one buffered,
-    and the ``state`` dicts must agree.
-    """
-    direct, reference = PCG64(0), PCG64(0)
-    try:
-        import ctypes  # here, so a process that never steps does not load it
-
-        prototype = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)
-        capsule_pointer = prototype(("PyCapsule_GetPointer", ctypes.pythonapi))
-        views = _state_words(direct, capsule_pointer)
-    except (ImportError, AttributeError, ValueError):  # no ctypes, no CPython C API in it, another capsule name
-        return None
-    if not all(0 <= ctypes.addressof(v) - id(direct) <= sys.getsizeof(direct) - ctypes.sizeof(v) for v in views):
-        return None
-    for state, inc in _CHECK_KEYS:
-        Generator(direct).integers(0, 2**32 - 1, dtype=np.uint32)
-        _write_state(views, state, inc)
-        _set_state(reference, state, inc)
-        if direct.state != reference.state:
-            return None
-    return capsule_pointer
+    def draw(self, tag: int, k: int, shape: tuple[int, ...]) -> np.ndarray:
+        """The noise of step k: shape (N, d), or (T, N, d) for a batch."""
+        n, d = shape[-2:]
+        steps = max(1, _NOISE_FLOATS // (n * d))
+        chunk, row = divmod(k, steps)
+        held, buffer = self._chunks.get(tag, (None, None))
+        if held != chunk:
+            if buffer is None:
+                buffer = np.empty((len(self.seeds), steps, n, d))
+            for seed, out in zip(self.seeds, buffer):
+                _rng(seed, tag, chunk).standard_normal(out=out)
+            self._chunks[tag] = chunk, buffer
+        return buffer[:, row] if len(shape) == 3 else buffer[0, row]
 
 
 @dataclass(frozen=True)
@@ -280,8 +143,8 @@ class SolverConfig:
             raise ConfigError("dt_x = epsilon_scale * dt_y must lie in (0, 1)")
         if self.horizon <= 0:
             raise ConfigError("horizon must be > 0")
-        if not self.horizon / self.dt_y - 1e-9 <= _MASK32:  # the keyed streams key a step by one 32-bit word
-            raise ConfigError(f"horizon / dt_y must not exceed {_MASK32} steps, got {self.horizon / self.dt_y:g}")
+        if not self.horizon / self.dt_y - 1e-9 <= _MAX_STEPS:
+            raise ConfigError(f"horizon / dt_y must not exceed {_MAX_STEPS} steps, got {self.horizon / self.dt_y:g}")
         if self.diffusion not in DIFFUSION_MODES:
             raise ConfigError(f"diffusion must be one of {DIFFUSION_MODES}, got {self.diffusion!r}")
         if self.seed < 0:
@@ -340,28 +203,22 @@ def _diffusion_factor(dev: np.ndarray, mode: str) -> np.ndarray:
     return np.linalg.norm(dev, axis=-1, keepdims=True)
 
 
-def _noise(streams: list[_KeyedStreams], tag: int, k: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Standard normals of shape (N, d), or (T, N, d) for a batch: each trial's own keyed draw (tag, k)."""
-    draws = [trial_streams.generator(tag, k).standard_normal(shape[-2:]) for trial_streams in streams]
-    return np.stack(draws) if len(shape) == 3 else draws[0]
-
-
 def _advance(
     ensemble: Ensemble,
     config: SolverConfig,
     obj: ObjectiveFunction,
     cp: ConsensusPoint,
-    streams: list[_KeyedStreams],
+    noise: _StepNoise,
 ) -> Ensemble:
     """Apply one Euler-Maruyama update from precomputed consensus data.
 
-    The ensemble is one run or a batch (see ``Ensemble``); ``streams`` are
-    the keyed generators of its trials, in order.
+    The ensemble is one run or a batch (see ``Ensemble``); ``noise`` holds
+    the seeds of its trials, in order.
     """
     k = ensemble.step_index
     dt_x, dt_y = config.dt_x, config.dt_y
-    noise_x = _noise(streams, _TAG_STEP_X, k, ensemble.xs.shape)
-    noise_y = _noise(streams, _TAG_STEP_Y, k, ensemble.ys.shape)
+    noise_x = noise.draw(_TAG_STEP_X, k, ensemble.xs.shape)
+    noise_y = noise.draw(_TAG_STEP_Y, k, ensemble.ys.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite states raise below
         dev_x = ensemble.xs - cp.x_cons[..., None, :]
         dev_y = ensemble.ys - cp.y_cons_per_particle
@@ -440,11 +297,11 @@ def trajectory(
     else:
         runs = [initialize(replace(config, seed=seed), obj) for seed in seeds]
         ensemble = Ensemble(np.stack([e.xs for e in runs]), np.stack([e.ys for e in runs]))
-    streams = [_KeyedStreams(seed) for seed in ([config.seed] if seeds is None else seeds)]
+    noise = _StepNoise([config.seed] if seeds is None else seeds)
     with _second_worker(obj, ensemble.xs.shape, ensemble.ys.shape) as helper:
         for k in range(config.n_steps + 1):
             if k:
-                ensemble = _advance(ensemble, config, obj, cp, streams)
+                ensemble = _advance(ensemble, config, obj, cp, noise)
             cp, best_pair = consensus_points(obj, ensemble.xs, ensemble.ys, config.alpha, config.beta,
                                              _helper=helper)
             yield ensemble, cp, best_pair

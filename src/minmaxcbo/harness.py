@@ -61,10 +61,11 @@ __all__ = [
 SWEEP_HORIZON = 50.0
 
 # v2: each consensus average divides its weighted sum by its weights' sum.
-RUN_CSV_SCHEMA = "minmaxcbo/run/v2"
-SWEEP_CSV_SCHEMA = "minmaxcbo/sweep/v2"
-TRIAL_CSV_SCHEMA = "minmaxcbo/trials/v2"
-RUN_JSON_SCHEMA = "minmaxcbo/summary/v2"
+# v3: the step noise is keyed by chunks of steps (see dynamics._StepNoise).
+RUN_CSV_SCHEMA = "minmaxcbo/run/v3"
+SWEEP_CSV_SCHEMA = "minmaxcbo/sweep/v3"
+TRIAL_CSV_SCHEMA = "minmaxcbo/trials/v3"
+RUN_JSON_SCHEMA = "minmaxcbo/summary/v3"
 
 # Pair entries of one consensus block that a sweep batch may hold: T trials
 # of N particles make T * N^2.  Measured on forsaken with one BLAS thread:

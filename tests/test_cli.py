@@ -29,7 +29,7 @@ def test_solve_writes_csv_and_json(tmp_path, capsys):
     json_path = tmp_path / "run_bilinear_seed7.json"
     assert csv_path.exists() and json_path.exists()
     summary = json.loads(json_path.read_text())
-    assert summary["schema"] == "minmaxcbo/summary/v2"
+    assert summary["schema"] == "minmaxcbo/summary/v3"
     assert summary["seed"] == 7
     assert summary["steps"] == 20
     assert summary["eval_count"] > 0
@@ -243,6 +243,14 @@ def test_sweep_fractional_particle_count_exits_2(tmp_path, capsys):
 def test_sweep_nan_value_exits_2(tmp_path, capsys):
     code, err = _sweep_exit(tmp_path, capsys, "--parameter", "sigma", "--values", "1.0,nan")
     assert code == 2 and "finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("values", ["10,,160", "10,160,", ",10", "10, ,160", ""])
+def test_sweep_empty_value_item_exits_2(tmp_path, capsys, values):
+    # an empty item is an error, not a value to skip
+    code, err = _sweep_exit(tmp_path, capsys, "--parameter", "n_particles", f"--values={values}")
+    assert code == 2 and err == f"error: --values {values!r} has an empty item\n"
     assert not (tmp_path / "out").exists()
 
 
