@@ -305,7 +305,7 @@ _CRITERIA = {
 
 
 def run_all(only=None) -> list[CriterionResult]:
-    numbers = sorted(only) if only else sorted(_CRITERIA)
+    numbers = sorted(set(only)) if only else sorted(_CRITERIA)
     if not set(numbers) <= set(_CRITERIA):
         raise ConfigError(f"criterion numbers must be among {sorted(_CRITERIA)}, got {numbers}")
     results = []

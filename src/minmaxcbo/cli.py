@@ -74,11 +74,10 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
 
 def _collect_overrides(args: argparse.Namespace) -> tuple[str, dict]:
     """Merge defaults < config file < flags; returns (the benchmark's registry id, overrides)."""
-    overrides = parse_config_file(args.config) if args.config else {}
-    for key in CONFIG_KEYS:
-        text = getattr(args, key)
-        if text is not None:
-            overrides[key] = parse_value(key, text)
+    in_file = parse_config_file(args.config) if args.config else {}
+    flags = {key: parse_value(key, getattr(args, key)) for key in CONFIG_KEYS if getattr(args, key) is not None}
+    # later keys win: every flag after every file key, and in each source (CONFIG_KEYS order) lambda_x after lambda
+    overrides = {key: in_file[key] for key in CONFIG_KEYS if key in in_file and key not in flags} | flags
     benchmark = overrides.pop("benchmark", None)
     if not benchmark:
         raise ConfigError("no benchmark specified (use --benchmark or a config file)")

@@ -193,9 +193,10 @@ def consensus_points(
     worker.  The best pair is (x, y, value): x minimizes the max over j of
     E(x, Y^j) over the x-ensemble, y attains that max, and value is E(x, y)
     bit for bit.  Ties go to the lowest x-index, then the lowest y-index.
-    An error is the one of the lowest failing block; in a batch, a
-    NumericalError names the full index (t, i, j).  A helper that dies
-    during the call raises ChildProcessError.
+    An error is the one of the lowest failing block; a block that fails in
+    the helper is evaluated again here, so every error and warning comes
+    from this process.  In a batch, a NumericalError names the full index
+    (t, i, j).  A helper that dies during the call raises ChildProcessError.
     """
     xs = _as_ensemble(ensemble_x, obj.dim_x, "ensemble_x")
     ys = _as_ensemble(ensemble_y, obj.dim_y, "ensemble_y")

@@ -11,29 +11,36 @@ import contextlib
 import math
 import mmap
 import os
-import pickle
 import signal
 import sys
+import warnings
 
 import numpy as np
 
-from .consensus import _row_blocks
+from .consensus import _block_rows, _row_blocks
 from .objectives import ObjectiveFunction
+
+_CATEGORIES = ("divide", "over", "under", "invalid")  # numpy's error categories, one shared flag each
 
 
 class Helper:
     """A forked process that evaluates the odd row blocks of each call, with arrays shared with its parent.
 
-    The parent makes an anonymous shared ``mmap`` that holds the ensembles
-    and the call's rows of ``row_max``, ``row_arg`` and ``yhat``, then forks.
-    Per call it writes the ensembles there and sends the helper one request
-    over a pipe, (beta, ``np.geterr()``), so the helper runs under the
-    caller's errstate; a warning it raises under "warn" is printed by the
-    helper, past the caller's warning filters.  The helper writes its
-    blocks into the shared rows and replies None, or the first row and
-    pickled exception of its first failing block.  The two sides alternate
-    the blocks that one worker steps, each computed as one worker computes
-    it, so every result is bitwise that of one worker.
+    The parent makes an anonymous shared ``mmap`` that holds the ensembles,
+    the call's rows of ``row_max``, ``row_arg`` and ``yhat`` and three
+    slots: beta, one flag per numpy error category that the caller's
+    ``np.geterr()`` does not ignore, and the first row of the helper's
+    first failing block (-1 when none fails).  Then it forks.  Per call it
+    writes the ensembles and the first two slots there and sends the
+    helper one byte over a pipe.  The helper evaluates its blocks under an
+    errstate that raises in each flagged category and ignores the others,
+    with every Python warning raised as an error, writes its rows and the
+    failing row, and replies one byte.  It reports no exception: the caller
+    evaluates the failing block and the helper's later blocks itself, so
+    every error, warning and ``np.seterrcall`` callback comes from the
+    caller's own evaluation, as on one worker.  The two sides alternate the
+    blocks that one worker steps, each computed as one worker computes it,
+    so every result is bitwise that of one worker.
 
     The helper ignores SIGINT, leaves by ``os._exit`` at EOF of its request
     pipe (also when the parent dies) and never returns into the parent's
@@ -45,43 +52,45 @@ class Helper:
     def __init__(self, obj: ObjectiveFunction, xs_shape: tuple[int, ...], ys_shape: tuple[int, ...]):
         self.obj, rows = obj, xs_shape[:-1]
         layout = [(xs_shape, np.float64), (ys_shape, np.float64), (rows, np.float64), (rows, np.intp),
-                  ((*rows, ys_shape[-1]), np.float64)]
+                  ((*rows, ys_shape[-1]), np.float64), ((), np.float64), ((), np.intp),
+                  ((len(_CATEGORIES),), np.bool_)]
         buffer = mmap.mmap(-1, sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in layout))
         views, offset = [], 0
         for shape, dtype in layout:
             views.append(np.frombuffer(buffer, dtype, math.prod(shape), offset).reshape(shape))
             offset += views[-1].nbytes
-        self.xs, self.ys, self.row_max, self.row_arg, self.yhat = views
+        self.xs, self.ys, self.row_max, self.row_arg, self.yhat, self.beta, self.failed_row, self.flags = views
         requests_r, self._requests = os.pipe()
-        replies_r, replies_w = os.pipe()
+        self._replies, replies_w = os.pipe()
         for stream in (sys.stdout, sys.stderr):  # so the child's streams start empty
             with contextlib.suppress(Exception):
                 stream.flush()
         try:
             self.pid = os.fork()
         except OSError:
-            for fd in (requests_r, self._requests, replies_r, replies_w):
+            for fd in (requests_r, self._requests, self._replies, replies_w):
                 os.close(fd)
             raise
         if self.pid == 0:
             os.close(self._requests)
-            os.close(replies_r)
-            self._serve(os.fdopen(requests_r, "rb"), replies_w)
+            os.close(self._replies)
+            self._serve(requests_r, replies_w)
         os.close(requests_r)
         os.close(replies_w)
-        self._replies = os.fdopen(replies_r, "rb")
         self._pending = False
         _open_helpers.add(self)
 
-    def _serve(self, requests, replies: int) -> None:
+    def _serve(self, requests: int, replies: int) -> None:
         """The helper's loop, in the child: each request's odd blocks, then the reply; never returns."""
         try:
             signal.signal(signal.SIGINT, signal.SIG_IGN)
-            while True:
-                beta, errstate = pickle.load(requests)
-                with np.errstate(**errstate):
-                    failure = _row_blocks(self.obj, self.xs, self.ys, beta, 1, 2, self.row_max, self.row_arg, self.yhat)
-                _send(replies, None if failure is None else (failure[0], _portable(failure[1])))
+            warnings.simplefilter("error")
+            while os.read(requests, 1):
+                with np.errstate(**{c: "raise" if flag else "ignore" for c, flag in zip(_CATEGORIES, self.flags)}):
+                    failure = _row_blocks(self.obj, self.xs, self.ys, float(self.beta), 1, 2,
+                                          self.row_max, self.row_arg, self.yhat)
+                self.failed_row[()] = -1 if failure is None else failure[0]
+                os.write(replies, b"\0")
         finally:  # EOF of the requests, or a reply the parent no longer reads
             for stream in (sys.stdout, sys.stderr):
                 with contextlib.suppress(Exception):
@@ -95,21 +104,25 @@ class Helper:
     def call(self, xs: np.ndarray, ys: np.ndarray, beta: float):
         """One call's row_max, row_arg and yhat: the even blocks evaluated here, the odd ones in the helper.
 
-        Raises the exception of the lowest failing block once both sides
-        are done, and ChildProcessError when the helper is gone.
+        A block that fails in the helper is evaluated again here, with the
+        helper's later blocks.  Raises the exception of the lowest failing
+        block once both sides are done, and ChildProcessError when the
+        helper is gone.
         """
-        self.xs[...], self.ys[...] = xs, ys
+        self.xs[...], self.ys[...], self.beta[()] = xs, ys, beta
+        self.flags[...] = [mode != "ignore" for mode in map(np.geterr().get, _CATEGORIES)]
         self._pending = True
         try:
-            _send(self._requests, (beta, np.geterr()))
+            os.write(self._requests, b"\0")
         except BrokenPipeError:
             raise self._lost() from None
         mine = _row_blocks(self.obj, xs, ys, beta, 0, 2, self.row_max, self.row_arg, self.yhat)
-        try:
-            theirs = pickle.load(self._replies)
-        except (EOFError, pickle.UnpicklingError):  # no reply, or a part of one
-            raise self._lost() from None
+        if not os.read(self._replies, 1):  # EOF: no reply
+            raise self._lost()
         self._pending = False
+        row = int(self.failed_row)
+        theirs = None if row < 0 else _row_blocks(self.obj, xs, ys, beta, row // _block_rows(ys.shape[-2]), 2,
+                                                  self.row_max, self.row_arg, self.yhat)
         failures = [f for f in (mine, theirs) if f is not None]
         if failures:
             raise min(failures, key=lambda f: f[0])[1]
@@ -137,7 +150,7 @@ class Helper:
         """Close this side's pipes and mark the helper closed, without reaping it."""
         _open_helpers.discard(self)
         os.close(self._requests)
-        self._replies.close()
+        os.close(self._replies)
         self.pid = None
 
 
@@ -150,19 +163,3 @@ def _forget_open_helpers() -> None:
 
 
 os.register_at_fork(after_in_child=_forget_open_helpers)  # loaded only where os.fork exists
-
-
-def _portable(exc: Exception) -> Exception:
-    """``exc`` when it survives a pickle round trip, else a RuntimeError that names its type and message."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-    except Exception:
-        return RuntimeError(f"{type(exc).__qualname__}: {exc}")
-    return exc
-
-
-def _send(fd: int, message) -> None:
-    """Write ``message`` pickled to the pipe ``fd``; the reader's ``pickle.load`` finds its end."""
-    data = memoryview(pickle.dumps(message))
-    while data:
-        data = data[os.write(fd, data):]

@@ -223,6 +223,25 @@ def test_flag_precedence_tied_then_specific():
         assert config.lambda_x == 3.0 and config.lambda_y == 2.0
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("tied, flag", [("lambda", "--lam"), ("sigma", "--sigma")])
+@pytest.mark.parametrize("specific_line_first", [False, True])
+def test_a_flag_beats_every_file_value_and_a_specific_key_its_tied_key(tmp_path, command, tied, flag,
+                                                                       specific_line_first):
+    lines = [f"{tied} = 1", f"{tied}_x = 2"][:: -1 if specific_line_first else 1]
+    conf = tmp_path / "run.conf"
+    conf.write_text("".join(f"{line}\n" for line in ["benchmark = bilinear", *lines]))
+    sweep = ["--parameter", "n_particles", "--values", "5"] if command == "sweep" else []
+
+    def fields(*flags):
+        args = build_parser().parse_args([command, "--config", str(conf), *flags, *sweep])
+        config, _ = benchmark_config(*_collect_overrides(args))
+        return getattr(config, f"{tied}_x"), getattr(config, f"{tied}_y")
+
+    assert fields() == (2.0, 1.0)  # in the file, the specific key wins on either line
+    assert fields(flag, "3") == (3.0, 3.0)  # a tied flag beats both file lines
+
+
 def _sweep_exit(tmp_path, capsys, *flags):
     code = main(["sweep", "--benchmark", "bilinear", "--trials", "1", "-T", "0.5", *flags,
                  "--out", str(tmp_path / "out")])
@@ -274,6 +293,17 @@ def test_bench_unknown_criterion_exits_2_before_running(monkeypatch, capsys, onl
     assert main(["bench", "--only", only]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert ran == []
+
+
+@pytest.mark.parametrize("only", ["7", "7,7"])
+def test_bench_runs_each_listed_criterion_once(monkeypatch, only):
+    from minmaxcbo import acceptance
+
+    ran = []
+    monkeypatch.setitem(acceptance._CRITERIA, 7,
+                        lambda: ran.append(7) or acceptance.CriterionResult(7, "stub", True, "", 0.0))
+    assert main(["bench", "--only", only]) == 0
+    assert ran == [7]
 
 
 def test_negative_comma_values_in_equals_form(tmp_path, capsys):
@@ -628,7 +658,7 @@ _FLAGS = {
     "gda": {"--benchmark": _SPELLINGS, "--mode": (["simultaneous", "alternating"], ["leapfrog"]),
             "--eta": (["0.1", "2.5", "1e308"], ["0", *_BAD]), "--iters": (["0", "7", "50"], ["-1", "x"]),
             "--start": (["1,0", "-0.5,2", "1e308,1e308"], ["nan,0", "1", "x"]), "--out": _FILE_OUT},
-    "bench": {"--only": (["7"], ["0", "9", "x", "1,9", "1,"])},
+    "bench": {"--only": (["7", "7,7"], ["0", "9", "x", "1,9", "1,"])},
 }
 # Flags every draw carries: no run takes its default horizon, trial count or oracle grid, and bench runs
 # one cheap criterion at most.

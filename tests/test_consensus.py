@@ -851,21 +851,44 @@ def _fails_in_other_processes(make_exception):
     return ObjectiveFunction("off_here", 1, 1, BILINEAR.domain_x, BILINEAR.domain_y, fails_off_here)
 
 
-def test_an_exception_raised_on_the_helper_reaches_the_caller():
+def test_an_objective_that_fails_only_on_the_helper_returns_one_workers_results_bitwise():
+    # the helper's first block fails, so this process evaluates every odd block again itself
     obj = _fails_in_other_processes(lambda: ValueError("raised on the helper"))
     rng = np.random.default_rng(3)
-    with pytest.raises(ValueError, match="^raised on the helper$"):
-        _consensus_with(2, obj, rng.uniform(-4, 4, (1000, 1)), rng.uniform(-4, 4, (1000, 1)), 1e4)
+    xs, ys = rng.uniform(-4, 4, (1000, 1)), rng.uniform(-4, 4, (1000, 1))
+    one, _ = _consensus_on(1, obj, xs, ys, 1e4)
+    two, processes = _consensus_on(2, obj, xs, ys, 1e4)
+    assert processes == 2 and _no_child_left()
+    assert [g.tobytes() for g in two] == [w.tobytes() for w in one]
 
 
-def test_an_exception_that_cannot_be_pickled_arrives_as_a_runtime_error_naming_it():
+def _in_block_1(fn):
+    """An objective of ``fn`` and N = 1000 ensembles whose x is 3 only in the pair rows 32-63.
+
+    Those rows are block 1, which the helper of two workers evaluates.
+    """
+    xs = np.linspace(-1.0, 1.0, 1000)[:, None]
+    xs[32:64, 0] = 3.0
+    box = BoxDomain(np.array([-1.0]), np.array([3.0]))
+    return ObjectiveFunction(fn.__name__, 1, 1, box, box, fn), xs, np.linspace(-1.0, 1.0, 1000)[:, None]
+
+
+def test_an_exception_that_cannot_be_pickled_arrives_from_an_odd_block_as_itself():
     class LocalError(Exception):  # a local class cannot be pickled by reference
         pass
 
-    obj = _fails_in_other_processes(lambda: LocalError("raised on the helper"))
-    rng = np.random.default_rng(3)
-    with pytest.raises(RuntimeError, match=r"^\S*LocalError: raised on the helper$"):
-        _consensus_with(2, obj, rng.uniform(-4, 4, (1000, 1)), rng.uniform(-4, 4, (1000, 1)), 1e4)
+    def fails_at_3(x, y):
+        if np.any(x == 3.0):
+            raise LocalError(f"x = 3 in pair rows of shape {x.shape}")
+        return x[..., 0] * y[..., 0]
+
+    obj, xs, ys = _in_block_1(fails_at_3)
+    messages = []
+    for workers in (1, 2):
+        with pytest.raises(LocalError) as info:
+            _consensus_with(workers, obj, xs, ys, 1e4)
+        messages.append(str(info.value))
+    assert messages == ["x = 3 in pair rows of shape (32, 1, 1)"] * 2
     assert _no_child_left()
 
 
@@ -969,32 +992,44 @@ def test_interleaved_runs_each_step_on_their_own_helper_bitwise(monkeypatch):
 
 def _overflows_in_block_1():
     """exp overflows, to a finite result, only in the pair rows 32-63: block 1, on the helper of two workers."""
-    xs = np.linspace(-1.0, 1.0, 1000)[:, None]
-    xs[32:64, 0] = 3.0
 
     def overflow(x, y):
         scale = 400.0 if x.ndim == 3 else 1.0  # the pair calls broadcast x to (rows, 1, 1); the outer call does not
         return np.minimum(np.exp(scale * x[..., 0]), 2.0) * y[..., 0]
 
-    box = BoxDomain(np.array([-1.0]), np.array([3.0]))
-    return ObjectiveFunction("overflow", 1, 1, box, box, overflow), xs, np.linspace(-1.0, 1.0, 1000)[:, None]
+    return _in_block_1(overflow)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_the_helper_keeps_the_callers_numpy_error_state(workers):
-    # the helper is opened before either errstate, as a run opens it, so
-    # each call must carry the caller's state to it
+    # the helper is opened before every errstate, as a run opens it, so
+    # each call must carry the caller's state to it; a warning comes from
+    # the caller's own evaluation of the block, through its filters
     obj, xs, ys = _overflows_in_block_1()
     with _second_worker_for(obj, xs, ys, cpus=workers) as helper:
         assert (helper is not None) == (workers == 2)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with np.errstate(all="ignore"):
+        for errstate, want in (({"all": "ignore"}, []), ({"over": "warn"}, ["overflow encountered in exp"])):
+            with warnings.catch_warnings(record=True) as caught, np.errstate(**errstate):
+                warnings.simplefilter("always")
                 consensus_points(obj, xs, ys, 1e4, 1e4, _helper=helper)
-        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+            assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == want
         with np.errstate(over="raise"), pytest.raises(FloatingPointError) as info:
             consensus_points(obj, xs, ys, 1e4, 1e4, _helper=helper)
     assert str(info.value) == "overflow encountered in exp"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_python_warning_of_a_helper_block_reaches_the_callers_filters(workers):
+    def warns_at_3(x, y):
+        if x.ndim == 3 and np.any(x == 3.0):  # the pair calls broadcast x to (rows, 1, 1); the outer call does not
+            warnings.warn("x = 3 in a pair block")
+        return x[..., 0] * y[..., 0]
+
+    obj, xs, ys = _in_block_1(warns_at_3)
+    with _second_worker_for(obj, xs, ys, cpus=workers) as helper, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        consensus_points(obj, xs, ys, 1e4, 1e4, _helper=helper)
+    assert [str(w.message) for w in caught] == ["x = 3 in a pair block"]
 
 
 _FORK_SCRIPT = """

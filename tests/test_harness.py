@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from minmaxcbo import (
     ConfigError,
@@ -27,6 +29,7 @@ from minmaxcbo.harness import (
     CONFIG_KEYS,
     RUN_CSV_SCHEMA,
     SWEEP_CSV_SCHEMA,
+    SWEEP_PARAMETERS,
     TRIAL_CSV_SCHEMA,
     TrialSummary,
     apply_overrides,
@@ -181,11 +184,39 @@ def test_sweep_counts_a_finished_trial_of_infinite_error_and_writes_inf(tmp_path
         assert [r["error"] for r in csv.DictReader(fh)] == ["inf"] * 6 + ["nan"] + ["inf"]
 
 
-def test_sweep_parallel_jobs_match_serial():
-    spec = _tiny_spec(values=[1.0, 2.0], trials=2)
-    serial = run_sweep(spec)
-    parallel = run_sweep(_tiny_spec(values=[1.0, 2.0], trials=2, jobs=2))
-    assert [s.errors for s in serial] == [p.errors for p in parallel]
+# Values per sweep parameter: N = 300 splits into row blocks, and an unprojected sigma of 1e154 fails every trial.
+_SWEPT = {"n_particles": [1, 5, 12, 300], "sigma": [0.5, 1.0, 2.0, 1e154], "alpha_beta": [1.0, 30.0, 1e4],
+          "epsilon_scale": [0.5, 1.0, 2.0]}
+
+
+@st.composite
+def _sweeps(draw):
+    """(benchmark, base overrides, parameter, values, trials) of a sweep small enough to run three ways."""
+    parameter = draw(st.sampled_from(sorted(_SWEPT)))
+    base = {"horizon": draw(st.sampled_from([0.3, 1.0])), "init": draw(st.sampled_from(["border", "uniform_box"])),
+            "project": draw(st.booleans()), "seed": draw(st.integers(0, 1000))}
+    values = draw(st.lists(st.sampled_from(_SWEPT[parameter]), min_size=1, max_size=2, unique=True))
+    return draw(st.sampled_from(BUILT_IN_IDS)), base, parameter, values, draw(st.integers(1, 4))
+
+
+def _hex_rows(summaries):
+    return [[float(v).hex() for v in (s.parameter_value, s.median_error, s.q20, s.q80, *s.errors)] for s in summaries]
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(_sweeps())
+@example(("bilinear", {"horizon": 2.0, "init": "border", "seed": 100}, "sigma", [1.0, 2.0], 2))
+@example(("forsaken", {"horizon": 0.3, "project": False, "seed": 3}, "sigma", [1e154, 1.0], 3))
+def test_a_sweep_on_one_job_or_two_gives_every_trial_its_seed_replayed_alone(drawn):
+    name, overrides, parameter, values, trials = drawn
+    base, obj = benchmark_config(name, overrides)
+    rows = {jobs: run_sweep(SweepSpec(parameter, values, obj, base, trials=trials, jobs=jobs)) for jobs in (1, 2)}
+    assert _hex_rows(rows[2]) == _hex_rows(rows[1])
+    ref = benchmark_reference(obj.name)
+    for value, summary in zip(values, rows[1]):
+        config = apply_overrides(base, dict.fromkeys(SWEEP_PARAMETERS[parameter], value))
+        alone = [harness._sweep_trials(obj, ref, config, [base.seed + t])[0] for t in range(trials)]
+        assert [e.hex() for e in summary.errors] == [e.hex() for e in alone]
 
 
 def _tilted_saddle(x, y):
