@@ -305,8 +305,9 @@ _CRITERIA = {
 
 
 def run_all(only=None) -> list[CriterionResult]:
-    numbers = sorted(set(only)) if only else sorted(_CRITERIA)
-    if not set(numbers) <= set(_CRITERIA):
+    """Run the criteria numbered in ``only`` (all when None), each once and in order, printing a line each."""
+    numbers = sorted(set(only)) if only is not None else sorted(_CRITERIA)
+    if not numbers or not set(numbers) <= set(_CRITERIA):
         raise ConfigError(f"criterion numbers must be among {sorted(_CRITERIA)}, got {numbers}")
     results = []
     for n in numbers:

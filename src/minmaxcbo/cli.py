@@ -192,7 +192,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from . import acceptance
 
     try:
-        only = [int(v) for v in args.only.split(",")] if args.only else None
+        only = [int(v) for v in args.only.split(",")] if args.only is not None else None
     except ValueError as exc:
         raise ConfigError(f"--only needs comma-separated criterion numbers, got {args.only!r}") from exc
     results = acceptance.run_all(only=only)

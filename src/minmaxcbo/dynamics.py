@@ -203,6 +203,7 @@ def _diffusion_factor(dev: np.ndarray, mode: str) -> np.ndarray:
     return np.linalg.norm(dev, axis=-1, keepdims=True)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite states raise below; cheaper than a with block per call
 def _advance(
     ensemble: Ensemble,
     config: SolverConfig,
@@ -219,19 +220,18 @@ def _advance(
     dt_x, dt_y = config.dt_x, config.dt_y
     noise_x = noise.draw(_TAG_STEP_X, k, ensemble.xs.shape)
     noise_y = noise.draw(_TAG_STEP_Y, k, ensemble.ys.shape)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite states raise below
-        dev_x = ensemble.xs - cp.x_cons[..., None, :]
-        dev_y = ensemble.ys - cp.y_cons_per_particle
-        xs = (
-            ensemble.xs
-            - config.lambda_x * dt_x * dev_x
-            + config.sigma_x * math.sqrt(dt_x) * _diffusion_factor(dev_x, config.diffusion) * noise_x
-        )
-        ys = (
-            ensemble.ys
-            - config.lambda_y * dt_y * dev_y
-            + config.sigma_y * math.sqrt(dt_y) * _diffusion_factor(dev_y, config.diffusion) * noise_y
-        )
+    dev_x = ensemble.xs - cp.x_cons[..., None, :]
+    dev_y = ensemble.ys - cp.y_cons_per_particle
+    xs = (
+        ensemble.xs
+        - config.lambda_x * dt_x * dev_x
+        + config.sigma_x * math.sqrt(dt_x) * _diffusion_factor(dev_x, config.diffusion) * noise_x
+    )
+    ys = (
+        ensemble.ys
+        - config.lambda_y * dt_y * dev_y
+        + config.sigma_y * math.sqrt(dt_y) * _diffusion_factor(dev_y, config.diffusion) * noise_y
+    )
     if config.project:
         xs = obj.domain_x.clamp(xs)
         ys = obj.domain_y.clamp(ys)
@@ -240,7 +240,7 @@ def _advance(
         if idx is not None:
             at = idx[0] if len(idx) == 2 else tuple(idx[:-1])  # (t, i) in a batch
             raise NumericalError(f"non-finite {name}-state after step {k} at particle {at}")
-    return Ensemble(xs=xs, ys=ys, step_index=k + 1)
+    return Ensemble(xs, ys, k + 1)
 
 
 # glibc's mallopt parameters (malloc.h)

@@ -70,9 +70,11 @@ RUN_JSON_SCHEMA = "minmaxcbo/summary/v3"
 # Pair entries of one consensus block that a sweep batch may hold: T trials
 # of N particles make T * N^2.  Measured on forsaken with one BLAS thread:
 # 5 trials of N = 10 ran 3.3 times and 40 of N = 20 5.3 times faster in one
-# batch than alone, 2 of N = 128 1.1 times.  At N = 160 batching is neutral:
-# 16 trials took 2.80-4.34 s one at a time and 2.68-3.04 s in eights.  2**14
-# keeps 163 trials at N = 10, 40 at N = 20 and one from N = 129 on.
+# batch than alone, 2 of N = 128 1.1 times.  At N = 160 the cap is set by
+# memory: 5 trials in one (5, 160, 160) block ran faster than alone, but
+# raised a sweep's tracemalloc peak from 0.49 to 2.1 MiB, and blocks capped
+# at 25 600 entries gained nothing (ROADMAP, settled notes).  2**14 keeps
+# 163 trials at N = 10, 40 at N = 20 and one from N = 129 on.
 _BATCH_ENTRIES = 2**14
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}

@@ -14,6 +14,11 @@ from typing import Callable
 
 import numpy as np
 
+try:  # numpy's private name for the ufunc that ndarray.clip reaches through a Python wrapper
+    from numpy._core.umath import clip as _clip
+except ImportError:  # moved in some later numpy: the public wrapper gives the same bits, a little slower
+    _clip = np.clip
+
 from .errors import InputError
 
 __all__ = [
@@ -61,8 +66,8 @@ class BoxDomain:
         return self.upper - self.lower
 
     def clamp(self, points: np.ndarray) -> np.ndarray:
-        """Coordinate-wise projection onto the box (last axis indexes coordinates)."""
-        return points.clip(self.lower, self.upper)
+        """Coordinate-wise projection onto the box (last axis indexes coordinates); bit for bit ``points.clip``."""
+        return _clip(points, self.lower, self.upper)
 
 
 @dataclass

@@ -284,7 +284,7 @@ def test_gda_non_finite_input_exits_2(capsys, flags):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("only", ["9", "0", "x", "1,9", "1,"])
+@pytest.mark.parametrize("only", ["9", "0", "x", "1,9", "1,", ""])
 def test_bench_unknown_criterion_exits_2_before_running(monkeypatch, capsys, only):
     from minmaxcbo import acceptance
 
@@ -292,6 +292,16 @@ def test_bench_unknown_criterion_exits_2_before_running(monkeypatch, capsys, onl
     monkeypatch.setitem(acceptance._CRITERIA, 1, lambda: ran.append(1))
     assert main(["bench", "--only", only]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert ran == []
+
+
+def test_run_all_with_an_empty_list_raises_before_running(monkeypatch):
+    from minmaxcbo import ConfigError, acceptance
+
+    ran = []
+    monkeypatch.setitem(acceptance._CRITERIA, 1, lambda: ran.append(1))
+    with pytest.raises(ConfigError, match="^criterion numbers must be among"):
+        acceptance.run_all(only=[])
     assert ran == []
 
 
@@ -658,7 +668,7 @@ _FLAGS = {
     "gda": {"--benchmark": _SPELLINGS, "--mode": (["simultaneous", "alternating"], ["leapfrog"]),
             "--eta": (["0.1", "2.5", "1e308"], ["0", *_BAD]), "--iters": (["0", "7", "50"], ["-1", "x"]),
             "--start": (["1,0", "-0.5,2", "1e308,1e308"], ["nan,0", "1", "x"]), "--out": _FILE_OUT},
-    "bench": {"--only": (["7", "7,7"], ["0", "9", "x", "1,9", "1,"])},
+    "bench": {"--only": (["7", "7,7"], ["0", "9", "x", "1,9", "1,", ""])},
 }
 # Flags every draw carries: no run takes its default horizon, trial count or oracle grid, and bench runs
 # one cheap criterion at most.

@@ -645,6 +645,108 @@ def test_non_finite_pair_value_in_a_later_block_reports_its_global_index():
         consensus_points(obj, xs, ys, 1e4, 1e4)
 
 
+def _marked_objective(bad: float, where: str, trials) -> ObjectiveFunction:
+    """E = x * y, but ``bad`` at the pair of x = 7 and y = 3 (``where="pair"``) or at x = 7 in the outer call."""
+    box = BoxDomain(np.array([-8.0]), np.array([8.0]))
+    pair_ndim = 3 if trials is None else 4  # pair_matrix adds an axis to each ensemble; the outer call does not
+
+    def fn(x, y):
+        values = x[..., 0] * y[..., 0]
+        if where == "pair" and x.ndim == pair_ndim:
+            return np.where((x[..., 0] == 7.0) & (y[..., 0] == 3.0), bad, values)
+        if where == "outer" and x.ndim < pair_ndim:
+            return np.where(x[..., 0] == 7.0, bad, values)
+        return values
+
+    return ObjectiveFunction(f"marked_{where}", 1, 1, box, box, fn)
+
+
+_BAD = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+@settings(max_examples=60, deadline=None)
+@given(bad=_BAD, trials=st.sampled_from([None, 2]), n=st.sampled_from([1, 5, 20, 300]), data=st.data())
+def test_a_non_finite_pair_value_anywhere_raises_with_its_full_index(bad, trials, n, data):
+    # at N = 300 the rows split into blocks of 104, so a later block adds its row offset
+    t, i, j = data.draw(st.integers(0, (trials or 1) - 1)), data.draw(st.integers(0, n - 1)), data.draw(
+        st.integers(0, n - 1))
+    rng = np.random.default_rng(n)
+    lead, at = ((), ()) if trials is None else ((trials,), (t,))
+    xs, ys = rng.uniform(-1, 1, (*lead, n, 1)), rng.uniform(-1, 1, (*lead, n, 1))
+    xs[(*at, i, 0)], ys[(*at, j, 0)] = 7.0, 3.0
+    index = (i, j) if trials is None else (t, i, j)
+    message = f"non-finite objective value in consensus pair matrix at particle index {index}"
+    with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+        consensus_points(_marked_objective(bad, "pair", trials), xs, ys, 1e4, 1e4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bad=_BAD, trials=st.sampled_from([None, 2]), n=st.sampled_from([1, 5, 20]), data=st.data())
+def test_a_non_finite_outer_value_anywhere_raises_with_its_full_index(bad, trials, n, data):
+    t, i = data.draw(st.integers(0, (trials or 1) - 1)), data.draw(st.integers(0, n - 1))
+    rng = np.random.default_rng(n)
+    lead, at = ((), ()) if trials is None else ((trials,), (t,))
+    xs, ys = rng.uniform(-1, 1, (*lead, n, 1)), rng.uniform(-1, 1, (*lead, n, 1))
+    xs[(*at, i, 0)] = 7.0
+    index = (i,) if trials is None else (t, i)
+    message = f"non-finite objective value in x-consensus outer weights at particle index {index}"
+    with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+        consensus_points(_marked_objective(bad, "outer", trials), xs, ys, 1e4, 1e4)
+
+
+@pytest.mark.parametrize("values", [[1e308, 1e308], [[1e308], [1e308]], [[-1e308, -1e308], [1e308, 1e308]],
+                                    [[[1.5e308]], [[1.5e308]]]])
+def test_finite_values_whose_sum_overflows_pass_the_finiteness_check_without_a_warning(values):
+    values = np.array(values)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        assert consensus._first_non_finite(values) is None
+        consensus._check_finite(values, "a test array")
+
+
+@pytest.mark.parametrize("trials", [None, 3])
+def test_a_call_whose_values_sum_past_the_largest_float_raises_no_floating_point_error(trials):
+    # every pair value and outer value is 1e308: each block, row and outer sum overflows, no weight does
+    box = BoxDomain(np.array([-1.0]), np.array([1.0]))
+    flat = ObjectiveFunction("flat", 1, 1, box, box, lambda x, y: np.full(np.broadcast_shapes(x.shape, y.shape)[:-1],
+                                                                             1e308))
+    lead = () if trials is None else (trials,)
+    xs = np.random.default_rng(1).uniform(-1, 1, (*lead, 20, 1))
+    with np.errstate(all="raise"):
+        cp, (_, _, value) = consensus_points(flat, xs, xs[..., ::-1, :].copy(), 1e4, 1e4)
+    assert np.all(value == 1e308)
+    np.testing.assert_allclose(cp.x_cons, xs.mean(axis=-2), rtol=0, atol=1e-15)  # equal weights
+
+
+def test_cached_offsets_are_read_only_and_hold_each_rows_flat_start():
+    rng = np.random.default_rng(2)
+    consensus_points(FORSAKEN, rng.uniform(-1, 1, (3, 20, 1)), rng.uniform(-1, 1, (3, 20, 1)), 1.0, 1.0)
+    for shape, stride in (((), 20), ((3,), 20), ((3, 20), 20), ((2, 104), 300)):
+        offsets = consensus._offsets(shape, stride)
+        assert not offsets.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            offsets[...] = 1
+        assert offsets.tolist() == (np.arange(int(np.prod(shape))) * stride).reshape(shape).tolist()
+
+
+@pytest.mark.parametrize("trials, n", [((), 20), ((3,), 20), ((10,), 10), ((2,), 300)])
+def test_exp_weights_gets_one_row_per_weighted_point(monkeypatch, trials, n):
+    # perfbench's tracer reads one effective sample size per row of each call and concatenates them.
+    shapes, exp = [], consensus.exp_weights
+
+    def recorded(values, scale, *, pivot):
+        shapes.append(values.shape)
+        return exp(values, scale, pivot=pivot)
+
+    monkeypatch.setattr(consensus, "exp_weights", recorded)
+    rng = np.random.default_rng(4)
+    consensus_points(FORSAKEN, rng.uniform(-1, 1, (*trials, n, 1)), rng.uniform(-1, 1, (*trials, n, 1)), 1.0, 1.0)
+    rows = _block_rows(n) if not _one_block(n, n) else n
+    trial_count = int(np.prod(trials))
+    assert shapes[:-1] == [(trial_count * min(rows, n - a), n) for a in range(0, n, rows)]
+    assert shapes[-1] == ((*trials, n) if trials else (n,))
+
+
 def test_non_finite_messages_print_plain_integer_indices():
     # argwhere yields numpy integers, whose repr under numpy 2 is np.int64(1)
     box = BoxDomain(np.array([-1.0]), np.array([1.0]))

@@ -2,6 +2,7 @@ import gc
 import math
 import mmap
 import os
+import re
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
@@ -456,6 +457,37 @@ def test_non_finite_state_raises_numerical_error():
     cp, _ = consensus_points(BILINEAR, ens.xs, ens.ys, config.alpha, config.beta)
     with pytest.raises(NumericalError, match="step 0"):
         _advance(ens, config, BILINEAR, cp, _noise(config.seed))
+
+
+@settings(max_examples=80, deadline=None)
+@given(bad=st.sampled_from([np.nan, np.inf, -np.inf, "overflow"]), population=st.sampled_from("xy"),
+       trials=st.sampled_from([None, 2]), n=st.sampled_from([1, 4, 20]), d=st.sampled_from([1, 2]), data=st.data())
+def test_a_non_finite_state_anywhere_raises_with_its_particle(bad, population, trials, n, d, data):
+    # a non-finite input makes its particle NaN (inf - inf); "overflow" gives one coordinate a deviation of
+    # 1e300 at sigma = 1e308, so its noise term, and the new state there, is +inf or -inf
+    t, i, c = (data.draw(st.integers(0, (trials or 1) - 1)), data.draw(st.integers(0, n - 1)),
+               data.draw(st.integers(0, d - 1)))
+    box = BoxDomain(np.full(d, -1.0), np.full(d, 1.0))
+    obj = ObjectiveFunction("flat", d, d, box, box, lambda x, y: x[..., 0] * 0.0)
+    sigma = 1e308 if bad == "overflow" else 1.5
+    config = _cfg(n_particles=n, project=False, sigma_x=sigma, sigma_y=sigma)
+    lead, at = ((), ()) if trials is None else ((trials,), (t,))
+    xs, ys = np.zeros((*lead, n, d)), np.zeros((*lead, n, d))
+    (xs if population == "x" else ys)[(*at, i, c)] = 1e300 if bad == "overflow" else bad
+    cp = ConsensusPoint(x_cons=np.zeros((*lead, d)), y_cons_per_particle=np.zeros((*lead, n, d)))
+    particle = i if trials is None else (t, i)
+    message = f"non-finite {population}-state after step 3 at particle {particle}"
+    with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+        _advance(Ensemble(xs, ys, 3), config, obj, cp, _noise(*range(trials or 1)))
+
+
+def test_finite_states_whose_sum_overflows_step_on():
+    # every particle sits at its consensus, 1e308, so it stays there; the sum of the state overflows
+    config = _cfg(n_particles=4, project=False)
+    xs, ys = np.full((4, 1), 1e308), np.full((4, 1), -1e308)
+    cp = ConsensusPoint(x_cons=np.full(1, 1e308), y_cons_per_particle=np.full((4, 1), -1e308))
+    stepped = _advance(Ensemble(xs, ys, 0), config, BILINEAR, cp, _noise(0))
+    assert stepped.xs.tobytes() == xs.tobytes() and stepped.ys.tobytes() == ys.tobytes()
 
 
 _SERIES = ("times", "variance_x", "variance_y", "spread_x", "spread_y", "mean_x", "mean_y",

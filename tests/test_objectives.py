@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minmaxcbo import BoxDomain, InputError, ReferencePoint, benchmark_reference, make_benchmark, register_benchmark
 from minmaxcbo.objectives import _even_sextic
@@ -107,6 +109,32 @@ def test_box_domain_invariants():
     assert box.dim == 2
     clamped = box.clamp(np.array([[5.0, -5.0]]))
     assert clamped.tolist() == [[1.0, 0.0]]
+
+
+# One coordinate's (lower, upper): zero bounds of either sign, and infinite ones.
+_CLAMP_BOUNDS = [(0.0, 1.0), (-0.0, 1.0), (-1.0, 0.0), (-1.0, -0.0), (-np.inf, 0.0), (-0.0, np.inf), (-2.5, 3.0)]
+_CLAMP_POINTS = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0]) | st.floats()
+
+
+@pytest.mark.parametrize("lower, upper, point", [(0.0, 1.0, -0.0), (-0.0, 1.0, 0.0), (-1.0, 0.0, -0.0),
+                                                 (-1.0, -0.0, 0.0)])
+def test_clamp_keeps_a_zero_on_a_zero_bound_as_clip_does(lower, upper, point):
+    # np.maximum(-0.0, 0.0) is +0.0, where clip keeps the point's -0.0
+    box = BoxDomain(np.array([lower]), np.array([upper]))
+    points = np.array([[point]])
+    assert box.clamp(points).tobytes() == points.clip(box.lower, box.upper).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounds=st.lists(st.sampled_from(_CLAMP_BOUNDS), min_size=1, max_size=3), n=st.integers(1, 5),
+       trials=st.sampled_from([None, 1, 3]), data=st.data())
+def test_clamp_is_ndarray_clip_bit_for_bit(bounds, n, trials, data):
+    lower, upper = zip(*bounds)
+    box = BoxDomain(np.array(lower), np.array(upper))
+    shape = (n, len(bounds)) if trials is None else (trials, n, len(bounds))
+    size = int(np.prod(shape))
+    points = np.array(data.draw(st.lists(_CLAMP_POINTS, min_size=size, max_size=size))).reshape(shape)
+    assert box.clamp(points).tobytes() == points.clip(box.lower, box.upper).tobytes()
 
 
 def test_register_benchmark():
