@@ -8,12 +8,11 @@ exists to exhibit.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, check_counts
 from .objectives import ObjectiveFunction
 
 __all__ = ["GdaConfig", "GdaRun", "gda_run"]
@@ -32,9 +31,7 @@ class GdaConfig:
     def __post_init__(self):
         if not 0 < self.step_size < np.inf:
             raise InputError(f"step_size must be finite and > 0, got {self.step_size!r}")
-        n = self.iterations
-        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 0:  # bool is an Integral
-            raise InputError(f"iterations must be an integer >= 0, got {n!r}")
+        check_counts(self, {"iterations": 0}, InputError)
         if self.mode not in ("simultaneous", "alternating"):
             raise InputError("mode must be 'simultaneous' or 'alternating'")
 

@@ -44,8 +44,10 @@ from .oracle import GridSpec, solve_minmax
 __all__ = ["main"]
 
 
-def _out_dir(arg: str | None) -> Path:
-    """The output directory, checked before any work; the command makes it when it writes its files."""
+def _out_dir(arg: str | None, prefix: str | None) -> Path:
+    """The output directory, checked with the file prefix before any work; the command makes it when it writes."""
+    if prefix and any(sep and sep in prefix for sep in ("/", os.sep, os.altsep)):
+        raise ConfigError(f"--prefix {prefix!r} must not hold a path separator: --out names the directory")
     path = Path(arg or os.environ.get("MINMAXCBO_OUT", "."))
     existing = next(p for p in (path, *path.parents) if p.exists())
     if not existing.is_dir():
@@ -81,21 +83,19 @@ def _collect_overrides(args: argparse.Namespace) -> tuple[str, dict]:
     benchmark = overrides.pop("benchmark", None)
     if not benchmark:
         raise ConfigError("no benchmark specified (use --benchmark or a config file)")
-    return lookup_benchmark(benchmark).name, overrides
+    return lookup_benchmark(benchmark).objective.name, overrides
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     benchmark, overrides = _collect_overrides(args)
-    out = _out_dir(args.out)
+    out = _out_dir(args.out, args.prefix)
     start = time.perf_counter()
     record, config = run_benchmark(benchmark, overrides)
     wall = time.perf_counter() - start
     out.mkdir(parents=True, exist_ok=True)
     prefix = args.prefix or f"run_{benchmark}_seed{config.seed}"
-    csv_path = out / f"{prefix}.csv"
-    json_path = out / f"{prefix}.json"
-    write_run_csv(csv_path, record)
-    summary = write_run_summary(json_path, record, config, benchmark, wall)
+    write_run_csv(out / f"{prefix}.csv", record)
+    summary = write_run_summary(out / f"{prefix}.json", record, config, benchmark, wall)
     print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -116,7 +116,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         trials=args.trials,
         jobs=args.jobs,
     )
-    out = _out_dir(args.out)
+    out = _out_dir(args.out, args.prefix)
     summaries = run_sweep(spec)
     out.mkdir(parents=True, exist_ok=True)
     prefix = args.prefix or f"sweep_{benchmark}_{args.parameter}"

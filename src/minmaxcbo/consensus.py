@@ -196,8 +196,8 @@ def consensus_points(
     are computed together; every result then gains the leading axis T, and
     a trial's results are bitwise those of its (N, d) call.  Evaluates
     E(X^i, Y^j) exactly once per (i, j) pair of each trial: in one block
-    when the x-rows hold at most ``_BLOCK_ENTRIES`` pairs per trial (see
-    ``_one_block``), else in blocks of ``_block_rows`` x-rows.
+    when the x-rows hold at most ``_BLOCK_ENTRIES`` pairs per trial, else in
+    blocks of fewer x-rows (see ``_block_rows``).
     ``_row_block`` gives a block's rows' max and first maximizing y-index
     and its rows of the y-consensus; for one block these are the call's
     arrays, else each block writes them into the call's arrays before the
@@ -214,8 +214,10 @@ def consensus_points(
     bit for bit.  Ties go to the lowest x-index, then the lowest y-index.
     An error is the one of the lowest failing block; a block that fails in
     the helper is evaluated again here, so every error and warning comes
-    from this process.  In a batch, a NumericalError names the full index
-    (t, i, j).  A helper that dies during the call raises ChildProcessError.
+    from this process, but on two workers a warning of an even block above
+    the lowest failing block is emitted too, where one worker stops before
+    it.  In a batch, a NumericalError names the full index (t, i, j).  A
+    helper that dies during the call raises ChildProcessError.
     """
     xs = _as_ensemble(ensemble_x, obj.dim_x, "ensemble_x")
     ys = _as_ensemble(ensemble_y, obj.dim_y, "ensemble_y")
@@ -225,7 +227,7 @@ def consensus_points(
     if not (0 <= alpha < math.inf and 0 <= beta < math.inf):  # False for NaN
         raise InputError(f"alpha and beta must be finite and >= 0, got {alpha!r} and {beta!r}")
     (n_x, d1), (n_y, d2) = xs.shape[-2:], ys.shape[-2:]
-    if _one_block(n_x, n_y):
+    if _block_rows(n_x, n_y) == n_x:
         row_max, row_arg, yhat = _row_block(obj, xs, ys, beta, 0)
     elif _helper is not None and _helper.fits(obj, xs, ys):
         row_max, row_arg, yhat = _helper.call(xs, ys, beta)
@@ -277,26 +279,26 @@ def _row_blocks(obj, xs, ys, beta, first: int, step: int, row_max, row_arg, yhat
     """Row blocks first, first + step, ... of row_max, row_arg and yhat, in order, each of ``_block_rows`` rows.
 
     Stops at the first block that raises an Exception and returns its
-    first row and the exception; returns None when every block succeeds.
+    index and the exception; returns None when every block succeeds.
     """
-    n_rows = _block_rows(ys.shape[-2])
+    n_rows = _block_rows(xs.shape[-2], ys.shape[-2])
     for a in range(first * n_rows, xs.shape[-2], step * n_rows):
         rows = slice(a, a + n_rows)
         try:
             row_max[..., rows], row_arg[..., rows], _ = _row_block(obj, xs[..., rows, :], ys, beta, a,
                                                                    yhat[..., rows, :])
         except Exception as exc:
-            return a, exc
+            return a // n_rows, exc
     return None
 
 
-def _one_block(n_x: int, n_y: int) -> bool:
-    """Whether n_x x-rows take one block: at most 8, or at most ``_BLOCK_ENTRIES`` pairs on the 8-row grid."""
-    return n_x <= 8 or -(-n_x // 8) * 8 * n_y <= _BLOCK_ENTRIES
+def _block_rows(n_x: int, n_y: int) -> int:
+    """x-rows per block: all n_x if at most 8, or at most ``_BLOCK_ENTRIES`` pairs per trial on the 8-row grid.
 
-
-def _block_rows(n_y: int) -> int:
-    """x-rows per block of a split call: about ``_BLOCK_ENTRIES / 2`` pairs per trial, a multiple of 8, at least 8."""
+    Else the call splits into blocks of about ``_BLOCK_ENTRIES / 2`` pairs: a multiple of 8, at least 8, below n_x.
+    """
+    if n_x <= 8 or -(-n_x // 8) * 8 * n_y <= _BLOCK_ENTRIES:
+        return n_x
     return max(8, _BLOCK_ENTRIES // 2 // n_y // 8 * 8)
 
 
@@ -320,7 +322,7 @@ def _second_worker(obj: ObjectiveFunction, xs_shape: tuple[int, ...], ys_shape: 
     leaves the run on one worker too.
     """
     helper = None
-    if not _one_block(xs_shape[-2], ys_shape[-2]) and hasattr(os, "fork") and _usable_cpus() >= 2:
+    if _block_rows(xs_shape[-2], ys_shape[-2]) < xs_shape[-2] and hasattr(os, "fork") and _usable_cpus() >= 2:
         import threading  # loaded by then in any process; only its thread count is read
 
         from .second_worker import Helper  # here, so only a run that may fork compiles and loads it

@@ -20,7 +20,7 @@ from numpy.random import SeedSequence, default_rng
 
 from .consensus import ConsensusPoint, _first_non_finite, _second_worker, consensus_points
 from .diagnostics import RunRecord, error_to_reference, spread, variance
-from .errors import ConfigError, InputError, NumericalError
+from .errors import ConfigError, InputError, NumericalError, check_counts
 from .objectives import ObjectiveFunction, ReferencePoint
 
 __all__ = ["SolverConfig", "Ensemble", "initialize", "trajectory", "run"]
@@ -116,10 +116,7 @@ class SolverConfig:
         return int(math.ceil(self.horizon / self.dt_y - 1e-9))
 
     def __post_init__(self):
-        for name in ("n_particles", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):  # bool is an Integral
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        check_counts(self, {"n_particles": 1, "seed": 0}, ConfigError)
         if not isinstance(self.project, (bool, np.bool_)):
             raise ConfigError(f"project must be a bool, got {self.project!r}")
         finite = ("lambda_x", "lambda_y", "sigma_x", "sigma_y", "alpha", "beta", "horizon", "init_mean", "init_std")
@@ -129,8 +126,6 @@ class SolverConfig:
                 raise ConfigError(f"{name} must be a real number, got {value!r}")
             if name in finite and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
-        if self.n_particles < 1:
-            raise ConfigError("n_particles must be >= 1")
         if self.lambda_x <= 0 or self.lambda_y <= 0:
             raise ConfigError("drift parameters lambda must be > 0")
         if self.sigma_x < 0 or self.sigma_y < 0:
@@ -147,8 +142,6 @@ class SolverConfig:
             raise ConfigError(f"horizon / dt_y must not exceed {_MAX_STEPS} steps, got {self.horizon / self.dt_y:g}")
         if self.diffusion not in DIFFUSION_MODES:
             raise ConfigError(f"diffusion must be one of {DIFFUSION_MODES}, got {self.diffusion!r}")
-        if self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
         if self.init not in INIT_MODES:
             raise ConfigError(f"init mode must be one of {INIT_MODES}, got {self.init!r}")
         if self.init == "gaussian" and not self.init_std > 0:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import pickle
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -23,7 +22,7 @@ from . import dynamics
 from .consensus import _usable_cpus
 from .diagnostics import RunRecord, error_to_reference
 from .dynamics import SolverConfig, run
-from .errors import ConfigError, InputError, NumericalError
+from .errors import ConfigError, InputError, NumericalError, check_counts
 from .objectives import (
     ObjectiveFunction,
     ReferencePoint,
@@ -168,10 +167,10 @@ def parse_value(key: str, text: str):
 
 
 def parse_config_file(path: str) -> dict:
-    """Read a flat ``key = value`` document; '#' starts a comment."""
+    """Read a flat ``key = value`` UTF-8 document, with or without a byte-order mark; '#' starts a comment."""
     values: dict = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
@@ -242,10 +241,7 @@ class SweepSpec:
             raise ConfigError(f"sweep parameter must be one of {tuple(SWEEP_PARAMETERS)}")
         if not self.values:
             raise ConfigError("sweep needs at least one parameter value")
-        for name in ("trials", "jobs"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        check_counts(self, {"trials": 1, "jobs": 1}, ConfigError)
         try:
             self.reference = benchmark_reference(self.objective.name)
         except InputError as exc:
@@ -296,14 +292,14 @@ def _sweep_trials(obj: ObjectiveFunction, ref: ReferencePoint, config: SolverCon
         return [e for s in seeds for e in _sweep_trials(obj, ref, config, [s])]
 
 
-def _batches(seeds: list[int], n: int, jobs: int) -> list[list[int]]:
+def _batches(seeds: list[int], n: int, workers: int) -> list[list[int]]:
     """The seeds of one parameter value in batches of at most _BATCH_ENTRIES // n^2 trials (at least one).
 
-    A value of at least ``jobs`` trials splits into at least ``jobs``
+    A value of at least ``workers`` trials splits into at least ``workers``
     batches, so that every worker gets one; batch sizes differ by at most 1.
     """
     cap = max(1, _BATCH_ENTRIES // n**2)
-    count = min(len(seeds), max(jobs, -(-len(seeds) // cap)))
+    count = min(len(seeds), max(workers, -(-len(seeds) // cap)))
     size, extra = divmod(len(seeds), count)
     bounds = [b * size + min(b, extra) for b in range(count + 1)]
     return [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
@@ -314,23 +310,25 @@ def run_sweep(spec: SweepSpec) -> list[TrialSummary]:
 
     Trial t uses seed base.seed + t.  Every value's configuration is
     validated before the first trial starts.  The trials of a value advance
-    together in batches (see ``_batches``); with jobs > 1 the batches run on
-    min(jobs, batches, usable CPUs) processes, a pool that is imported and
-    started only then.  Rows are ordered by (value, trial) regardless of
-    execution order, and each is bitwise the error of its trial run alone;
-    failed trials enter the error list as NaN and are excluded from the
-    quantiles, while a finished trial's error of inf counts.
+    together in batches cut for min(jobs, usable CPUs) workers (see
+    ``_batches``), which run on min(workers, batches) processes: a pool,
+    imported and started only for two or more, else this process.  Rows are
+    ordered by (value, trial) regardless of execution order, and each is
+    bitwise the error of its trial run alone; failed trials enter the error
+    list as NaN and are excluded from the quantiles, while a finished
+    trial's error of inf counts.
     """
     keys = SWEEP_PARAMETERS[spec.parameter]
     configs = [apply_overrides(spec.base, dict.fromkeys(keys, value)) for value in spec.values]
     seeds = [spec.base.seed + trial for trial in range(spec.trials)]
-    batches = [(config, batch) for config in configs for batch in _batches(seeds, config.n_particles, spec.jobs)]
+    workers = min(spec.jobs, _usable_cpus())
+    batches = [(config, batch) for config in configs for batch in _batches(seeds, config.n_particles, workers)]
     obj, ref = spec.objective, spec.reference
-    if spec.jobs > 1:
+    if (processes := min(workers, len(batches))) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         # the pool may start all its workers at the first submit, so ask for no more than can run
-        with ProcessPoolExecutor(max_workers=min(spec.jobs, len(batches), _usable_cpus())) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             done = list(pool.map(partial(_sweep_trials, obj, ref), *zip(*batches)))
     else:
         done = [_sweep_trials(obj, ref, config, batch) for config, batch in batches]

@@ -9,7 +9,7 @@ the variable dimension and broadcast over any leading axes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -192,17 +192,14 @@ _Y_STAR_FORSAKEN = math.sqrt(1.0 + math.sqrt(2.0) / 2.0)
 
 @dataclass(frozen=True)
 class Benchmark:
-    """Registry record of one problem: formula, default boxes, known solution, horizon.
+    """Registry record of one problem: its objective on the default boxes, known solution, horizon.
 
     reference is None for a registered objective whose global min-max point
     is unknown; such an objective can be built and run, but not solved
     through the harness or swept.  horizon is the default single-run T.
     """
 
-    name: str
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    box_x: BoxDomain
-    box_y: BoxDomain
+    objective: ObjectiveFunction
     reference: ReferencePoint | None
     horizon: float
 
@@ -238,7 +235,8 @@ def register_benchmark(
     key = canonical_id(name)
     if key in _REGISTRY:
         raise InputError(f"benchmark id {name!r} already registered")
-    _REGISTRY[key] = Benchmark(key, fn, _box(box_x), _box(box_y), reference, horizon)
+    dom_x, dom_y = _box(box_x), _box(box_y)
+    _REGISTRY[key] = Benchmark(ObjectiveFunction(key, dom_x.dim, dom_y.dim, dom_x, dom_y, fn), reference, horizon)
 
 
 def lookup_benchmark(benchmark_id: str) -> Benchmark:
@@ -258,18 +256,11 @@ def benchmark_reference(benchmark_id: str) -> ReferencePoint:
 
 
 def make_benchmark(benchmark_id: str, box_x=None, box_y=None) -> ObjectiveFunction:
-    """Build the named benchmark objective, optionally overriding its boxes."""
-    spec = lookup_benchmark(benchmark_id)
-    dom_x = spec.box_x if box_x is None else _box(box_x)
-    dom_y = spec.box_y if box_y is None else _box(box_y)
-    return ObjectiveFunction(
-        name=spec.name,
-        dim_x=dom_x.dim,
-        dim_y=dom_y.dim,
-        domain_x=dom_x,
-        domain_y=dom_y,
-        fn=spec.fn,
-    )
+    """A new copy of the named benchmark's objective, optionally on other boxes; the registry's stays as it is."""
+    obj = lookup_benchmark(benchmark_id).objective
+    dom_x = obj.domain_x if box_x is None else _box(box_x)
+    dom_y = obj.domain_y if box_y is None else _box(box_y)
+    return replace(obj, dim_x=dom_x.dim, dim_y=dom_y.dim, domain_x=dom_x, domain_y=dom_y)
 
 
 # The bilinear, bivariate and remark problems are stated on all of R x R;

@@ -8,12 +8,11 @@ acceptance tests; only meant for low-dimensional problems.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_counts
 from .objectives import BoxDomain, ObjectiveFunction
 
 __all__ = ["GridSpec", "OracleSolution", "envelope", "solve_minmax"]
@@ -30,10 +29,7 @@ class GridSpec:
     refine_rounds: int = 3
 
     def __post_init__(self):
-        for name, low in (("points_per_dim", 3), ("refine_rounds", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:  # bool is an Integral
-                raise InputError(f"{name} must be an integer >= {low}, got {value!r}")
+        check_counts(self, {"points_per_dim": 3, "refine_rounds": 0}, InputError)
 
 
 @dataclass

@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .consensus import _block_rows, _row_blocks
+from .consensus import _row_blocks
 from .objectives import ObjectiveFunction
 
 _CATEGORIES = ("divide", "over", "under", "invalid")  # numpy's error categories, one shared flag each
@@ -29,13 +29,13 @@ class Helper:
     The parent makes an anonymous shared ``mmap`` that holds the ensembles,
     the call's rows of ``row_max``, ``row_arg`` and ``yhat`` and three
     slots: beta, one flag per numpy error category that the caller's
-    ``np.geterr()`` does not ignore, and the first row of the helper's
-    first failing block (-1 when none fails).  Then it forks.  Per call it
+    ``np.geterr()`` does not ignore, and the index of the helper's first
+    failing block (-1 when none fails).  Then it forks.  Per call it
     writes the ensembles and the first two slots there and sends the
     helper one byte over a pipe.  The helper evaluates its blocks under an
     errstate that raises in each flagged category and ignores the others,
     with every Python warning raised as an error, writes its rows and the
-    failing row, and replies one byte.  It reports no exception: the caller
+    failing block, and replies one byte.  It reports no exception: the caller
     evaluates the failing block and the helper's later blocks itself, so
     every error, warning and ``np.seterrcall`` callback comes from the
     caller's own evaluation, as on one worker.  The two sides alternate the
@@ -59,7 +59,7 @@ class Helper:
         for shape, dtype in layout:
             views.append(np.frombuffer(buffer, dtype, math.prod(shape), offset).reshape(shape))
             offset += views[-1].nbytes
-        self.xs, self.ys, self.row_max, self.row_arg, self.yhat, self.beta, self.failed_row, self.flags = views
+        self.xs, self.ys, self.row_max, self.row_arg, self.yhat, self.beta, self.failed_block, self.flags = views
         requests_r, self._requests = os.pipe()
         self._replies, replies_w = os.pipe()
         for stream in (sys.stdout, sys.stderr):  # so the child's streams start empty
@@ -89,7 +89,7 @@ class Helper:
                 with np.errstate(**{c: "raise" if flag else "ignore" for c, flag in zip(_CATEGORIES, self.flags)}):
                     failure = _row_blocks(self.obj, self.xs, self.ys, float(self.beta), 1, 2,
                                           self.row_max, self.row_arg, self.yhat)
-                self.failed_row[()] = -1 if failure is None else failure[0]
+                self.failed_block[()] = -1 if failure is None else failure[0]
                 os.write(replies, b"\0")
         finally:  # EOF of the requests, or a reply the parent no longer reads
             for stream in (sys.stdout, sys.stderr):
@@ -120,9 +120,9 @@ class Helper:
         if not os.read(self._replies, 1):  # EOF: no reply
             raise self._lost()
         self._pending = False
-        row = int(self.failed_row)
-        theirs = None if row < 0 else _row_blocks(self.obj, xs, ys, beta, row // _block_rows(ys.shape[-2]), 2,
-                                                  self.row_max, self.row_arg, self.yhat)
+        block = int(self.failed_block)
+        theirs = None if block < 0 else _row_blocks(self.obj, xs, ys, beta, block, 2,
+                                                    self.row_max, self.row_arg, self.yhat)
         failures = [f for f in (mine, theirs) if f is not None]
         if failures:
             raise min(failures, key=lambda f: f[0])[1]

@@ -602,8 +602,13 @@ def _refuse_work(*args, **kwargs):
     ["solve", "--config", "{tmp}/nope.conf"],
     ["solve", "--config", "{tmp}"],
     ["solve", "--config", "{tmp}/latin1.conf"],
+    ["solve", "--benchmark", "bilinear", "-T", "0.2", "--out", "{tmp}", "--prefix", "nosuch/x"],
+    ["solve", "--benchmark", "bilinear", "-T", "0.2", "--out", "{tmp}/sub", "--prefix", "../x"],
+    ["sweep", "--benchmark", "bilinear", "--parameter", "sigma", "--values", "1", "--trials", "1", "-T", "0.2",
+     "--out", "{tmp}", "--prefix", "nosuch/x"],
 ], ids=["oracle-missing-dir", "oracle-a-dir", "gda-missing-dir", "solve-occupied", "solve-under-a-file",
-        "sweep-occupied", "missing-config", "config-a-dir", "config-not-utf8"])
+        "sweep-occupied", "missing-config", "config-a-dir", "config-not-utf8", "solve-prefix-in-a-dir",
+        "solve-prefix-out-of-out", "sweep-prefix-in-a-dir"])
 def test_bad_path_exits_2_with_one_error_line_before_any_work(tmp_path, capsys, monkeypatch, argv):
     (tmp_path / "occupied").write_text("a file\n")
     (tmp_path / "latin1.conf").write_bytes("benchmark = forsak\xe9n\n".encode("latin-1"))

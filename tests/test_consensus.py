@@ -34,7 +34,6 @@ from minmaxcbo.consensus import (
     _MASK_MIN_SHARE,
     _MASK_SAMPLE,
     _block_rows,
-    _one_block,
     consensus_points,
     exp_weights,
 )
@@ -512,7 +511,7 @@ _ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NU
 
 
 def test_row_blocks_bitwise_equal_whole_matrix_reference():
-    assert _one_block(256, 256) and not _one_block(257, 257)  # so N = 257 is the first size that splits
+    assert _block_rows(256, 256) == 256 and _block_rows(257, 257) < 257  # so N = 257 is the first size that splits
     code = f"import runpy; print(runpy.run_path({__file__!r})['_blocked_mismatches']())"
     env = {**os.environ, **_ONE_BLAS_THREAD, "PYTHONPATH": os.pathsep.join(sys.path)}
     child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600)
@@ -531,7 +530,7 @@ def test_best_pair_tie_across_a_block_boundary_goes_to_the_lowest_indices():
     xs[[63, 64, 900], 0] = 1.5, 0.5, 0.5
     ys = rng.uniform(-4.0, 0.5, (1000, 1))
     ys[[10, 20, 700], 0] = 2.0, 1.0, 3.0
-    assert _block_rows(1000) == 32  # rows per block
+    assert _block_rows(1000, 1000) == 32  # rows per block
     _, (bx, by, value) = consensus_points(obj, xs, ys, 1e4, 1e4)
     assert (bx[0], by[0], value) == (1.5, 2.0, 1.25)
     _, _, whole = _reference_consensus(obj, xs, ys, 1e4, 1e4)
@@ -741,7 +740,7 @@ def test_exp_weights_gets_one_row_per_weighted_point(monkeypatch, trials, n):
     monkeypatch.setattr(consensus, "exp_weights", recorded)
     rng = np.random.default_rng(4)
     consensus_points(FORSAKEN, rng.uniform(-1, 1, (*trials, n, 1)), rng.uniform(-1, 1, (*trials, n, 1)), 1.0, 1.0)
-    rows = _block_rows(n) if not _one_block(n, n) else n
+    rows = _block_rows(n, n)
     trial_count = int(np.prod(trials))
     assert shapes[:-1] == [(trial_count * min(rows, n - a), n) for a in range(0, n, rows)]
     assert shapes[-1] == ((*trials, n) if trials else (n,))
@@ -964,15 +963,51 @@ def test_an_objective_that_fails_only_on_the_helper_returns_one_workers_results_
     assert [g.tobytes() for g in two] == [w.tobytes() for w in one]
 
 
-def _in_block_1(fn):
-    """An objective of ``fn`` and N = 1000 ensembles whose x is 3 only in the pair rows 32-63.
+def _in_block(fn, block=1):
+    """An objective of ``fn`` and N = 1000 ensembles whose x is 3 only in the pair rows of 32-row block ``block``.
 
-    Those rows are block 1, which the helper of two workers evaluates.
+    The helper of two workers evaluates the odd blocks: rows 32-63 are block 1, rows 96-127 block 3.
     """
     xs = np.linspace(-1.0, 1.0, 1000)[:, None]
-    xs[32:64, 0] = 3.0
+    xs[32 * block : 32 * (block + 1), 0] = 3.0
     box = BoxDomain(np.array([-1.0]), np.array([3.0]))
     return ObjectiveFunction(fn.__name__, 1, 1, box, box, fn), xs, np.linspace(-1.0, 1.0, 1000)[:, None]
+
+
+def test_a_helper_that_first_fails_at_block_3_has_this_process_evaluate_blocks_3_5_and_on_bitwise():
+    # the helper evaluates block 1, fails at block 3 (rows 96-127) and names that block, so this process
+    # evaluates blocks 3, 5, ..., 31 again, and not block 1, and the results are one worker's bits
+    here = os.getpid()
+
+    def fails_at_3_off_here(x, y):
+        if os.getpid() != here and np.any(x == 3.0):
+            raise ValueError("x = 3 on the helper")
+        return x[..., 0] * y[..., 0]
+
+    fn, calls = _calls_by_process(fails_at_3_off_here)
+    obj, xs, ys = _in_block(fn, 3)
+    results = []
+    for workers in (1, 2):
+        calls[:] = 0
+        cp, best = _consensus_with(workers, obj, xs, ys, 1e4)
+        results.append([np.asarray(v).tobytes() for v in (cp.x_cons, cp.y_cons_per_particle, *best)])
+    # here: 16 even blocks, the 15 odd blocks from 3 to 31 and the outer values; in the helper: blocks 1 and 3
+    assert calls.tolist() == [16 + 15 + 1, 2]
+    assert results[1] == results[0] and _no_child_left()
+
+
+@pytest.mark.parametrize("n_x, n_y, rows", [(256, 256, 256), (257, 257, 120), (1000, 1000, 32), (16, 4096, 16),
+                                            (17, 4096, 8), (8, 10**5, 8), (3, 8193, 3), (9, 8193, 8)])
+def test_block_rows_are_all_rows_for_one_block_else_a_split_on_the_8_row_grid(n_x, n_y, rows):
+    assert _block_rows(n_x, n_y) == rows
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(n_x=st.integers(1, 5000), n_y=st.integers(1, 10**6))
+def test_a_split_call_gets_fewer_rows_than_n_x_a_multiple_of_8(n_x, n_y):
+    rows = _block_rows(n_x, n_y)
+    assert rows == n_x or (8 <= rows < n_x and rows % 8 == 0)
+    assert (rows == n_x) == (n_x <= 8 or -(-n_x // 8) * 8 * n_y <= _BLOCK_ENTRIES)
 
 
 def test_an_exception_that_cannot_be_pickled_arrives_from_an_odd_block_as_itself():
@@ -984,7 +1019,7 @@ def test_an_exception_that_cannot_be_pickled_arrives_from_an_odd_block_as_itself
             raise LocalError(f"x = 3 in pair rows of shape {x.shape}")
         return x[..., 0] * y[..., 0]
 
-    obj, xs, ys = _in_block_1(fails_at_3)
+    obj, xs, ys = _in_block(fails_at_3)
     messages = []
     for workers in (1, 2):
         with pytest.raises(LocalError) as info:
@@ -1099,7 +1134,7 @@ def _overflows_in_block_1():
         scale = 400.0 if x.ndim == 3 else 1.0  # the pair calls broadcast x to (rows, 1, 1); the outer call does not
         return np.minimum(np.exp(scale * x[..., 0]), 2.0) * y[..., 0]
 
-    return _in_block_1(overflow)
+    return _in_block(overflow)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1127,7 +1162,7 @@ def test_a_python_warning_of_a_helper_block_reaches_the_callers_filters(workers)
             warnings.warn("x = 3 in a pair block")
         return x[..., 0] * y[..., 0]
 
-    obj, xs, ys = _in_block_1(warns_at_3)
+    obj, xs, ys = _in_block(warns_at_3)
     with _second_worker_for(obj, xs, ys, cpus=workers) as helper, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         consensus_points(obj, xs, ys, 1e4, 1e4, _helper=helper)

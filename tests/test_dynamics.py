@@ -447,7 +447,7 @@ def test_project_must_be_a_bool(project):
 @pytest.mark.parametrize("flag", [True, False])
 def test_integer_fields_reject_bools(name, flag):
     # bool is a numbers.Integral, so SolverConfig(n_particles=True, seed=False) used to construct
-    with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {flag}$"):
+    with pytest.raises(ConfigError, match=f"^{name} must be an integer >= {int(name == 'n_particles')}, got {flag}$"):
         _cfg(**{name: flag})
 
 

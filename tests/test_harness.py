@@ -16,6 +16,9 @@ from hypothesis import strategies as st
 
 from minmaxcbo import (
     ConfigError,
+    GdaConfig,
+    GridSpec,
+    InputError,
     NumericalError,
     ReferencePoint,
     SolverConfig,
@@ -80,6 +83,15 @@ def test_parse_config_file(tmp_path):
     assert values["sigma"] == 1.5
     assert values["project"] is True
     assert values["box_x"] == (-1.5, 1.5)
+
+
+@pytest.mark.parametrize("bom", [False, True])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_parse_config_file_reads_a_byte_order_mark_and_crlf(tmp_path, bom, newline):
+    # an editor may save UTF-8 with a byte-order mark, which used to read as the key '\ufeffbenchmark'
+    path = tmp_path / "run.conf"
+    path.write_bytes((("\ufeff" if bom else "") + newline.join(["benchmark = forsaken", "seed = 3", ""])).encode())
+    assert parse_config_file(path) == {"benchmark": "forsaken", "seed": 3}
 
 
 def test_parse_config_file_rejects_unknown_key(tmp_path):
@@ -233,6 +245,7 @@ def test_sweep_custom_benchmark_under_spawn_matches_serial(monkeypatch):
     serial = run_sweep(SweepSpec(parameter="sigma", values=[0.5, 1.0], objective=obj, base=base, trials=2))
     spawn = multiprocessing.get_context("spawn")
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=spawn))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # two workers, so a pool on one CPU too
     parallel = run_sweep(SweepSpec(parameter="sigma", values=[0.5, 1.0], objective=obj, base=base, trials=2, jobs=2))
     assert [s.errors for s in parallel] == [s.errors for s in serial]
     assert all(math.isfinite(e) for s in serial for e in s.errors)
@@ -289,6 +302,28 @@ def test_sweep_spec_validation():
     with pytest.raises(ConfigError):
         _tiny_spec(trials=0)
     assert _tiny_spec(trials=np.int64(2), jobs=np.int32(1)).trials == 2
+
+
+# Every integer count of the four records, its error type and its lowest value; check_counts checks them all.
+_COUNTS = {
+    "n_particles": (lambda v: SolverConfig(n_particles=v), ConfigError, 1),
+    "seed": (lambda v: SolverConfig(seed=v), ConfigError, 0),
+    "trials": (lambda v: _tiny_spec(trials=v), ConfigError, 1),
+    "jobs": (lambda v: _tiny_spec(jobs=v), ConfigError, 1),
+    "points_per_dim": (lambda v: GridSpec(points_per_dim=v), InputError, 3),
+    "refine_rounds": (lambda v: GridSpec(refine_rounds=v), InputError, 0),
+    "iterations": (lambda v: GdaConfig(0.1, v, (np.zeros(1), np.zeros(1))), InputError, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(_COUNTS))
+def test_every_count_rejects_bools_fractions_and_values_below_its_bound(name):
+    build, error, low = _COUNTS[name]
+    for bad in (True, False, np.bool_(True), 2.5, low - 1):
+        with pytest.raises(error, match=f"^{name} must be an integer >= {low}, got {re.escape(repr(bad))}$"):
+            build(bad)
+    for good in (low, np.int64(low + 2), np.uint32(low + 1)):
+        assert getattr(build(good), name) == good
 
 
 @pytest.mark.parametrize("name", ["trials", "jobs"])
@@ -493,6 +528,8 @@ def test_sweep_trials_replay_a_failing_batch_one_seed_at_a_time(monkeypatch):
 @pytest.mark.parametrize("n, trials, jobs", [(10, 400, 1), (10, 7, 2), (20, 100, 1), (20, 3, 4), (128, 5, 1),
                                              (129, 3, 1), (160, 40, 2), (1, 1000, 3)])
 def test_batches_respect_the_entry_cap_and_keep_every_job_busy(monkeypatch, n, trials, jobs):
+    # batches are cut for min(jobs, usable CPUs) workers; with 64 CPUs that is every case's jobs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
     ran = []
     monkeypatch.setattr(harness, "_sweep_trials",
                         lambda obj, ref, config, seeds: ran.append(seeds) or [0.0] * len(seeds))
@@ -519,7 +556,19 @@ def test_sweep_pool_asks_for_no_more_workers_than_batches_or_cpus(monkeypatch, v
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                         lambda max_workers: asked.append(max_workers) or _InlinePool(max_workers))
     run_sweep(_tiny_spec(parameter="n_particles", values=values, trials=trials, jobs=5000))
-    assert asked == [workers]
+    assert asked == ([workers] if workers > 1 else [])  # one batch runs in this process, with no pool
+
+
+def test_a_sweep_on_one_usable_cpu_runs_jobs_2_in_this_process_as_jobs_1(monkeypatch):
+    # a sweep has min(jobs, usable CPUs) workers: on one CPU, jobs=2 cuts its batches for one and starts no pool
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _refuse_to_start_a_process)
+    cut, batches = [], harness._batches
+    monkeypatch.setattr(harness, "_batches", lambda seeds, n, w: cut.append(w) or batches(seeds, n, w))
+    rows = {jobs: run_sweep(_tiny_spec(parameter="n_particles", values=[5, 12], trials=7, jobs=jobs))
+            for jobs in (1, 2)}
+    assert cut == [1, 1, 1, 1]
+    assert _hex_rows(rows[2]) == _hex_rows(rows[1])
 
 
 def test_sweep_batch_blocks_hold_at_most_the_batch_entries():
@@ -541,7 +590,7 @@ def test_sweep_batch_blocks_hold_at_most_the_batch_entries():
         assert max(entries) == largest
 
 
-def _refuse_to_start_a_process(pool):
+def _refuse_to_start_a_process(*args, **kwargs):
     raise AssertionError("the test reached a real process pool")
 
 

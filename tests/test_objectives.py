@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minmaxcbo import BoxDomain, InputError, ReferencePoint, benchmark_reference, make_benchmark, register_benchmark
-from minmaxcbo.objectives import _even_sextic
+from minmaxcbo.objectives import _even_sextic, lookup_benchmark
 
 BUILT_IN_IDS = ("bilinear", "bivariate", "bilinearly_coupled", "forsaken", "sixth_order", "remark_function")
 
@@ -98,6 +98,16 @@ def test_box_override():
     obj = make_benchmark("bilinear", box_x=(-1.0, 1.0), box_y=(-2.0, 2.0))
     assert obj.domain_x.lower[0] == -1.0
     assert obj.domain_y.upper[0] == 2.0
+
+
+def test_make_benchmark_returns_a_new_objective_and_leaves_the_registrys_boxes_alone():
+    registered = lookup_benchmark("forsaken").objective
+    first, second = make_benchmark("forsaken"), make_benchmark("forsaken")
+    assert first is not second and first is not registered and first == registered
+    wider = make_benchmark("forsaken", box_x=(-3.0, 3.0), box_y=BoxDomain(np.array([-2.0, -2.0]), np.array([2.0, 2.0])))
+    assert (wider.dim_x, wider.dim_y, wider.domain_x.upper[0], wider.fn) == (1, 2, 3.0, registered.fn)
+    assert (registered.dim_y, registered.domain_x.upper[0], registered.domain_y.upper.tolist()) == (1, 1.5, [1.5])
+    assert make_benchmark("forsaken").domain_x.upper[0] == 1.5
 
 
 def test_box_domain_invariants():
